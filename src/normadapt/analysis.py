@@ -100,10 +100,6 @@ class GradTrace:
             writer.writerow([e.step, e.path, repr(e.mean), repr(e.variance)])
 
 
-def record_grad_stats(trace: GradTrace, step, tree, paths):
-    trace.record(step, tree, paths)
-
-
 @dataclass(frozen=True)
 class SimilarityDiff:
     label_a: str

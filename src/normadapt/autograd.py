@@ -127,6 +127,8 @@ def _matmul(arrays, attrs):
         raise ShapeError("matmul", [a.shape, b.shape],
                          f"inner dims {a.shape[-1]} vs {b_inner}")
     bT = np.swapaxes(b, -1, -2) if transpose_b else b
+    if b.ndim == 2 and a.ndim > 2:
+        return _matmul_rows(a, b, bT, transpose_b)
     out = a @ bT
 
     def backward(g, needs):
@@ -138,6 +140,28 @@ def _matmul(arrays, attrs):
                 gb = _unbroadcast(np.swapaxes(g, -1, -2) @ a, b.shape)
             else:
                 gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+        return ga, gb
+
+    return out, backward
+
+
+def _matmul_rows(a, b, bT, transpose_b):
+    """(..., in) @ 2-d weight with the leading axes folded into rows.
+
+    One GEMM per product instead of one small product per batch entry; the
+    weight gradient is a single (out, in) product, not a stack of partial
+    ones summed afterwards.
+    """
+    a2 = a.reshape(-1, a.shape[-1])
+    out = (a2 @ bT).reshape(a.shape[:-1] + (bT.shape[-1],))
+
+    def backward(g, needs):
+        g2 = g.reshape(-1, g.shape[-1])
+        ga = gb = None
+        if needs[0]:
+            ga = (g2 @ bT.T).reshape(a.shape)
+        if needs[1]:
+            gb = g2.T @ a2 if transpose_b else a2.T @ g2
         return ga, gb
 
     return out, backward
@@ -206,6 +230,53 @@ def _softmax(arrays, attrs):
             return (None,)
         inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner) * out,)
+
+    return out, backward
+
+
+@register_op("causal_attention")
+def _causal_attention(arrays, attrs):
+    """softmax(q k^T / sqrt(hd) + causal mask) v per head; (B, L, d) in and out.
+
+    Future positions are set to -inf before the softmax, so their weights are
+    exactly 0.0 and no output row depends on a later position.  Exact and
+    un-tiled: the (B, H, L, L) weights are kept for the backward.
+    """
+    q, k, v = arrays
+    n_heads = int(attrs["n_heads"])
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
+        raise ShapeError("causal_attention", [q.shape, k.shape, v.shape],
+                         f"need equal (B, L, d) with d divisible by n_heads={n_heads}")
+    bsz, length, d = q.shape
+    hd = d // n_heads
+    scale = hd ** -0.5
+
+    def split(t):  # (B, L, d) -> (B, H, L, hd)
+        return t.reshape(bsz, length, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(t):  # (B, H, L, hd) -> (B, L, d)
+        return t.transpose(0, 2, 1, 3).reshape(bsz, length, d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    scores[..., np.triu(np.ones((length, length), dtype=bool), k=1)] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    out = merge(att @ vh)
+
+    def backward(g, needs):
+        gq = gk = gv = None
+        gh = split(g)
+        if needs[2]:
+            gv = merge(att.swapaxes(-1, -2) @ gh)
+        if needs[0] or needs[1]:
+            gatt = gh @ vh.swapaxes(-1, -2)
+            gs = (gatt - (gatt * att).sum(axis=-1, keepdims=True)) * att * scale
+            if needs[0]:
+                gq = merge(gs @ kh)
+            if needs[1]:
+                gk = merge(gs.swapaxes(-1, -2) @ qh)
+        return gq, gk, gv
 
     return out, backward
 
@@ -423,6 +494,10 @@ def embed_lookup(weight, ids):
 
 def softmax(x):
     return op_forward("softmax", [x])
+
+
+def causal_attention(q, k, v, n_heads):
+    return op_forward("causal_attention", [q, k, v], {"n_heads": n_heads})
 
 
 def silu(x):

@@ -18,7 +18,6 @@ from . import autograd as ag
 CHECKPOINT_MAGIC = b"NORMADAPT1"
 NORM_KINDS = ("standard", "rms")
 VISION_MODES = ("aligned", "unaligned")
-_MASK_VALUE = -1e9  # drives masked softmax weights to exactly 0.0 via underflow
 
 
 @dataclass
@@ -124,7 +123,6 @@ class Model:
         self.tree = tree
         self.dtype = np.dtype(dtype)
         self.adapters = {}  # target path -> LoraAdapter, managed by the strategies module
-        self._mask_cache = {}
 
     def param(self, path: str) -> ag.Tensor:
         return self.tree[path]
@@ -147,32 +145,13 @@ class Model:
             return ag.rms_norm(x, gain)
         return ag.layer_norm(x, gain, self.tree[prefix + ".bias"])
 
-    def _causal_mask(self, length):
-        mask = self._mask_cache.get(length)
-        if mask is None:
-            m = np.triu(np.full((length, length), _MASK_VALUE, dtype=self.dtype), k=1)
-            mask = ag.tensor(m[None, None])  # (1, 1, L, L)
-            self._mask_cache[length] = mask
-        return mask
-
-    def _block(self, i, h, mask):
-        cfg = self.config
+    def _block(self, i, h):
         p = f"blocks.{i}."
         x = self._norm(h, p + "input_norm")
-        bsz, length, d = x.data.shape
-        hd = d // cfg.n_heads
-
-        def heads(t):  # (B, L, d) -> (B, H, L, hd)
-            return ag.transpose(ag.reshape(t, (bsz, length, cfg.n_heads, hd)),
-                                (0, 2, 1, 3))
-
-        q = heads(self._proj(x, p + "attn.q_proj.weight"))
-        k = heads(self._proj(x, p + "attn.k_proj.weight"))
-        v = heads(self._proj(x, p + "attn.v_proj.weight"))
-        scores = ag.mul(ag.matmul(q, k, transpose_b=True), self._const(hd ** -0.5))
-        att = ag.softmax(ag.add(scores, mask))
-        ctx = ag.transpose(ag.matmul(att, v), (0, 2, 1, 3))
-        ctx = ag.reshape(ctx, (bsz, length, d))
+        ctx = ag.causal_attention(self._proj(x, p + "attn.q_proj.weight"),
+                                  self._proj(x, p + "attn.k_proj.weight"),
+                                  self._proj(x, p + "attn.v_proj.weight"),
+                                  self.config.n_heads)
         h = ag.add(h, self._proj(ctx, p + "attn.o_proj.weight"))
         y = self._norm(h, p + "post_norm")
         y = self._proj(ag.silu(self._proj(y, p + "mlp.fc1.weight")),
@@ -220,9 +199,8 @@ class Model:
             raise ValueError(f"sequence length {length} exceeds max_seq {cfg.max_seq}")
         h = ag.add(h, ag.embed_lookup(self.tree["pos.weight"], np.arange(length)))
 
-        mask = self._causal_mask(length)
         for i in range(cfg.n_layers):
-            h = self._block(i, h, mask)
+            h = self._block(i, h)
             if capture is not None:
                 capture.append(h.data.copy())
         h = self._norm(h, "final_norm")

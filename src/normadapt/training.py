@@ -121,17 +121,25 @@ def _batches(ds: dt.Dataset, idx):
 
 
 def evaluate(model: Model, ds: dt.Dataset, batch=64) -> float:
-    """Mean held-out cross entropy, weighted by scored-token counts."""
+    """Mean held-out cross entropy, weighted by scored-token counts.
+
+    Batches with no scored target are skipped without a forward pass; only a
+    split with no scored target at all raises.
+    """
     total_nll = 0.0
     total_count = 0
     with ag.no_grad():
         for lo in range(0, len(ds), batch):
             idx = np.arange(lo, min(lo + batch, len(ds)))
             tokens, feats, targets = _batches(ds, idx)
-            loss = ag.cross_entropy(model.forward(tokens, feats), targets)
             count = int((targets != dt.IGNORE).sum())
+            if count == 0:
+                continue
+            loss = ag.cross_entropy(model.forward(tokens, feats), targets)
             total_nll += float(loss.data) * count
             total_count += count
+    if total_count == 0:
+        raise ValueError("evaluate: no targets to score in the whole split")
     return total_nll / total_count
 
 

@@ -143,7 +143,7 @@ def test_grad_trace_variance_matches_float64_shadow():
     ag.backward(loss)
     norm_paths = [p for p in m.tree.paths() if "norm" in p and p.endswith("weight")]
     trace = an.GradTrace()
-    an.record_grad_stats(trace, 0, m.tree, norm_paths)
+    trace.record(0, m.tree, norm_paths)
     for entry in trace.entries:
         g = np.asarray(m.tree[entry.path].grad, dtype=np.float64).ravel()
         assert abs(entry.variance - g.var()) <= 1e-10

@@ -53,10 +53,25 @@ def test_mean_gradient_is_uniform():
 
 # --- finite-difference oracle over every registered kind ---------------------
 
-def _case_for(kind, rng):
+# (a shape, b shape, transpose_b): 2-d, the flattened 3-d x 2-d path with and
+# without transpose_b, batched 4-d (attention-style) and a broadcast batch.
+MATMUL_CASES = (
+    ((2, 4), (4, 2), False),
+    ((2, 3, 4), (5, 4), True),
+    ((2, 3, 4), (4, 5), False),
+    ((2, 2, 3, 4), (2, 2, 5, 4), True),
+    ((2, 3, 4), (1, 4, 2), False),
+)
+
+
+def _case_for(kind, rng, seed):
     """Random small float64 inputs + attrs for one op kind."""
     if kind == "matmul":
-        return [rng.standard_normal((2, 4)), rng.standard_normal((4, 2))], {}
+        a_shape, b_shape, transpose_b = MATMUL_CASES[seed % len(MATMUL_CASES)]
+        return ([rng.standard_normal(a_shape), rng.standard_normal(b_shape)],
+                {"transpose_b": transpose_b})
+    if kind == "causal_attention":
+        return [rng.standard_normal((2, 4, 4)) for _ in range(3)], {"n_heads": 2}
     if kind == "add" or kind == "mul":
         return [rng.standard_normal((2, 4)), rng.standard_normal(4)], {}
     if kind == "embed_lookup":
@@ -83,7 +98,7 @@ def _case_for(kind, rng):
 
 def run_gradcheck(kind, seed, tol=1e-5):
     rng = np.random.default_rng(seed)
-    arrays, attrs = _case_for(kind, rng)
+    arrays, attrs = _case_for(kind, rng, seed)
     out_shape = ag.op_forward(kind, [ag.tensor(a) for a in arrays], attrs).shape
     proj = rng.standard_normal(out_shape) if out_shape else np.float64(1.0)
 

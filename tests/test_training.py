@@ -167,6 +167,25 @@ def test_evaluate_batch_size_invariance():
     assert a == pytest.approx(b, rel=1e-6)
 
 
+def test_evaluate_skips_batches_with_no_scored_target():
+    model, ds = micro_setup(kind="mm-adapt", n=4)
+    ds.targets[2:] = dt.IGNORE
+    whole = tr.evaluate(model, ds, batch=4)
+    forwarded = []
+    real_forward = model.forward
+
+    def counting_forward(tokens, feats):
+        forwarded.append(len(tokens))
+        return real_forward(tokens, feats)
+
+    model.forward = counting_forward
+    assert tr.evaluate(model, ds, batch=2) == pytest.approx(whole, rel=1e-6)
+    assert forwarded == [2]  # the all-ignored batch runs no forward pass
+    ds.targets[:] = dt.IGNORE
+    with pytest.raises(ValueError, match="no targets"):
+        tr.evaluate(model, ds, batch=2)
+
+
 def test_frozen_run_evaluates_without_training():
     model, ds = micro_setup(kind="mm-adapt", n=32)
     before = {p: t.data.copy() for p, t in model.tree.items()}
