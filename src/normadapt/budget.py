@@ -1,10 +1,9 @@
 """Analytic trainable-parameter accounting over architecture presets.
 
-Counts come from a closed-form path inventory that mirrors the ParamTree
-grammar, so the same selection rules as the strategies module apply without
-allocating tensors.  The llama presets use gain-only norms and the gated
-three-matrix MLP; the frozen vision encoder enters the total but is never
-selectable.
+Counts come from the model's own path inventory (`model.param_inventory`), so
+the same selection rules as the strategies module apply without allocating
+tensors.  The llama presets use gain-only norms and the gated three-matrix
+MLP; the frozen vision encoder enters the total but is never selectable.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .model import ModelConfig
-from .strategies import (TuningStrategy, adapter_param_count, selection_paths)
+from .model import ModelConfig, param_inventory
+from .strategies import TuningStrategy, is_lora_target, selection_paths
 
 
 @dataclass(frozen=True)
@@ -43,32 +42,11 @@ class ArchPreset:
 
     def inventory(self):
         """(path, shape) pairs in the ParamTree grammar."""
-        d, ff, v = self.d_model, self.d_ff, self.vocab_size
-        entries = [("embed.weight", (v, d))]
-        if self.max_seq:
-            entries.append(("pos.weight", (self.max_seq, d)))
-        entries.append(("connector.weight", (d, self.d_visual)))
-        entries.append(("connector.bias", (d,)))
-
-        def norm(prefix):
-            entries.append((prefix + ".weight", (d,)))
-            if self.norm_style == "gain-bias":
-                entries.append((prefix + ".bias", (d,)))
-
-        for i in range(self.n_layers):
-            p = f"blocks.{i}."
-            norm(p + "input_norm")
-            for name in ("q_proj", "k_proj", "v_proj", "o_proj"):
-                entries.append((p + f"attn.{name}.weight", (d, d)))
-            norm(p + "post_norm")
-            entries.append((p + "mlp.fc1.weight", (ff, d)))
-            entries.append((p + "mlp.fc2.weight", (d, ff)))
-            if self.mlp_style == "gated3":
-                entries.append((p + "mlp.gate.weight", (ff, d)))
-        norm("final_norm")
-        if not self.tie_embeddings:
-            entries.append(("head.weight", (v, d)))
-        return entries
+        return param_inventory(
+            self.n_layers, self.d_model, self.d_ff, self.vocab_size, self.d_visual,
+            norm_bias=self.norm_style == "gain-bias",
+            gated_mlp=self.mlp_style == "gated3",
+            tie_embeddings=self.tie_embeddings, max_seq=self.max_seq)
 
     def model_params(self) -> int:
         return sum(prod(shape) for _, shape in self.inventory())
@@ -153,8 +131,7 @@ def count(preset: ArchPreset, strategy: TuningStrategy,
     if strategy.kind == "lora":
         r = strategy.lora_rank
         for path, shape in list(entries):
-            if path.startswith("blocks.") and path.endswith(".weight") \
-                    and len(shape) == 2:
+            if is_lora_target(path, shape):
                 out, in_ = shape
                 entries.append((path + ".lora_A", (r, in_)))
                 entries.append((path + ".lora_B", (out, r)))

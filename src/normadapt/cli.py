@@ -103,20 +103,20 @@ def _build_or_load(opts, init_from):
     return build(ModelConfig(**kwargs), seed=opts.get("seed", 0))
 
 
+def _protocol(opts, **fields):
+    """AdaptProtocol with the seed and mixture options; `fields` set the rest."""
+    from . import training as tr
+    if "mixture" in opts:
+        fields["mixture"] = opts["mixture"]
+    return tr.AdaptProtocol(seed=opts.get("seed", 0), **fields)
+
+
 def _datasets(opts, task, model, n_train, n_eval):
-    from . import data as dt
-    from .model import VisionStub
-    seed = opts.get("seed", 0)
-    mixture = opts.get("mixture", (1 / 3, 1 / 3, 1 / 3))
-    seq_len = 20 if task == "text-pretrain" else 12
-    stub = None
+    """(train, eval) splits from the protocol's recipe, as `compare` uses them."""
+    protocol = _protocol(opts, model=model.config, n_train=n_train, n_eval=n_eval)
     if task == "mm-adapt":
-        stub = VisionStub(d_visual=model.config.d_visual,
-                          n_slots=4 * 16, seed=dt._DEFAULT_STUB_SEED)
-    make = lambda n, s: dt.generate(
-        dt.TaskSpec(kind=task, n_samples=n, seq_len=seq_len, mixture=mixture,
-                    seed=s), stub)
-    return make(n_train, seed + 1000), make(n_eval, seed + 9999)
+        return protocol.mm_datasets()
+    return protocol.text_dataset(), protocol.eval_dataset(task)
 
 
 def cmd_train(args):
@@ -166,10 +166,8 @@ def cmd_sweep_lr(args):
 def cmd_compare(args):
     from . import training as tr
     opts = _merge(args, ("batch", "seed", "norm_kind", "outdir", "mixture"))
-    protocol = tr.AdaptProtocol(
-        seed=opts.get("seed", 0), batch=opts.get("batch", 32),
-        mixture=opts.get("mixture", (1 / 3, 1 / 3, 1 / 3)),
-        pretrain_steps=args.pretrain_steps,
+    protocol = _protocol(
+        opts, batch=opts.get("batch", 32), pretrain_steps=args.pretrain_steps,
         connector_steps=args.connector_steps, adapt_steps=args.adapt_steps,
         stub_mode=args.stub_mode, noise_std=args.noise_std)
     strategies = args.strategies.split(",")
@@ -212,20 +210,13 @@ def cmd_budget(args):
 
 def cmd_similarity(args):
     from . import analysis as an
-    from . import data as dt
-    from .model import VisionStub, load_checkpoint
+    from . import training as tr
+    from .model import load_checkpoint
 
     def probe_report(ckpt, label):
         model = load_checkpoint(ckpt)
-        task = args.task
-        stub = None
-        if task == "mm-adapt":
-            stub = VisionStub(d_visual=model.config.d_visual, n_slots=4 * 16,
-                              seed=dt._DEFAULT_STUB_SEED)
-        spec = dt.TaskSpec(kind=task, n_samples=args.probe_samples,
-                           seq_len=20 if task == "text-pretrain" else 12,
-                           seed=args.probe_seed)
-        ds = dt.generate(spec, stub)
+        ds = tr.AdaptProtocol(model=model.config).dataset(
+            args.task, args.probe_samples, args.probe_seed)
         return an.layer_similarity(model, ds.tokens, ds.features,
                                    probe={"label": label,
                                           "seed": args.probe_seed,

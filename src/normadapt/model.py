@@ -1,15 +1,16 @@
 """Decoder-only transformer with a visual-prefix connector on the tape autograd.
 
 Parameters live in a flat ParamTree keyed by dot-separated paths; that grammar
-is shared verbatim with the strategy-selection and budget modules.  Projection
-weights are stored (out, in) and applied as x @ W.T.
+is written once, in `param_inventory`, which `build` and the budget module's
+presets both iterate.  Projection weights are stored (out, in) and applied as
+x @ W.T.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -51,18 +52,32 @@ class ModelConfig:
         self.tie_embeddings = bool(self.tie_embeddings)
 
 
-def expected_param_count(cfg: ModelConfig) -> int:
-    """Closed-form scalar count for a built tree (no vision stub, no adapters)."""
-    d, ff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-    norm = d if cfg.norm_kind == "rms" else 2 * d
-    block = 2 * norm + 4 * d * d + 2 * d * ff
-    total = v * d                                # embed
-    total += cfg.max_seq * d                     # pos
-    total += d * cfg.d_visual + d                # connector weight + bias
-    total += cfg.n_layers * block + norm         # blocks + final norm
-    if not cfg.tie_embeddings:
-        total += v * d                           # head
-    return total
+def param_inventory(n_layers, d_model, d_ff, vocab_size, d_visual, *,
+                    norm_bias, gated_mlp, tie_embeddings, max_seq):
+    """(path, shape) pairs of the ParamTree grammar, in build order.
+
+    norm_bias adds a bias next to every norm gain, gated_mlp a third MLP matrix
+    per block; max_seq 0 means no learned position table.
+    """
+    d, ff, v = d_model, d_ff, vocab_size
+    norm = (".weight", ".bias") if norm_bias else (".weight",)
+    entries = [("embed.weight", (v, d))]
+    if max_seq:
+        entries.append(("pos.weight", (max_seq, d)))
+    entries += [("connector.weight", (d, d_visual)), ("connector.bias", (d,))]
+    for i in range(n_layers):
+        p = f"blocks.{i}."
+        entries += [(p + "input_norm" + s, (d,)) for s in norm]
+        entries += [(p + f"attn.{name}.weight", (d, d))
+                    for name in ("q_proj", "k_proj", "v_proj", "o_proj")]
+        entries += [(p + "post_norm" + s, (d,)) for s in norm]
+        entries += [(p + "mlp.fc1.weight", (ff, d)), (p + "mlp.fc2.weight", (d, ff))]
+        if gated_mlp:
+            entries.append((p + "mlp.gate.weight", (ff, d)))
+    entries += [("final_norm" + s, (d,)) for s in norm]
+    if not tie_embeddings:
+        entries.append(("head.weight", (v, d)))
+    return entries
 
 
 class ParamTree:
@@ -216,43 +231,22 @@ class Model:
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    """Init: normal(0, 0.02) projections, unit gains, zero biases."""
+    """Init in inventory order: biases 0, norm gains 1, all else normal(0, 0.02)."""
     rng = np.random.default_rng(seed)
     dt = np.dtype(dtype)
     tree = ParamTree()
-
-    def proj(path, shape):
-        tree.add(path, ag.tensor(rng.normal(0.0, 0.02, shape).astype(dt),
-                                 requires_grad=True))
-
-    def zeros(path, shape):
-        tree.add(path, ag.tensor(np.zeros(shape, dtype=dt), requires_grad=True))
-
-    def norm(prefix):
-        tree.add(prefix + ".weight",
-                 ag.tensor(np.ones(config.d_model, dtype=dt), requires_grad=True))
-        if config.norm_kind == "standard":
-            zeros(prefix + ".bias", config.d_model)
-
-    proj("embed.weight", (config.vocab_size, config.d_model))
-    proj("pos.weight", (config.max_seq, config.d_model))
-    proj("connector.weight", (config.d_model, config.d_visual))
-    zeros("connector.bias", config.d_model)
-    for i in range(config.n_layers):
-        p = f"blocks.{i}."
-        norm(p + "input_norm")
-        for name in ("q_proj", "k_proj", "v_proj", "o_proj"):
-            proj(p + f"attn.{name}.weight", (config.d_model, config.d_model))
-        norm(p + "post_norm")
-        proj(p + "mlp.fc1.weight", (config.d_ff, config.d_model))
-        proj(p + "mlp.fc2.weight", (config.d_model, config.d_ff))
-    norm("final_norm")
-    if not config.tie_embeddings:
-        proj("head.weight", (config.vocab_size, config.d_model))
-
-    got, want = tree.total_scalars(), expected_param_count(config)
-    if got != want:
-        raise AssertionError(f"built {got} scalars, closed form says {want}")
+    for path, shape in param_inventory(
+            config.n_layers, config.d_model, config.d_ff, config.vocab_size,
+            config.d_visual, norm_bias=config.norm_kind == "standard",
+            gated_mlp=False, tie_embeddings=config.tie_embeddings,
+            max_seq=config.max_seq):
+        if path.endswith(".bias"):
+            data = np.zeros(shape, dtype=dt)
+        elif path.endswith("norm.weight"):
+            data = np.ones(shape, dtype=dt)
+        else:
+            data = rng.normal(0.0, 0.02, shape).astype(dt)
+        tree.add(path, ag.tensor(data, requires_grad=True))
     return Model(config, tree, dt)
 
 
@@ -321,14 +315,27 @@ def _read_exact(f, n):
     return buf
 
 
+def _parse_header(header):
+    """(ModelConfig, dtype) from a header holding exactly the keys save writes."""
+    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
+        raise ValueError("checkpoint header needs a 'config' object")
+    if "dtype" not in header:
+        raise ValueError("checkpoint header missing key 'dtype'")
+    known, got = {f.name for f in fields(ModelConfig)}, set(header["config"])
+    if got != known:
+        key = min(got - known) if got - known else min(known - got)
+        state = "unknown" if key in got else "missing"
+        raise ValueError(f"checkpoint config: {state} key {key!r}")
+    return ModelConfig(**header["config"]), np.dtype(header["dtype"])
+
+
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as f:
         if _read_exact(f, len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} checkpoint")
         (hlen,) = struct.unpack("<I", _read_exact(f, 4))
-        header = json.loads(_read_exact(f, hlen))
-        model = build(ModelConfig(**header["config"]), seed=0,
-                      dtype=np.dtype(header["dtype"]))
+        config, dtype = _parse_header(json.loads(_read_exact(f, hlen)))
+        model = build(config, seed=0, dtype=dtype)
         (n_records,) = struct.unpack("<I", _read_exact(f, 4))
         seen = set()
         for _ in range(n_records):
@@ -350,4 +357,6 @@ def load_checkpoint(path) -> Model:
         if len(seen) != len(model.tree):
             missing = sorted(set(model.tree.paths()) - seen)
             raise ValueError(f"checkpoint missing {len(missing)} params, e.g. {missing[:3]}")
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last record")
     return model

@@ -126,11 +126,14 @@ def adapter_param_count(rank: int, shape) -> int:
     return rank * (out + in_)
 
 
+def is_lora_target(path: str, shape) -> bool:
+    """The default LoRA rule: a 2-d weight matrix inside the blocks."""
+    return path.startswith("blocks.") and path.endswith(".weight") and len(shape) == 2
+
+
 def default_lora_targets(tree: ParamTree):
     """All 2-d weight matrices inside the blocks."""
-    return [p for p, t in tree.items()
-            if p.startswith("blocks.") and p.endswith(".weight")
-            and t.data.ndim == 2]
+    return [p for p, t in tree.items() if is_lora_target(p, t.data.shape)]
 
 
 def inject_lora(model: Model, rank: int = 32, targets=None, seed: int = 0,

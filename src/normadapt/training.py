@@ -23,7 +23,8 @@ import numpy as np
 from . import autograd as ag
 from . import data as dt
 from .analysis import GradTrace
-from .model import Model, ModelConfig, VisionStub, build, save_checkpoint
+from .model import (Model, ModelConfig, ParamTree, VisionStub, build,
+                    save_checkpoint)
 from .strategies import TuningStrategy, inject_lora, merge_lora, select_trainable
 
 LR_GRIDS = {
@@ -143,30 +144,14 @@ def evaluate(model: Model, ds: dt.Dataset, batch=64) -> float:
     return total_nll / total_count
 
 
-def answer_accuracy(model: Model, ds: dt.Dataset, batch=64) -> float:
-    """Greedy argmax accuracy at scored positions."""
-    hits = 0
-    total = 0
-    with ag.no_grad():
-        for lo in range(0, len(ds), batch):
-            idx = np.arange(lo, min(lo + batch, len(ds)))
-            tokens, feats, targets = _batches(ds, idx)
-            pred = model.forward(tokens, feats).data.argmax(axis=-1)
-            scored = targets != dt.IGNORE
-            hits += int((pred[scored] == targets[scored]).sum())
-            total += int(scored.sum())
-    return hits / total
-
-
 def clone_model(model: Model) -> Model:
+    """Fresh tensors holding copies of every parameter, flags and dtype kept."""
     if model.adapters:
         raise ValueError("clone the model before injecting adapters")
-    twin = build(model.config, seed=0, dtype=model.dtype)
+    tree = ParamTree()
     for p, t in model.tree.items():
-        c = twin.tree[p]
-        c.data = t.data.copy()
-        c.requires_grad = t.requires_grad
-    return twin
+        tree.add(p, ag.tensor(t.data.copy(), requires_grad=t.requires_grad))
+    return Model(model.config, tree, model.dtype)
 
 
 def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainConfig,
@@ -337,22 +322,25 @@ class AdaptProtocol:
                           mode=self.stub_mode, seed=dt._DEFAULT_STUB_SEED,
                           noise_std=self.noise_std)
 
-    def _spec(self, kind, n, seq_len, seed):
-        return dt.TaskSpec(kind=kind, n_samples=n, seq_len=seq_len,
+    def dataset(self, kind, n, seed) -> dt.Dataset:
+        """n samples of task `kind`; the one place that knows the data recipe."""
+        text = kind == "text-pretrain"
+        seq_len = self.pretrain_seq_len if text else self.adapt_seq_len
+        spec = dt.TaskSpec(kind=kind, n_samples=n, seq_len=seq_len,
                            mixture=self.mixture, n_attrs=self.n_attrs,
                            n_values=self.n_values, seed=seed)
+        return dt.generate(spec, None if text else self.stub())
+
+    def eval_dataset(self, kind):
+        """Held-out split of `kind`; compare, train, sweep-lr, grad-stats score it."""
+        return self.dataset(kind, self.n_eval, self.seed + 3000)
 
     def text_dataset(self):
-        return dt.generate(self._spec("text-pretrain", self.n_train,
-                                      self.pretrain_seq_len, self.seed + 1000))
+        return self.dataset("text-pretrain", self.n_train, self.seed + 1000)
 
     def mm_datasets(self):
-        stub = self.stub()
-        train_ds = dt.generate(self._spec("mm-adapt", self.n_train,
-                                          self.adapt_seq_len, self.seed + 2000), stub)
-        eval_ds = dt.generate(self._spec("mm-adapt", self.n_eval,
-                                         self.adapt_seq_len, self.seed + 3000), stub)
-        return train_ds, eval_ds
+        return (self.dataset("mm-adapt", self.n_train, self.seed + 2000),
+                self.eval_dataset("mm-adapt"))
 
 
 def pretrain(protocol: AdaptProtocol, outdir=None):

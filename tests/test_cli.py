@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from normadapt import cli
+from normadapt import training as tr
 from normadapt.model import ModelConfig, build, save_checkpoint
 
 
@@ -147,6 +148,28 @@ def test_train_init_from_checkpoint(tmp_path, capsys):
                    "--outdir", str(tmp_path / "resumed"), *TINY])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["final_eval"] > 0
+
+
+def test_train_scores_on_the_protocol_splits(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_train(model, strategy, train_ds, eval_ds, config, outdir=None):
+        seen.append((train_ds, eval_ds))
+        return tr.RunRecord(config={}, selection={"strategy": strategy.kind},
+                            train_curve=[], eval_curve=[], final_eval=1.0,
+                            wall_clock=0.0)
+
+    monkeypatch.setattr(tr, "train", fake_train)
+    rc = cli.main(["train", "--task", "mm-adapt", "--seed", "4",
+                   "--outdir", str(tmp_path / "run"), *TINY])
+    assert rc == 0
+    want = tr.AdaptProtocol(model=ModelConfig(), n_train=16, n_eval=8,
+                            seed=4).mm_datasets()
+    (got,) = seen
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.tokens, w.tokens)
+        np.testing.assert_array_equal(g.targets, w.targets)
+        np.testing.assert_array_equal(g.features, w.features)
 
 
 def test_sweep_lr_comma_grid(capsys):

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from normadapt import autograd as ag
+from normadapt import budget
 from normadapt import model as md
 from normadapt.finite_diff import central_difference, max_relative_error
 
@@ -82,6 +86,9 @@ def test_param_count_matches_independent_arithmetic(seed):
         want += v * d
     assert m.tree.total_scalars() == want
     assert sorted(m.tree.paths()) == sorted(set(m.tree.paths()))
+    # one grammar: the built tree is the budget inventory, path for path, in order
+    assert [(p, t.data.shape) for p, t in m.tree.items()] == \
+        budget.preset_from_config(cfg).inventory()
 
 
 def test_logit_shape_with_visual_prefix():
@@ -226,6 +233,33 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 7])
     with pytest.raises(ValueError, match="truncated"):
+        md.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.update(n_experts=8), "unknown key 'n_experts'"),
+    (lambda c: c.pop("d_ff"), "missing key 'd_ff'"),
+], ids=["unknown", "missing"])
+def test_checkpoint_rejects_malformed_config(tmp_path, edit, message):
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(md.build(tiny_config()), path)
+    blob = path.read_bytes()
+    start = len(md.CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[start:start + 4])
+    header = json.loads(blob[start + 4:start + 4 + hlen])
+    edit(header["config"])
+    new = json.dumps(header).encode()
+    path.write_bytes(blob[:start] + struct.pack("<I", len(new)) + new
+                     + blob[start + 4 + hlen:])
+    with pytest.raises(ValueError, match=message):
+        md.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(md.build(tiny_config()), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
         md.load_checkpoint(path)
 
 
