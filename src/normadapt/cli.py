@@ -93,14 +93,26 @@ def _strategy_from_opts(opts):
                           include_defaults=opts.get("include_defaults", True))
 
 
-def _build_or_load(opts, init_from):
-    from .model import ModelConfig, build, load_checkpoint
-    if init_from:
-        return load_checkpoint(init_from)
+def _model_config(opts):
+    from .model import ModelConfig
     kwargs = {}
     if "norm_kind" in opts:
         kwargs["norm_kind"] = opts["norm_kind"]
-    return build(ModelConfig(**kwargs), seed=opts.get("seed", 0))
+    return ModelConfig(**kwargs)
+
+
+def _build_or_load(opts, init_from):
+    """A fresh model, or the checkpoint at init_from if the options agree."""
+    from .model import build, load_checkpoint
+    if not init_from:
+        return build(_model_config(opts), seed=opts.get("seed", 0))
+    model = load_checkpoint(init_from)
+    kind = opts.get("norm_kind")
+    if kind is not None and kind != model.config.norm_kind:
+        raise ValueError(f"norm_kind {kind!r} contradicts the checkpoint "
+                         f"{init_from}, which has norm_kind "
+                         f"{model.config.norm_kind!r}")
+    return model
 
 
 def _protocol(opts, **fields):
@@ -166,16 +178,14 @@ def cmd_sweep_lr(args):
 def cmd_compare(args):
     from . import training as tr
     opts = _merge(args, ("batch", "seed", "norm_kind", "outdir", "mixture"))
+    base = _build_or_load(opts, args.init_from) if args.init_from else None
     protocol = _protocol(
-        opts, batch=opts.get("batch", 32), pretrain_steps=args.pretrain_steps,
+        opts, model=base.config if base else _model_config(opts),
+        batch=opts.get("batch", 32), pretrain_steps=args.pretrain_steps,
         connector_steps=args.connector_steps, adapt_steps=args.adapt_steps,
         stub_mode=args.stub_mode, noise_std=args.noise_std)
     strategies = args.strategies.split(",")
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    base = None
-    if args.init_from:
-        from .model import load_checkpoint
-        base = load_checkpoint(args.init_from)
     report = tr.compare_strategies(strategies, protocol, seeds=seeds, base=base)
     outdir = Path(opts.get("outdir", "runs/compare"))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -357,7 +367,8 @@ def build_parser():
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--norm-kind", dest="norm_kind", default=None)
+    p.add_argument("--norm-kind", dest="norm_kind", default=None,
+                   choices=("standard", "rms"))
     p.add_argument("--mixture", type=_parse_mixture, default=None)
     p.add_argument("--outdir", default=None)
     p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int,

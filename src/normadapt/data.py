@@ -16,6 +16,7 @@ pretraining scores every non-pad transition, adaptation scores answers only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,9 @@ class TaskSpec:
         if abs(sum(mix) - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must sum to 1, got {sum(mix)}")
         object.__setattr__(self, "mixture", mix)
+        if mix[2] > 0 and self.n_attrs < 2:
+            raise ValueError("reasoning compares two attributes: it needs "
+                             f"n_attrs >= 2, got {self.n_attrs}")
         if self.seq_len < self.max_body_len():
             raise ValueError(
                 f"seq_len {self.seq_len} below worst-case sample length "
@@ -99,30 +103,17 @@ class Dataset:
         return vocab_required(self.spec.n_attrs, self.spec.n_values)
 
 
-def _body(category, z, rng, spec):
-    """Returns (body tokens, body answer mask)."""
-    K, M = spec.n_attrs, spec.n_values
-    toks, mask = [], []
-    if category == 0:  # conversation
-        for k in rng.permutation(K)[:N_ROUNDS]:
-            toks += [Q, attr_token(k), value_token(k, z[k], K, M)]
-            mask += [False, False, True]
-    elif category == 1:  # description
-        toks.append(DESC)
-        mask.append(False)
-        for k in range(K):
-            toks.append(value_token(k, z[k], K, M))
-            mask.append(True)
-    else:  # reasoning
-        i, j = rng.permutation(K)[:2]
-        rel = GT if z[i] > z[j] else (LT if z[i] < z[j] else EQ)
-        toks += [CMP, attr_token(i), attr_token(j), rel]
-        mask += [False, False, False, True]
-    return toks, mask
-
-
 def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
-    """Deterministic per spec.seed; visual features keyed by (stub seed, sample)."""
+    """Build the dataset of `spec`; visual features come from `stub`.
+
+    Sample i depends only on (spec.seed, i): one generator seeded with that
+    pair draws, in order, the category (one uniform against the mixture CDF,
+    as Generator.choice does), the latent z (integers(0, n_values, n_attrs))
+    and, for conversation and reasoning, a permutation of the attributes.
+    Its visual noise depends only on (stub.seed, spec.seed * 1_000_003 + i).
+    Only those draws run per sample; tokens, masks and targets are written
+    one category at a time.
+    """
     K, M = spec.n_attrs, spec.n_values
     n, T = spec.n_samples, spec.seq_len
     visual = spec.kind == "mm-adapt"
@@ -130,44 +121,66 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
         stub = VisionStub(d_visual=64, n_slots=K * M, mode="aligned",
                           seed=_DEFAULT_STUB_SEED)
 
-    tokens = np.full((n, T), PAD, dtype=np.int64)
-    answer_mask = np.zeros((n, T), dtype=bool)
-    categories = np.zeros(n, dtype=np.int64)
-    values = np.zeros((n, K), dtype=np.int64)
-    features = np.zeros((n, K, stub.d_visual)) if visual else None
-
-    prefix = K if visual else 0
-    targets = np.full((n, prefix + T), IGNORE, dtype=np.int64)
-
+    rounds = min(N_ROUNDS, K)
+    cdf = np.cumsum(spec.mixture)
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    categories = np.empty(n, dtype=np.int64)
+    values = np.empty((n, K), dtype=np.int64)
+    picks = np.zeros((n, rounds), dtype=np.int64)  # leading attribute permutation
     for i in range(n):
         rng = np.random.default_rng((spec.seed, i))
-        cat = int(rng.choice(len(CATEGORIES), p=spec.mixture))
-        z = rng.integers(0, M, size=K)
-        toks, mask = [BOS], [False]
-        if not visual:
-            for k in range(K):
-                toks += [attr_token(k), value_token(k, z[k], K, M)]
-                mask += [False, False]
-        toks.append(SEP)
-        mask.append(False)
-        body, body_mask = _body(cat, z, rng, spec)
-        toks += body
-        mask += body_mask
-
-        tokens[i, :len(toks)] = toks
-        answer_mask[i, :len(mask)] = mask
+        cat = bisect_right(cdf, rng.random())
         categories[i] = cat
-        values[i] = z
-        if visual:
-            slots = np.arange(K) * M + z
-            features[i] = stub.features(slots, sample_id=spec.seed * 1_000_003 + i)
+        values[i] = rng.integers(0, M, size=K)
+        if cat != 1:
+            picks[i] = rng.permutation(K)[:rounds]
 
-        # next-token targets over the combined (prefix + text) sequence
-        for j in range(len(toks) - 1):
-            score = mask[j + 1] if visual else toks[j + 1] != PAD
-            if score:
-                targets[i, prefix + j] = toks[j + 1]
+    attrs = np.arange(K)
+    value_tokens = value_token(attrs, values, K, M)  # (n, K)
+    tokens = np.full((n, T), PAD, dtype=np.int64)
+    answer_mask = np.zeros((n, T), dtype=bool)
+    tokens[:, 0] = BOS
+    if not visual:
+        tokens[:, 1:2 * K:2] = attr_token(attrs)
+        tokens[:, 2:2 * K + 1:2] = value_tokens
+    b = 1 if visual else 2 * K + 1
+    tokens[:, b] = SEP
+    b += 1  # first body position
 
+    rows = np.flatnonzero(categories == 0)  # conversation
+    k = picks[rows]
+    tokens[rows, b:b + 3 * rounds:3] = Q
+    tokens[rows, b + 1:b + 3 * rounds:3] = attr_token(k)
+    tokens[rows, b + 2:b + 3 * rounds:3] = np.take_along_axis(
+        value_tokens[rows], k, axis=1)
+    answer_mask[rows, b + 2:b + 3 * rounds:3] = True
+
+    rows = np.flatnonzero(categories == 1)  # description
+    tokens[rows, b] = DESC
+    tokens[rows, b + 1:b + 1 + K] = value_tokens[rows]
+    answer_mask[rows, b + 1:b + 1 + K] = True
+
+    rows = np.flatnonzero(categories == 2)  # reasoning
+    if rows.size:  # n_attrs may be 1 when the mixture has no reasoning
+        first, second = picks[rows, 0], picks[rows, 1]
+        z1, z2 = values[rows, first], values[rows, second]
+        tokens[rows, b] = CMP
+        tokens[rows, b + 1] = attr_token(first)
+        tokens[rows, b + 2] = attr_token(second)
+        tokens[rows, b + 3] = np.where(z1 > z2, GT, np.where(z1 < z2, LT, EQ))
+        answer_mask[rows, b + 3] = True
+
+    # next-token targets over the combined (prefix + text) sequence
+    prefix = K if visual else 0
+    scored = answer_mask[:, 1:] if visual else tokens[:, 1:] != PAD
+    targets = np.full((n, prefix + T), IGNORE, dtype=np.int64)
+    targets[:, prefix:prefix + T - 1] = np.where(scored, tokens[:, 1:], IGNORE)
+
+    features = None
+    if visual:
+        features = stub.features(attrs * M + values,
+                                 spec.seed * 1_000_003 + np.arange(n))
     return Dataset(spec=spec, tokens=tokens, targets=targets,
                    answer_mask=answer_mask, categories=categories,
                    values=values, features=features)

@@ -230,16 +230,21 @@ class Model:
         return grabbed
 
 
+def _inventory(config: ModelConfig):
+    """(path, shape) pairs of the tree `build` makes for `config`."""
+    return param_inventory(
+        config.n_layers, config.d_model, config.d_ff, config.vocab_size,
+        config.d_visual, norm_bias=config.norm_kind == "standard",
+        gated_mlp=False, tie_embeddings=config.tie_embeddings,
+        max_seq=config.max_seq)
+
+
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     """Init in inventory order: biases 0, norm gains 1, all else normal(0, 0.02)."""
     rng = np.random.default_rng(seed)
     dt = np.dtype(dtype)
     tree = ParamTree()
-    for path, shape in param_inventory(
-            config.n_layers, config.d_model, config.d_ff, config.vocab_size,
-            config.d_visual, norm_bias=config.norm_kind == "standard",
-            gated_mlp=False, tie_embeddings=config.tie_embeddings,
-            max_seq=config.max_seq):
+    for path, shape in _inventory(config):
         if path.endswith(".bias"):
             data = np.zeros(shape, dtype=dt)
         elif path.endswith("norm.weight"):
@@ -275,13 +280,25 @@ class VisionStub:
         self._table = table
 
     def features(self, slot_ids, sample_id) -> np.ndarray:
-        """slot_ids (n_tokens,) -> (n_tokens, d_visual) float64."""
+        """(..., n_tokens) slot ids -> (..., n_tokens, d_visual) float64.
+
+        `sample_id` has the leading shape of `slot_ids`: one id for a 1-d
+        call, n ids for (n, n_tokens) slots.  Each sample's noise is drawn
+        from its own generator seeded with (seed, sample_id).
+        """
         slots = np.asarray(slot_ids)
+        ids = np.asarray(sample_id)
+        if ids.shape != slots.shape[:-1]:
+            raise ValueError(f"sample_id shape {ids.shape} does not match "
+                             f"slot_ids shape {slots.shape}")
         if slots.min() < 0 or slots.max() >= self.n_slots:
             raise ValueError(f"slot id out of range [0, {self.n_slots})")
-        rng = np.random.default_rng((self.seed, int(sample_id)))
-        noise = rng.standard_normal((slots.size, self.d_visual))
-        return self._table[slots] + self.noise_std * noise
+        noise = np.empty(slots.shape + (self.d_visual,))
+        for sid, out in zip(ids.reshape(-1), noise.reshape(-1, *noise.shape[-2:])):
+            np.random.default_rng((self.seed, int(sid))).standard_normal(out=out)
+        noise *= self.noise_std
+        noise += self._table[slots]
+        return noise
 
 
 def save_checkpoint(model: Model, path):
@@ -330,14 +347,15 @@ def _parse_header(header):
 
 
 def load_checkpoint(path) -> Model:
+    """The saved model; its tree is laid out in `build`'s path order."""
     with open(path, "rb") as f:
         if _read_exact(f, len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} checkpoint")
         (hlen,) = struct.unpack("<I", _read_exact(f, 4))
         config, dtype = _parse_header(json.loads(_read_exact(f, hlen)))
-        model = build(config, seed=0, dtype=dtype)
+        shapes = dict(_inventory(config))
+        arrays = {}
         (n_records,) = struct.unpack("<I", _read_exact(f, 4))
-        seen = set()
         for _ in range(n_records):
             (plen,) = struct.unpack("<H", _read_exact(f, 2))
             p = _read_exact(f, plen).decode()
@@ -346,17 +364,18 @@ def load_checkpoint(path) -> Model:
             (ndim,) = struct.unpack("<B", _read_exact(f, 1))
             shape = struct.unpack(f"<{ndim}q", _read_exact(f, 8 * ndim))
             raw = _read_exact(f, dt.itemsize * int(np.prod(shape, dtype=np.int64)))
-            if p not in model.tree:
+            if p not in shapes:
                 raise ValueError(f"checkpoint record {p!r} not in model tree")
-            t = model.tree[p]
-            arr = np.frombuffer(raw, dtype=dt).reshape(shape)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"{p}: shape {arr.shape} != expected {t.data.shape}")
-            t.data = np.array(arr, dtype=model.dtype)
-            seen.add(p)
-        if len(seen) != len(model.tree):
-            missing = sorted(set(model.tree.paths()) - seen)
+            if shape != shapes[p]:
+                raise ValueError(f"{p}: shape {shape} != expected {shapes[p]}")
+            arrays[p] = np.array(np.frombuffer(raw, dtype=dt).reshape(shape),
+                                 dtype=dtype)
+        if len(arrays) != len(shapes):
+            missing = sorted(set(shapes) - set(arrays))
             raise ValueError(f"checkpoint missing {len(missing)} params, e.g. {missing[:3]}")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last record")
-    return model
+    tree = ParamTree()
+    for p in shapes:
+        tree.add(p, ag.tensor(arrays[p], requires_grad=True))
+    return Model(config, tree, dtype)

@@ -199,6 +199,39 @@ def test_compare_writes_tables(tmp_path, capsys):
     assert {r["strategy"] for r in rows} == {"frozen", "finetune", "layernorm"}
 
 
+TINY_COMPARE = ["--strategies", "layernorm", "--seeds", "0",
+                "--pretrain-steps", "2", "--connector-steps", "2",
+                "--adapt-steps", "2"]
+
+
+def test_compare_honours_norm_kind(tmp_path, capsys):
+    outdir = tmp_path / "cmp"
+    rc = cli.main(["compare", *TINY_COMPARE, "--norm-kind", "rms",
+                   "--outdir", str(outdir)])
+    assert rc == 0
+    report = json.loads((outdir / "compare.json").read_text())
+    assert report["protocol"]["model"]["norm_kind"] == "rms"
+    with pytest.raises(SystemExit):
+        cli.main(["compare", *TINY_COMPARE, "--norm-kind", "batch"])
+
+
+def test_compare_init_from_takes_the_checkpoint_config(tmp_path, capsys):
+    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32,
+                      vocab_size=80, max_seq=20, d_visual=8, norm_kind="rms")
+    ckpt = tmp_path / "small.ckpt"
+    save_checkpoint(build(cfg, seed=2), ckpt)
+    outdir = tmp_path / "cmp"
+    rc = cli.main(["compare", *TINY_COMPARE, "--init-from", str(ckpt),
+                   "--outdir", str(outdir)])
+    assert rc == 0
+    report = json.loads((outdir / "compare.json").read_text())
+    assert ModelConfig(**report["protocol"]["model"]) == cfg
+    assert {r["strategy"] for r in report["rows"]} == {"frozen", "layernorm"}
+    with pytest.raises(ValueError, match="'standard'.*'rms'"):
+        cli.main(["compare", *TINY_COMPARE, "--init-from", str(ckpt),
+                  "--norm-kind", "standard"])
+
+
 def test_similarity_single_and_pair(tmp_path, capsys):
     model = build(ModelConfig(), seed=1)
     a = tmp_path / "a.ckpt"

@@ -5,6 +5,76 @@ from normadapt import data as dt
 from normadapt.model import VisionStub
 
 
+def reference_generate(spec, stub=None):
+    """The per-sample generator `generate` replaced, kept as its oracle."""
+    K, M = spec.n_attrs, spec.n_values
+    n, T = spec.n_samples, spec.seq_len
+    visual = spec.kind == "mm-adapt"
+    if visual and stub is None:
+        stub = VisionStub(d_visual=64, n_slots=K * M, mode="aligned",
+                          seed=dt._DEFAULT_STUB_SEED)
+    tokens = np.full((n, T), dt.PAD, dtype=np.int64)
+    answer_mask = np.zeros((n, T), dtype=bool)
+    categories = np.zeros(n, dtype=np.int64)
+    values = np.zeros((n, K), dtype=np.int64)
+    features = np.zeros((n, K, stub.d_visual)) if visual else None
+    prefix = K if visual else 0
+    targets = np.full((n, prefix + T), dt.IGNORE, dtype=np.int64)
+    for i in range(n):
+        rng = np.random.default_rng((spec.seed, i))
+        cat = int(rng.choice(len(dt.CATEGORIES), p=spec.mixture))
+        z = rng.integers(0, M, size=K)
+        toks, mask = [dt.BOS], [False]
+        if not visual:
+            for k in range(K):
+                toks += [dt.attr_token(k), dt.value_token(k, z[k], K, M)]
+                mask += [False, False]
+        toks.append(dt.SEP)
+        mask.append(False)
+        if cat == 0:
+            for k in rng.permutation(K)[:dt.N_ROUNDS]:
+                toks += [dt.Q, dt.attr_token(k), dt.value_token(k, z[k], K, M)]
+                mask += [False, False, True]
+        elif cat == 1:
+            toks.append(dt.DESC)
+            mask.append(False)
+            for k in range(K):
+                toks.append(dt.value_token(k, z[k], K, M))
+                mask.append(True)
+        else:
+            a, b = rng.permutation(K)[:2]
+            rel = dt.GT if z[a] > z[b] else (dt.LT if z[a] < z[b] else dt.EQ)
+            toks += [dt.CMP, dt.attr_token(a), dt.attr_token(b), rel]
+            mask += [False, False, False, True]
+        tokens[i, :len(toks)] = toks
+        answer_mask[i, :len(mask)] = mask
+        categories[i] = cat
+        values[i] = z
+        if visual:
+            slots = np.arange(K) * M + z
+            noise = np.random.default_rng(
+                (stub.seed, spec.seed * 1_000_003 + i)).standard_normal(
+                    (K, stub.d_visual))
+            features[i] = stub._table[slots] + stub.noise_std * noise
+        for j in range(len(toks) - 1):
+            score = mask[j + 1] if visual else toks[j + 1] != dt.PAD
+            if score:
+                targets[i, prefix + j] = toks[j + 1]
+    return dict(tokens=tokens, targets=targets, answer_mask=answer_mask,
+                categories=categories, values=values, features=features)
+
+
+def assert_matches_reference(sp, stub=None):
+    got = dt.generate(sp, stub)
+    for name, expect in reference_generate(sp, stub).items():
+        actual = getattr(got, name)
+        if expect is None:
+            assert actual is None
+            continue
+        assert actual.dtype == expect.dtype and actual.shape == expect.shape
+        np.testing.assert_array_equal(actual, expect, err_msg=name)
+
+
 def spec(**overrides):
     base = dict(kind="text-pretrain", n_samples=50, seq_len=24, seed=0)
     base.update(overrides)
@@ -19,6 +89,41 @@ def test_same_seed_is_bitwise_identical():
     np.testing.assert_array_equal(a.features, b.features)
     c = dt.generate(spec(kind="mm-adapt", seed=1))
     assert not np.array_equal(a.tokens, c.tokens)
+
+
+ORACLE_STUBS = {
+    "unaligned": dict(mode="unaligned", seed=5),
+    "noiseless": dict(seed=2, noise_std=0.0),
+}
+
+
+@pytest.mark.parametrize("kind, stub", [
+    ("text-pretrain", "default"), ("mm-adapt", "default"),
+    ("mm-adapt", "unaligned"), ("mm-adapt", "noiseless")])
+@pytest.mark.parametrize("attrs_values", [(4, 16), (3, 5), (5, 7)],
+                         ids=lambda kv: f"K{kv[0]}M{kv[1]}")
+@pytest.mark.parametrize("mixture", [
+    (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+    (0.6, 0.2, 0.2)], ids=["uniform", "conv", "desc", "reason", "skewed"])
+def test_generate_matches_per_sample_reference(kind, stub, mixture,
+                                               attrs_values):
+    K, M = attrs_values
+    head = 2 + (2 * K if kind == "text-pretrain" else 0)
+    tight = head + max(3 * dt.N_ROUNDS, 1 + K)
+    for seed, slack in ((0, 0), (3, 5), (11, 1)):
+        sp = spec(kind=kind, n_samples=40, mixture=mixture, n_attrs=K,
+                  n_values=M, seq_len=tight + slack, seed=seed)
+        st = None
+        if stub != "default":
+            st = VisionStub(d_visual=6, n_slots=K * M, **ORACLE_STUBS[stub])
+        assert_matches_reference(sp, st)
+
+
+@pytest.mark.parametrize("kind", dt.TASK_KINDS)
+def test_generate_single_attribute_without_reasoning(kind):
+    for mixture in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0)):
+        assert_matches_reference(spec(kind=kind, n_samples=20, n_attrs=1,
+                                      n_values=3, mixture=mixture))
 
 
 def test_degenerate_mixture_labels_all_conversation():
@@ -40,6 +145,8 @@ def test_mixture_validation():
         spec(kind="video")
     with pytest.raises(ValueError, match="seq_len"):
         spec(seq_len=10)
+    with pytest.raises(ValueError, match="n_attrs >= 2"):
+        spec(n_attrs=1, mixture=(0.5, 0.0, 0.5))
 
 
 def test_category_counts_track_mixture():

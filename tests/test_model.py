@@ -263,6 +263,21 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         md.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("norm_kind, tie, dtype", [
+    ("standard", False, np.float32), ("rms", True, np.float64)])
+def test_checkpoint_load_keeps_build_layout(tmp_path, norm_kind, tie, dtype):
+    m = md.build(tiny_config(norm_kind=norm_kind, tie_embeddings=tie),
+                 seed=4, dtype=dtype)
+    m.tree.set_trainable(["final_norm.weight"])
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(m, path)
+    back = md.load_checkpoint(path)
+    assert back.tree.paths() == m.tree.paths()
+    for p, t in back.tree.items():
+        assert t.data.dtype == np.dtype(dtype) and t.requires_grad
+        np.testing.assert_array_equal(t.data, m.tree[p].data)
+
+
 def test_vision_stub_determinism_and_modes():
     a = md.VisionStub(d_visual=6, n_slots=10, seed=3)
     b = md.VisionStub(d_visual=6, n_slots=10, seed=3)
@@ -276,3 +291,17 @@ def test_vision_stub_determinism_and_modes():
         md.VisionStub(d_visual=6, n_slots=10, mode="conv")
     with pytest.raises(ValueError):
         a.features(np.array([10]), 0)
+
+    # a batched call is the per-sample calls stacked, bitwise
+    batch = np.array([[1, 4, 7], [0, 9, 2], [3, 3, 5], [8, 6, 1]])
+    ids = np.array([17, 18, 5, 400_000_000_000])
+    for stub in (a, warped, md.VisionStub(d_visual=6, n_slots=10, seed=3,
+                                          noise_std=0.0)):
+        rows = stub.features(batch, ids)
+        assert rows.shape == (4, 3, 6)
+        for row, slots_i, sid in zip(rows, batch, ids):
+            np.testing.assert_array_equal(row, stub.features(slots_i, sid))
+    with pytest.raises(ValueError, match="sample_id shape"):
+        a.features(batch, 17)
+    with pytest.raises(ValueError, match="out of range"):
+        a.features(np.array([[1, 2], [3, -1]]), [0, 1])
