@@ -47,7 +47,9 @@ print(f"traced paths per step: {len({e.path for e in trace.entries})}, "
       f"hist mass of {entry.path} = {int(entry.hist.sum())}")
 buf = io.StringIO()
 trace.to_csv(buf)
-print("\n".join(buf.getvalue().splitlines()[:5]))
+lines = buf.getvalue().splitlines()
+print(f"{lines[0].count(',') + 1} columns: 4 statistics, then one count per bin")
+print("\n".join(",".join(line.split(",")[:6]) + ",..." for line in lines[:5]))
 
 # the published three-row reference arithmetic behind "about 10.6% lower"
 print(f"\nreference mean relative drop: {an.mean_relative_drop():.2%}")

@@ -77,12 +77,17 @@ class GradTrace:
                 out.append(e.step)
         return out
 
+    @property
+    def edges(self) -> np.ndarray:
+        """(n_bins + 1,) histogram bin edges from lo to hi."""
+        return np.linspace(self.lo, self.hi, self.n_bins + 1)
+
     def record(self, step, tree, paths):
         """Append stats per path; call after backward, before the optimizer."""
         if self.entries and step <= self.entries[-1].step:
             raise ValueError(
                 f"step {step} not greater than last recorded {self.entries[-1].step}")
-        edges = np.linspace(self.lo, self.hi, self.n_bins + 1)
+        edges = self.edges
         for p in paths:
             g = tree[p].grad
             if g is None:
@@ -94,10 +99,14 @@ class GradTrace:
                 variance=float(flat.var()), hist=hist))
 
     def to_csv(self, fileobj):
+        """One row per entry; the histogram takes one column per bin, headed
+        `bin_<lower edge>`."""
         writer = csv.writer(fileobj)
-        writer.writerow(["step", "path", "mean", "variance"])
+        writer.writerow(["step", "path", "mean", "variance"]
+                        + [f"bin_{lo!r}" for lo in self.edges[:-1].tolist()])
         for e in self.entries:
-            writer.writerow([e.step, e.path, repr(e.mean), repr(e.variance)])
+            writer.writerow([e.step, e.path, repr(e.mean), repr(e.variance),
+                             *e.hist.tolist()])
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,7 @@ TOLERANCE_PP["layernorm-simple"] = 0.002
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
+class ReferenceRow:
     preset: str
     strategy: str
     computed: float
@@ -192,7 +192,7 @@ def reference_table(bytes_per_param: int = 4):
             strategy = TuningStrategy(kind)
             got = count(preset, strategy, bytes_per_param).percentage
             ref = REFERENCE_PERCENTAGES[(preset_name, kind)]
-            rows.append(ComparisonRow(
+            rows.append(ReferenceRow(
                 preset=preset_name, strategy=kind, computed=got,
                 reference=ref, diff=abs(got - ref),
                 tolerance=TOLERANCE_PP[kind], gated=kind != "lora"))

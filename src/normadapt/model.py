@@ -8,15 +8,17 @@ x @ W.T.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
+import zlib
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from . import autograd as ag
 
-CHECKPOINT_MAGIC = b"NORMADAPT1"
+CHECKPOINT_MAGIC = b"NORMADAPT2"
 NORM_KINDS = ("standard", "rms")
 VISION_MODES = ("aligned", "unaligned")
 
@@ -173,12 +175,8 @@ class Model:
                        p + "mlp.fc2.weight")
         return ag.add(h, y)
 
-    def forward(self, tokens, visual=None, capture=None) -> ag.Tensor:
-        """tokens (B, T) int ids, visual optional (B, n_visual_tokens, d_visual).
-
-        Returns logits (B, n_vis + T, vocab).  capture, if given, is a list that
-        collects each block's post-residual output as a detached array.
-        """
+    def _check_inputs(self, tokens, visual):
+        """(ids (B, T), features (B, n_vis, d_visual) or None), or ValueError."""
         cfg = self.config
         ids = np.asarray(tokens)
         if ids.ndim == 1:
@@ -191,9 +189,7 @@ class Model:
             raise ValueError(
                 f"token id out of range [0, {cfg.vocab_size}): "
                 f"min {ids.min()}, max {ids.max()}")
-
-        h = ag.embed_lookup(self.tree["embed.weight"], ids)
-        n_vis = 0
+        feats = None
         if visual is not None:
             feats = np.asarray(visual, dtype=self.dtype)
             if feats.ndim == 2:
@@ -202,17 +198,27 @@ class Model:
                 raise ValueError(
                     f"visual features must be (batch, {cfg.n_visual_tokens}, "
                     f"{cfg.d_visual}), got {feats.shape}")
+        length = ids.shape[1] + (0 if feats is None else cfg.n_visual_tokens)
+        if length > cfg.max_seq:
+            raise ValueError(f"sequence length {length} exceeds max_seq {cfg.max_seq}")
+        return ids, feats
+
+    def forward(self, tokens, visual=None, capture=None) -> ag.Tensor:
+        """tokens (B, T) int ids, visual optional (B, n_visual_tokens, d_visual).
+
+        Returns logits (B, n_vis + T, vocab).  capture, if given, is a list that
+        collects each block's post-residual output as a detached array.
+        """
+        cfg = self.config
+        ids, feats = self._check_inputs(tokens, visual)
+        h = ag.embed_lookup(self.tree["embed.weight"], ids)
+        if feats is not None:
             prefix = ag.add(
                 ag.matmul(ag.tensor(feats), self.tree["connector.weight"],
                           transpose_b=True),
                 self.tree["connector.bias"])
             h = ag.concat([prefix, h], axis=1)
-            n_vis = cfg.n_visual_tokens
-
-        length = ids.shape[1] + n_vis
-        if length > cfg.max_seq:
-            raise ValueError(f"sequence length {length} exceeds max_seq {cfg.max_seq}")
-        h = ag.add(h, ag.embed_lookup(self.tree["pos.weight"], np.arange(length)))
+        h = ag.add(h, ag.embed_lookup(self.tree["pos.weight"], np.arange(h.shape[1])))
 
         for i in range(cfg.n_layers):
             h = self._block(i, h)
@@ -221,6 +227,28 @@ class Model:
         h = self._norm(h, "final_norm")
         head = self.tree["embed.weight" if cfg.tie_embeddings else "head.weight"]
         return ag.matmul(h, head, transpose_b=True)
+
+    def loss(self, tokens, visual, targets) -> ag.Tensor:
+        """`cross_entropy(forward(tokens, visual), targets)` without the columns
+        that scalar never reads.
+
+        The inputs are checked uncut, exactly as `forward` checks them.  Token
+        columns after the batch's last scored position (target != -1) are then
+        dropped, keeping at least one token, and `forward` runs on the rest:
+        attention is causal, so no kept position reads a dropped one and the
+        cut is exact.
+        """
+        ids, feats = self._check_inputs(tokens, visual)
+        n_vis = 0 if feats is None else feats.shape[1]
+        targets = np.asarray(targets)
+        if targets.shape != (ids.shape[0], n_vis + ids.shape[1]):
+            raise ag.ShapeError("cross_entropy", [targets.shape],
+                                f"targets must be (batch, {n_vis + ids.shape[1]})")
+        scored = np.flatnonzero((targets != -1).any(axis=0))
+        # a batch with nothing scored keeps one token; cross_entropy raises on it
+        length = max(n_vis + 1, scored[-1] + 1 if scored.size else 0)
+        return ag.cross_entropy(self.forward(ids[:, :length - n_vis], feats),
+                                targets[:, :length])
 
     def capture_layer_outputs(self, tokens, visual=None):
         """Per-block post-residual hidden states, one (B, L, d) array per layer."""
@@ -302,27 +330,32 @@ class VisionStub:
 
 
 def save_checkpoint(model: Model, path):
-    """Flat (path, dtype, shape, raw LE buffer) records behind a config header."""
+    """Flat (path, dtype, shape, raw LE buffer) records behind a config header,
+    then a little-endian zlib.crc32 of every byte before it."""
     if model.adapters:
         raise ValueError("model has unmerged adapters; merge before saving")
     header = json.dumps({"config": asdict(model.config),
                          "dtype": model.dtype.name}).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(struct.pack("<I", len(model.tree)))
-        for p, t in model.tree.items():
-            arr = np.ascontiguousarray(t.data)
-            dstr = arr.dtype.newbyteorder("<").str.encode()
-            name = p.encode()
-            f.write(struct.pack("<H", len(name)))
-            f.write(name)
-            f.write(struct.pack("<H", len(dstr)))
-            f.write(dstr)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-            f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    f = io.BytesIO()
+    f.write(CHECKPOINT_MAGIC)
+    f.write(struct.pack("<I", len(header)))
+    f.write(header)
+    f.write(struct.pack("<I", len(model.tree)))
+    for p, t in model.tree.items():
+        arr = np.ascontiguousarray(t.data)
+        dstr = arr.dtype.newbyteorder("<").str.encode()
+        name = p.encode()
+        f.write(struct.pack("<H", len(name)))
+        f.write(name)
+        f.write(struct.pack("<H", len(dstr)))
+        f.write(dstr)
+        f.write(struct.pack("<B", arr.ndim))
+        f.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
+        f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    data = f.getvalue()
+    with open(path, "wb") as out:
+        out.write(data)
+        out.write(struct.pack("<I", zlib.crc32(data)))
 
 
 def _read_exact(f, n):
@@ -347,10 +380,21 @@ def _parse_header(header):
 
 
 def load_checkpoint(path) -> Model:
-    """The saved model; its tree is laid out in `build`'s path order."""
+    """The saved model; its tree is laid out in `build`'s path order.
+
+    The checksum is verified before any record is parsed, so a truncated or
+    corrupted file raises ValueError and never loads.
+    """
     with open(path, "rb") as f:
-        if _read_exact(f, len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} checkpoint")
+        blob = f.read()
+    if not blob.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} checkpoint")
+    body, trailer = blob[:-4], blob[-4:]
+    if (len(blob) < len(CHECKPOINT_MAGIC) + 4
+            or struct.unpack("<I", trailer)[0] != zlib.crc32(body)):
+        raise ValueError(f"{path}: checksum mismatch; the file is truncated, "
+                         "corrupt or has trailing bytes")
+    with io.BytesIO(body[len(CHECKPOINT_MAGIC):]) as f:
         (hlen,) = struct.unpack("<I", _read_exact(f, 4))
         config, dtype = _parse_header(json.loads(_read_exact(f, hlen)))
         shapes = dict(_inventory(config))

@@ -136,7 +136,7 @@ def evaluate(model: Model, ds: dt.Dataset, batch=64) -> float:
             count = int((targets != dt.IGNORE).sum())
             if count == 0:
                 continue
-            loss = ag.cross_entropy(model.forward(tokens, feats), targets)
+            loss = model.loss(tokens, feats, targets)
             total_nll += float(loss.data) * count
             total_count += count
     if total_count == 0:
@@ -196,7 +196,7 @@ def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainCo
         lr = lr_schedule(step + 1, config.steps, config.warmup_ratio, config.lr)
         idx = rng.integers(0, len(train_ds), size=config.batch)
         tokens, feats, targets = _batches(train_ds, idx)
-        loss = ag.cross_entropy(model.forward(tokens, feats), targets)
+        loss = model.loss(tokens, feats, targets)
         loss_val = float(loss.data)
         record.train_curve.append((step, loss_val, lr))
         if not math.isfinite(loss_val):

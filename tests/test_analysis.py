@@ -159,5 +159,7 @@ def test_grad_trace_csv_long_format():
     buf = io.StringIO()
     trace.to_csv(buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "step,path,mean,variance"
+    bins = ",".join(f"bin_{lo!r}" for lo in np.linspace(-0.01, 0.01, 65)[:-1].tolist())
+    assert lines[0] == "step,path,mean,variance," + bins
     assert lines[1].startswith("0,final_norm.weight,")
+    assert lines[1].endswith(",0" * 32 + ",8" + ",0" * 31)  # zeros land in [0, 0.0003125)

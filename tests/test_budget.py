@@ -65,7 +65,7 @@ def test_lora_count_arithmetic():
 
 def test_reference_table_rows():
     rows = bg.reference_table()
-    assert len(rows) == 12
+    assert len(rows) == 12 and all(isinstance(r, bg.ReferenceRow) for r in rows)
     by_key = {(r.preset, r.strategy): r for r in rows}
     for key, ref in bg.REFERENCE_PERCENTAGES.items():
         assert by_key[key].reference == ref

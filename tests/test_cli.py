@@ -260,7 +260,7 @@ def test_grad_stats_csv(tmp_path, capsys):
     assert rc == 0
     csv_path = outdir / "gradtrace.csv"
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "step,path,mean,variance"
+    assert lines[0].startswith("step,path,mean,variance,bin_-0.01,")
     assert len(lines) > 1
     assert any("final_norm.weight" in l for l in lines[1:])
 

@@ -1,13 +1,17 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normadapt import autograd as ag
 from normadapt import budget
 from normadapt import model as md
 from normadapt.finite_diff import central_difference, max_relative_error
+from normadapt.strategies import inject_lora
+from test_acceptance import MICRO
 
 
 def tiny_config(**overrides):
@@ -204,6 +208,74 @@ def test_end_to_end_gradcheck_on_selected_params():
         assert max_relative_error(got, fd) <= 1e-6
 
 
+LOSS_CASES = {
+    "mm": dict(cfg={}, visual=True),
+    "text": dict(cfg={}, visual=False),
+    "tied": dict(cfg=dict(tie_embeddings=True), visual=True),
+    "rms": dict(cfg=dict(norm_kind="rms"), visual=True),
+    "lora": dict(cfg={}, visual=True, lora=True),
+    "early-stop": dict(cfg={}, visual=True, stop=6),
+}
+
+
+def _loss_and_grads(m, compute):
+    for _, t in m.tree.items():
+        t.grad = None
+    loss = compute()
+    ag.backward(loss)
+    return float(loss.data), {p: t.grad.copy() for p, t in m.tree.items()
+                              if t.grad is not None}
+
+
+@pytest.mark.parametrize("case", list(LOSS_CASES))
+def test_loss_matches_cross_entropy_of_forward(case):
+    spec = LOSS_CASES[case]
+    m = md.build(tiny_config(**{"norm_kind": "standard", **spec["cfg"]}), seed=3,
+                 dtype=np.float64)
+    if spec.get("lora"):
+        inject_lora(m, rank=2, seed=1)
+        for adapter in m.adapters.values():  # B starts at zero; make A's grad live
+            adapter.B.data = np.random.default_rng(2).normal(0, 0.1, adapter.B.shape)
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, 11, size=(3, 9))
+    visual = rng.standard_normal((3, 3, 5)) if spec["visual"] else None
+    n_vis = 3 if spec["visual"] else 0
+    targets = np.where(rng.random((3, n_vis + 9)) < 0.4,
+                       rng.integers(0, 11, size=(3, n_vis + 9)), -1)
+    targets[:, :n_vis] = -1
+    stop = spec.get("stop", n_vis + 9)
+    targets[:, stop:] = -1
+    targets[0, stop - 1] = 7  # the last kept column is scored
+
+    ref_loss, ref_grads = _loss_and_grads(
+        m, lambda: ag.cross_entropy(m.forward(ids, visual), targets))
+    got_loss, got_grads = _loss_and_grads(m, lambda: m.loss(ids, visual, targets))
+    assert abs(got_loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert set(got_grads) == set(ref_grads)
+    for p, ref in ref_grads.items():
+        err = np.abs(got_grads[p] - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max(), (p, err)
+
+
+def test_loss_checks_the_uncut_input():
+    m = md.build(tiny_config(max_seq=8, n_visual_tokens=3))
+    targets = np.full((1, 5), -1)
+    targets[0, 0] = 1  # scores column 0 only, so the cut keeps one token
+    with pytest.raises(ValueError, match="out of range"):
+        m.loss(np.array([[1, 2, 3, 4, 11]]), None, targets)  # bad id in a cut column
+    with pytest.raises(ValueError, match="exceeds max_seq"):
+        m.loss(np.zeros((1, 9), dtype=int), None, np.full((1, 9), 1))
+    with pytest.raises(ValueError, match="exceeds max_seq"):
+        m.loss(np.zeros((1, 6), dtype=int), np.zeros((1, 3, 5)),
+               np.pad(targets, ((0, 0), (0, 4)), constant_values=-1))
+    with pytest.raises(ValueError, match="visual"):
+        m.loss(np.array([[1, 2]]), np.zeros((1, 2, 5)), np.full((1, 5), 1))
+    with pytest.raises(ValueError, match="incompatible shapes"):
+        m.loss(np.array([[1, 2]]), None, np.full((1, 3), 1))
+    with pytest.raises(ValueError, match="no targets"):
+        m.loss(np.array([[1, 2, 3]]), None, np.full((1, 3), -1))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     cfg = tiny_config(norm_kind="standard", tie_embeddings=False)
     m = md.build(cfg, seed=8)
@@ -222,7 +294,12 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT99" + b"\x00" * 40)
-    with pytest.raises(ValueError, match="NORMADAPT1"):
+    with pytest.raises(ValueError, match="NORMADAPT2"):
+        md.load_checkpoint(path)
+    md.save_checkpoint(md.build(tiny_config()), path)  # as the first format wrote it:
+    blob = path.read_bytes()                            # old magic, no trailer
+    path.write_bytes(b"NORMADAPT1" + blob[len(md.CHECKPOINT_MAGIC):-4])
+    with pytest.raises(ValueError, match="not a NORMADAPT2 checkpoint"):
         md.load_checkpoint(path)
 
 
@@ -249,8 +326,8 @@ def test_checkpoint_rejects_malformed_config(tmp_path, edit, message):
     header = json.loads(blob[start + 4:start + 4 + hlen])
     edit(header["config"])
     new = json.dumps(header).encode()
-    path.write_bytes(blob[:start] + struct.pack("<I", len(new)) + new
-                     + blob[start + 4 + hlen:])
+    body = blob[:start] + struct.pack("<I", len(new)) + new + blob[start + 4 + hlen:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid trailer
     with pytest.raises(ValueError, match=message):
         md.load_checkpoint(path)
 
@@ -261,6 +338,29 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing bytes"):
         md.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "micro.ckpt"
+    md.save_checkpoint(md.build(md.ModelConfig(**MICRO), seed=1), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_checkpoint_corruption_never_loads(micro_checkpoint, data):
+    path, blob = micro_checkpoint
+    corrupt = path.with_name("corrupt.ckpt")
+    if data.draw(st.booleans(), label="truncate"):
+        cut = data.draw(st.integers(0, len(blob) - 1), label="length")
+        corrupt.write_bytes(blob[:cut])
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        corrupt.write_bytes(blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:])
+    with pytest.raises(ValueError):
+        md.load_checkpoint(corrupt)
 
 
 @pytest.mark.parametrize("norm_kind, tie, dtype", [

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -156,8 +157,15 @@ def test_artifacts_written(tmp_path):
     reloaded = md.load_checkpoint(tmp_path / "run" / "model.ckpt")
     np.testing.assert_array_equal(reloaded.tree["final_norm.weight"].data,
                                   model.tree["final_norm.weight"].data)
-    assert (tmp_path / "run" / "gradtrace.csv").exists()
     assert all("norm" in e.path for e in trace.entries)
+    with open(tmp_path / "run" / "gradtrace.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0][4:] == [f"bin_{lo!r}" for lo in trace.edges[:-1].tolist()]
+    assert len(rows) == 1 + len(trace.entries)
+    for row, entry in zip(rows[1:], trace.entries):
+        counts = [int(c) for c in row[4:]]
+        assert row[1] == entry.path and counts == entry.hist.tolist()
+        assert sum(counts) == model.tree[entry.path].data.size
 
 
 def test_evaluate_batch_size_invariance():
