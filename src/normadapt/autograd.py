@@ -2,15 +2,48 @@
 
 Every operation goes through a registry keyed by op kind, so the whole op
 surface can be enumerated for gradient checking. The tape is the implicit
-graph of parent links; `backward` linearizes it topologically and visits
-each node exactly once. Single-threaded per training step by contract.
+graph of parent links; `backward` linearizes it topologically, visits
+each node exactly once and frees the graph behind it. Single-threaded per
+training step by contract.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 
 import numpy as np
+
+_M_TRIM_THRESHOLD = -1  # glibc <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages():
+    """Have glibc's malloc keep freed memory in the process for reuse.
+
+    A training step allocates and frees the same few hundred arrays, up to a
+    few MiB each.  Under glibc's default, adaptive thresholds the largest
+    arrays are mapped and unmapped one by one and the top of the heap is
+    trimmed whenever enough of it lies free, so once `backward` frees the
+    graph, every step hands its pages back to the kernel and faults them in
+    again: about 7,000 minor faults per default-size layernorm-simple step,
+    paid in process CPU time.  Fixed thresholds keep arrays up to 32 MiB on
+    the heap and trim it only when 256 MiB lie free at its top; the same
+    steps then fault almost never.  Both must be set: either one alone also
+    switches the adaptive thresholds off and faults more often than neither.
+    Where the C library has no `mallopt`, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_pages()
 
 
 class ShapeError(ValueError):
@@ -48,7 +81,8 @@ class Tensor:
     """Dense n-d array plus autodiff bookkeeping.
 
     `data` is a row-major numpy buffer (float32 or float64). `grad` is
-    materialized lazily and only for tensors with requires_grad set.
+    materialized lazily and only for tensors with requires_grad set; after
+    `backward` only the leaves and the loss keep theirs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
@@ -218,22 +252,6 @@ def _embed_lookup(arrays, attrs):
     return out, backward
 
 
-@register_op("softmax")
-def _softmax(arrays, attrs):
-    (x,) = arrays
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g, needs):
-        if not needs[0]:
-            return (None,)
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) * out,)
-
-    return out, backward
-
-
 @register_op("causal_attention")
 def _causal_attention(arrays, attrs):
     """softmax(q k^T / sqrt(hd) + causal mask) v per head; (B, L, d) in and out.
@@ -258,10 +276,17 @@ def _causal_attention(arrays, attrs):
         return t.transpose(0, 2, 1, 3).reshape(bsz, length, d)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    scores[..., np.triu(np.ones((length, length), dtype=bool), k=1)] = -np.inf
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    att = e / e.sum(axis=-1, keepdims=True)
+    att = qh @ kh.swapaxes(-1, -2)
+    att *= scale
+    att[..., np.triu(np.ones((length, length), dtype=bool), k=1)] = -np.inf
+    # row max one column at a time: exact, and far cheaper than a reduction
+    # over rows only `length` wide
+    row_max = att[..., 0].copy()
+    for j in range(1, length):
+        np.maximum(row_max, att[..., j], out=row_max)
+    att -= row_max[..., None]
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
     out = merge(att @ vh)
 
     def backward(g, needs):
@@ -270,8 +295,10 @@ def _causal_attention(arrays, attrs):
         if needs[2]:
             gv = merge(att.swapaxes(-1, -2) @ gh)
         if needs[0] or needs[1]:
-            gatt = gh @ vh.swapaxes(-1, -2)
-            gs = (gatt - (gatt * att).sum(axis=-1, keepdims=True)) * att * scale
+            gs = gh @ vh.swapaxes(-1, -2)
+            gs -= (gs * att).sum(axis=-1, keepdims=True)
+            gs *= att
+            gs *= scale
             if needs[0]:
                 gq = merge(gs @ kh)
             if needs[1]:
@@ -284,23 +311,36 @@ def _causal_attention(arrays, attrs):
 @register_op("silu")
 def _silu(arrays, attrs):
     (x,) = arrays
-    sig = 1.0 / (1.0 + np.exp(-x))
+    sig = np.negative(x)  # 1 / (1 + exp(-x)), built in one buffer
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
     out = x * sig
 
     def backward(g, needs):
         if not needs[0]:
             return (None,)
-        return (g * sig * (1.0 + x * (1.0 - sig)),)
+        gx = g * sig
+        slope = np.subtract(1.0, sig)
+        slope *= x
+        slope += 1.0
+        gx *= slope
+        return (gx,)
 
     return out, backward
 
 
 def _norm_backward_core(gy, y, inv_scale, subtract_mean):
-    # shared closed form: (1/s) * (gy - y*mean(gy*y) [- mean(gy)])
-    gx = gy - y * (gy * y).mean(axis=-1, keepdims=True)
+    """(1/s) * (gy - y*mean(gy*y) [- mean(gy)]), written into `gy`."""
+    t = gy * y
+    proj = t.mean(axis=-1, keepdims=True)
+    centre = gy.mean(axis=-1, keepdims=True) if subtract_mean else None
+    np.multiply(y, proj, out=t)
+    gy -= t
     if subtract_mean:
-        gx = gx - gy.mean(axis=-1, keepdims=True)
-    return gx * inv_scale
+        gy -= centre
+    gy *= inv_scale
+    return gy
 
 
 @register_op("layer_norm")
@@ -311,13 +351,14 @@ def _layer_norm(arrays, attrs):
         raise ShapeError("layer_norm", [x.shape, gain.shape, bias.shape],
                          "gain/bias must match last axis")
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    y = x - mu
+    var = (y * y).mean(axis=-1, keepdims=True)
     if eps == 0.0 and np.any(var == 0.0):
         raise DegenerateSigmaError("layer_norm: constant input with eps=0 (sigma=0)")
     sigma = np.sqrt(var + eps)
-    y = xc / sigma
-    out = y * gain + bias
+    y /= sigma
+    out = y * gain
+    out += bias
 
     def backward(g, needs):
         gx = ggain = gbias = None
@@ -338,11 +379,12 @@ def _rms_norm(arrays, attrs):
     eps = float(attrs.get("eps", 1e-5))
     if gain.shape != x.shape[-1:]:
         raise ShapeError("rms_norm", [x.shape, gain.shape], "gain must match last axis")
-    ms = (x * x).mean(axis=-1, keepdims=True)
+    y = x * x
+    ms = y.mean(axis=-1, keepdims=True)
     if eps == 0.0 and np.any(ms == 0.0):
         raise DegenerateSigmaError("rms_norm: zero input with eps=0")
     scale = np.sqrt(ms + eps)
-    y = x / scale
+    np.divide(x, scale, out=y)
     out = y * gain
 
     def backward(g, needs):
@@ -364,56 +406,37 @@ def _cross_entropy(arrays, attrs):
     if targets.shape != logits.shape[:-1]:
         raise ShapeError("cross_entropy", [logits.shape, targets.shape],
                          "targets must match logits minus class axis")
-    flat = logits.reshape(-1, logits.shape[-1])
+    n_classes = logits.shape[-1]
+    flat = logits.reshape(-1, n_classes)
     tgt = targets.reshape(-1)
-    valid = tgt != ignore_index
-    count = int(valid.sum())
+    rows = np.flatnonzero(tgt != ignore_index)
+    count = rows.size
     if count == 0:
         raise ValueError("cross_entropy: no targets to score (all ignored)")
-    shifted = flat - flat.max(axis=-1, keepdims=True)
+    tgt = tgt[rows]
+    if tgt.min() < 0 or tgt.max() >= n_classes:
+        raise ValueError(f"cross_entropy: scored target out of range [0, {n_classes}): "
+                         f"min {tgt.min()}, max {tgt.max()} (ignore_index {ignore_index})")
+    # only scored rows are normalized; the per-row loss is scattered back so
+    # the sum runs over every row, as it would without the gather
+    shifted = flat[rows]
+    shifted -= shifted.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1))
-    picked = shifted[np.arange(flat.shape[0]), np.where(valid, tgt, 0)]
-    nll = np.where(valid, logz - picked, 0.0)
+    picked = shifted[np.arange(count), tgt]
+    scored_nll = logz - picked
+    nll = np.zeros(flat.shape[0], dtype=scored_nll.dtype)
+    nll[rows] = scored_nll
     out = np.asarray(nll.sum() / count, dtype=logits.dtype)
 
     def backward(g, needs):
         if not needs[0]:
             return (None,)
-        p = np.exp(shifted - logz[:, None])
-        p[np.arange(flat.shape[0]), np.where(valid, tgt, 0)] -= 1.0
-        p[~valid] = 0.0
-        gl = (p * (np.asarray(g).reshape(()) / count)).astype(logits.dtype)
+        p = shifted - logz[:, None]
+        np.exp(p, out=p)
+        p[np.arange(count), tgt] -= 1.0
+        gl = np.zeros_like(flat)
+        gl[rows] = p * (np.asarray(g).reshape(()) / count)
         return (gl.reshape(logits.shape),)
-
-    return out, backward
-
-
-@register_op("transpose")
-def _transpose(arrays, attrs):
-    (x,) = arrays
-    axes = tuple(attrs["axes"])
-    if len(axes) != x.ndim:
-        raise ShapeError("transpose", [x.shape], f"axes {axes} rank mismatch")
-    out = np.transpose(x, axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g, needs):
-        return (np.transpose(g, inverse) if needs[0] else None,)
-
-    return out, backward
-
-
-@register_op("reshape")
-def _reshape(arrays, attrs):
-    (x,) = arrays
-    shape = tuple(attrs["shape"])
-    try:
-        out = x.reshape(shape)
-    except ValueError:
-        raise ShapeError("reshape", [x.shape], f"cannot reshape to {shape}") from None
-
-    def backward(g, needs):
-        return (g.reshape(x.shape) if needs[0] else None,)
 
     return out, backward
 
@@ -492,10 +515,6 @@ def embed_lookup(weight, ids):
     return op_forward("embed_lookup", [weight], {"ids": ids})
 
 
-def softmax(x):
-    return op_forward("softmax", [x])
-
-
 def causal_attention(q, k, v, n_heads):
     return op_forward("causal_attention", [q, k, v], {"n_heads": n_heads})
 
@@ -515,14 +534,6 @@ def rms_norm(x, gain, eps=1e-5):
 def cross_entropy(logits, targets, ignore_index=-1):
     return op_forward("cross_entropy", [logits],
                       {"targets": targets, "ignore_index": ignore_index})
-
-
-def transpose(x, axes):
-    return op_forward("transpose", [x], {"axes": axes})
-
-
-def reshape(x, shape):
-    return op_forward("reshape", [x], {"shape": shape})
 
 
 def mean(x, axis=None, keepdims=False):
@@ -550,11 +561,20 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # parents before consumers
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate gradients of `loss` into every requires_grad tensor below it.
+def _freed_graph(g=None, needs=None):
+    """Backward closure of a node that an earlier `backward` has already walked."""
+    raise RuntimeError("backward: the graph was freed by an earlier backward; "
+                       "rebuild it from the leaves")
 
-    Grads add across calls from distinct losses; a second backward from the
-    same loss needs the graph rebuilt and raises.
+
+def backward(loss: Tensor) -> None:
+    """Accumulate gradients of `loss` into every requires_grad leaf below it.
+
+    Grads add across calls from distinct losses.  The graph is freed as it is
+    walked: once a node has passed its gradient on, its closure, saved arrays,
+    parent links and (below the loss) its own gradient are dropped.  A second
+    backward from the same loss, or from a new loss built on a node of a
+    walked graph, raises; rebuild the graph instead.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -564,13 +584,19 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
     order = _toposort(loss)
+    if any(node._backward is _freed_graph for node in order):
+        _freed_graph()  # raises before any gradient is accumulated
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()  # consumers before parents; drops the list's reference
         if node._backward is None:
-            continue
+            continue  # a leaf keeps its gradient
         needs = [p.requires_grad for p in node._parents]
         grads = node._backward(node.grad, needs)
         for parent, g in zip(node._parents, grads):
             if g is None:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
+        node._backward, node._parents = _freed_graph, ()
+        if node is not loss:
+            node.grad = None

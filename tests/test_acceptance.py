@@ -146,7 +146,7 @@ def test_autodiff_gradcheck_every_op_kind():
     relative error <= 1e-5, 20 seeds each.  Budget: 60 s."""
     started = time.perf_counter()
     kinds = ag.op_kinds()
-    assert len(kinds) == 14
+    assert len(kinds) == 11
     for kind in kinds:
         for seed in range(20):
             run_gradcheck(kind, seed, tol=1e-5)
