@@ -109,12 +109,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag}, op={self._op})"

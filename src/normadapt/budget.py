@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .model import ModelConfig, param_inventory
+from .model import ModelConfig, lora_entries, param_inventory
 from .strategies import TuningStrategy, is_lora_target, selection_paths
 
 
@@ -77,24 +77,6 @@ def preset_from_config(cfg: ModelConfig, name: str = "toy",
         max_seq=cfg.max_seq)
 
 
-class _Inventory:
-    """Duck-typed stand-in for a ParamTree: paths and sizes only."""
-
-    def __init__(self, entries):
-        self._shapes = dict(entries)
-        if len(self._shapes) != len(entries):
-            raise ValueError("duplicate path in inventory")
-
-    def paths(self):
-        return list(self._shapes)
-
-    def __contains__(self, path):
-        return path in self._shapes
-
-    def size(self, path):
-        return prod(self._shapes[path])
-
-
 @dataclass(frozen=True)
 class BudgetReport:
     preset: str
@@ -129,14 +111,12 @@ def count(preset: ArchPreset, strategy: TuningStrategy,
     entries = preset.inventory()
     total = sum(prod(s) for _, s in entries) + preset.vision_params
     if strategy.kind == "lora":
-        r = strategy.lora_rank
-        for path, shape in list(entries):
-            if is_lora_target(path, shape):
-                out, in_ = shape
-                entries.append((path + ".lora_A", (r, in_)))
-                entries.append((path + ".lora_B", (out, r)))
-    inv = _Inventory(entries)
-    trainable = sum(inv.size(p) for p in selection_paths(strategy, inv))
+        entries += [entry for path, shape in entries if is_lora_target(path, shape)
+                    for entry in lora_entries(path, shape, strategy.lora_rank)]
+    shapes = dict(entries)
+    if len(shapes) != len(entries):
+        raise ValueError("duplicate path in inventory")
+    trainable = sum(prod(shapes[p]) for p in selection_paths(strategy, shapes))
     return BudgetReport(preset=preset.name, strategy=strategy,
                         trainable=trainable, total=total,
                         bytes_per_param=bytes_per_param)

@@ -3,7 +3,8 @@
 Parameters live in a flat ParamTree keyed by dot-separated paths; that grammar
 is written once, in `param_inventory`, which `build` and the budget module's
 presets both iterate.  Projection weights are stored (out, in) and applied as
-x @ W.T.
+x @ W.T.  A LoRA adapter is one more pair of tree entries next to its target,
+named and shaped by `lora_entries`.
 """
 
 from __future__ import annotations
@@ -82,6 +83,21 @@ def param_inventory(n_layers, d_model, d_ff, vocab_size, d_visual, *,
     return entries
 
 
+LORA_A, LORA_B = ".lora_A", ".lora_B"
+
+
+def lora_entries(target, shape, rank):
+    """(path, shape) of the adapter pair on an (out, in) target: A (rank, in)
+    and B (out, rank), so the adapted projection is x @ W.T + (x @ A.T) @ B.T."""
+    out, in_ = shape
+    return [(target + LORA_A, (rank, in_)), (target + LORA_B, (out, rank))]
+
+
+def lora_targets(tree):
+    """Paths of the tree's matrices that carry an adapter pair, in tree order."""
+    return [p[:-len(LORA_A)] for p in tree.paths() if p.endswith(LORA_A)]
+
+
 class ParamTree:
     """Ordered path -> Tensor map; trainability is the tensor's requires_grad."""
 
@@ -117,9 +133,6 @@ class ParamTree:
     def total_scalars(self) -> int:
         return sum(t.data.size for t in self._params.values())
 
-    def trainable_paths(self):
-        return [p for p, t in self._params.items() if t.requires_grad]
-
     def trainable_scalars(self) -> int:
         return sum(t.data.size for t in self._params.values() if t.requires_grad)
 
@@ -139,21 +152,12 @@ class Model:
         self.config = config
         self.tree = tree
         self.dtype = np.dtype(dtype)
-        self.adapters = {}  # target path -> LoraAdapter, managed by the strategies module
-
-    def param(self, path: str) -> ag.Tensor:
-        return self.tree[path]
-
-    def _const(self, x):
-        return ag.tensor(np.asarray(x, dtype=self.dtype))
 
     def _proj(self, x, path):
         out = ag.matmul(x, self.tree[path], transpose_b=True)
-        adapter = self.adapters.get(path)
-        if adapter is not None:
-            low = ag.matmul(x, adapter.A, transpose_b=True)      # (..., rank)
-            up = ag.matmul(low, adapter.B, transpose_b=True)     # (..., out)
-            out = ag.add(out, ag.mul(up, self._const(adapter.scaling)))
+        if path + LORA_A in self.tree:
+            low = ag.matmul(x, self.tree[path + LORA_A], transpose_b=True)  # (..., rank)
+            out = ag.add(out, ag.matmul(low, self.tree[path + LORA_B], transpose_b=True))
         return out
 
     def _norm(self, x, prefix):
@@ -332,7 +336,7 @@ class VisionStub:
 def save_checkpoint(model: Model, path):
     """Flat (path, dtype, shape, raw LE buffer) records behind a config header,
     then a little-endian zlib.crc32 of every byte before it."""
-    if model.adapters:
+    if lora_targets(model.tree):
         raise ValueError("model has unmerged adapters; merge before saving")
     header = json.dumps({"config": asdict(model.config),
                          "dtype": model.dtype.name}).encode()

@@ -13,7 +13,7 @@ from fnmatch import fnmatchcase
 import numpy as np
 
 from . import autograd as ag
-from .model import Model, ParamTree
+from .model import LORA_A, LORA_B, Model, ParamTree, lora_entries, lora_targets
 
 STRATEGY_KINDS = ("finetune", "lora", "attn-qv", "attn-mlp",
                   "layernorm", "layernorm-simple", "connector-only")
@@ -25,7 +25,7 @@ _NORM_PATTERNS = ("blocks.*.input_norm.*", "blocks.*.post_norm.*", "final_norm.*
 
 _CORE_PATTERNS = {
     "finetune": ("*",),
-    "lora": ("*.lora_A", "*.lora_B"),
+    "lora": ("*" + LORA_A, "*" + LORA_B),
     "attn-qv": ("blocks.*.attn.q_proj.weight", "blocks.*.attn.v_proj.weight"),
     "attn-mlp": ("blocks.*.mlp.*",),
     "layernorm": _NORM_PATTERNS,
@@ -66,64 +66,41 @@ class SelectionReport:
         return self.trainable / self.total
 
 
-def default_paths(tree: ParamTree):
-    """Connector + embedding + head + positions.
+def default_paths(paths):
+    """Connector + embedding + head + positions, given any container of paths.
 
     head.weight is absent on tied trees and pos.weight on preset inventories
     without a learned position table; both follow the embedding when present.
     """
-    paths = ["connector.weight", "connector.bias", "embed.weight"]
+    chosen = ["connector.weight", "connector.bias", "embed.weight"]
     for optional in ("head.weight", "pos.weight"):
-        if optional in tree:
-            paths.append(optional)
-    return paths
+        if optional in paths:
+            chosen.append(optional)
+    return chosen
 
 
-def selection_paths(strategy: TuningStrategy, tree: ParamTree):
-    """Resolve a strategy to concrete tree paths without touching flags."""
+def selection_paths(strategy: TuningStrategy, paths):
+    """Resolve a strategy to concrete paths, from any container of path
+    strings (a tree's `paths()`, an inventory's `{path: shape}`)."""
     chosen = []
     for pattern in _CORE_PATTERNS[strategy.kind]:
-        hits = [p for p in tree.paths() if fnmatchcase(p, pattern)]
+        hits = [p for p in paths if fnmatchcase(p, pattern)]
         if not hits:
             hint = "; inject adapters first" if strategy.kind == "lora" else ""
             raise SelectionError(f"pattern {pattern!r} matched no parameters{hint}")
         chosen.extend(hits)
     if strategy.include_defaults:
-        chosen.extend(default_paths(tree))
+        chosen.extend(default_paths(paths))
     seen = set()
     return [p for p in chosen if not (p in seen or seen.add(p))]
 
 
 def select_trainable(strategy: TuningStrategy, tree: ParamTree) -> SelectionReport:
-    paths = selection_paths(strategy, tree)
+    paths = selection_paths(strategy, tree.paths())
     tree.set_trainable(paths)
     trainable = sum(tree[p].data.size for p in paths)
     return SelectionReport(strategy=strategy, selected=tuple(paths),
                            trainable=trainable, total=tree.total_scalars())
-
-
-@dataclass
-class LoraAdapter:
-    target: str
-    A: ag.Tensor          # (rank, in)
-    B: ag.Tensor          # (out, rank)
-    scaling: float
-
-
-@dataclass
-class LoraAdapterSet:
-    rank: int
-    scaling: float
-    adapters: dict  # target path -> LoraAdapter
-
-    def param_count(self) -> int:
-        return sum(a.A.data.size + a.B.data.size for a in self.adapters.values())
-
-
-def adapter_param_count(rank: int, shape) -> int:
-    """Scalars one adapter pair adds to an (out, in) target: rank * (out + in)."""
-    out, in_ = shape
-    return rank * (out + in_)
 
 
 def is_lora_target(path: str, shape) -> bool:
@@ -136,12 +113,12 @@ def default_lora_targets(tree: ParamTree):
     return [p for p, t in tree.items() if is_lora_target(p, t.data.shape)]
 
 
-def inject_lora(model: Model, rank: int = 32, targets=None, seed: int = 0,
-                alpha: float = None) -> LoraAdapterSet:
-    """Attach zero-initialised adapters; forward output is unchanged at injection."""
-    if model.adapters:
-        raise ValueError("adapters already injected")
+def inject_lora(model: Model, rank: int = 32, targets=None, seed: int = 0):
+    """Add a zero-B adapter pair to the tree next to each target and freeze the
+    targets; forward output is unchanged at injection.  Returns the targets."""
     tree = model.tree
+    if lora_targets(tree):
+        raise ValueError("adapters already injected")
     if targets is None:
         paths = default_lora_targets(tree)
     else:
@@ -152,34 +129,30 @@ def inject_lora(model: Model, rank: int = 32, targets=None, seed: int = 0,
             if not hits:
                 raise SelectionError(f"lora target {pattern!r} matched no parameters")
             paths.extend(p for p in hits if not (p in seen or seen.add(p)))
-    scaling = (rank if alpha is None else alpha) / rank
     rng = np.random.default_rng(seed)
-    adapters = {}
     for p in paths:
         base = tree[p]
         if base.data.ndim != 2:
             raise ValueError(f"lora target {p!r} is {base.data.ndim}-d, need a matrix")
-        out, in_ = base.data.shape
         base.requires_grad = False
-        A = ag.tensor(rng.normal(0.0, 0.02, (rank, in_)).astype(model.dtype),
-                      requires_grad=True)
-        B = ag.tensor(np.zeros((out, rank), dtype=model.dtype), requires_grad=True)
-        tree.add(p + ".lora_A", A)
-        tree.add(p + ".lora_B", B)
-        adapters[p] = LoraAdapter(target=p, A=A, B=B, scaling=scaling)
-    model.adapters = adapters
-    return LoraAdapterSet(rank=rank, scaling=scaling, adapters=adapters)
+        (a_path, a_shape), (b_path, b_shape) = lora_entries(p, base.data.shape, rank)
+        tree.add(a_path, ag.tensor(rng.normal(0.0, 0.02, a_shape).astype(model.dtype),
+                                   requires_grad=True))
+        tree.add(b_path, ag.tensor(np.zeros(b_shape, dtype=model.dtype),
+                                   requires_grad=True))
+    return paths
 
 
 def merge_lora(model: Model) -> ParamTree:
-    """Fold base + scaling*B@A into the base weights and drop the adapters."""
-    if not model.adapters:
-        raise ValueError("no adapters to merge (already merged?)")
+    """Fold B @ A into each adapted base weight and drop the adapter entries."""
     tree = model.tree
-    for p, ad in model.adapters.items():
+    targets = lora_targets(tree)
+    if not targets:
+        raise ValueError("no adapters to merge (already merged?)")
+    for p in targets:
         base = tree[p]
-        base.data = base.data + (ad.scaling * (ad.B.data @ ad.A.data)).astype(model.dtype)
-        tree.remove(p + ".lora_A")
-        tree.remove(p + ".lora_B")
-    model.adapters = {}
+        base.data = base.data + (tree[p + LORA_B].data @ tree[p + LORA_A].data
+                                 ).astype(model.dtype)
+        tree.remove(p + LORA_A)
+        tree.remove(p + LORA_B)
     return tree

@@ -24,7 +24,7 @@ from . import autograd as ag
 from . import data as dt
 from .analysis import GradTrace
 from .model import (Model, ModelConfig, ParamTree, VisionStub, build,
-                    save_checkpoint)
+                    lora_targets, save_checkpoint)
 from .strategies import TuningStrategy, inject_lora, merge_lora, select_trainable
 
 LR_GRIDS = {
@@ -145,9 +145,8 @@ def evaluate(model: Model, ds: dt.Dataset, batch=64) -> float:
 
 
 def clone_model(model: Model) -> Model:
-    """Fresh tensors holding copies of every parameter, flags and dtype kept."""
-    if model.adapters:
-        raise ValueError("clone the model before injecting adapters")
+    """Fresh tensors holding copies of every parameter (adapters included),
+    flags and dtype kept."""
     tree = ParamTree()
     for p, t in model.tree.items():
         tree.add(p, ag.tensor(t.data.copy(), requires_grad=t.requires_grad))
@@ -156,20 +155,21 @@ def clone_model(model: Model) -> Model:
 
 def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainConfig,
           outdir=None, trace: GradTrace = None, trace_paths=None,
-          trace_every: int = 10, merge_adapters: bool = True) -> RunRecord:
+          trace_every: int = 10) -> RunRecord:
     """Run one training stage.  strategy=None evaluates a fully frozen model.
 
-    LoRA strategies inject adapters (if absent) and, unless merge_adapters
-    is off, fold them back into the base weights at the end so the returned
-    model is adapter-free.  Non-finite loss aborts the run and flags the
-    record instead of raising.
+    A LoRA strategy on a model without adapters injects them and folds them
+    back into the base weights at the end; adapters the caller injected are
+    trained and left for the caller to merge.  Non-finite loss aborts the run
+    and flags the record instead of raising.
     """
     if train_ds.vocab_required > model.config.vocab_size:
         raise ValueError(f"task needs vocab {train_ds.vocab_required}, "
                          f"model has {model.config.vocab_size}")
+    injected = []
     if strategy is not None:
-        if strategy.kind == "lora" and not model.adapters:
-            inject_lora(model, rank=strategy.lora_rank, seed=config.seed)
+        if strategy.kind == "lora" and not lora_targets(model.tree):
+            injected = inject_lora(model, rank=strategy.lora_rank, seed=config.seed)
         report = select_trainable(strategy, model.tree)
         selection = {"strategy": strategy.kind, "paths": list(report.selected),
                      "trainable": report.trainable, "total": report.total,
@@ -215,7 +215,7 @@ def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainCo
             record.eval_curve.append((step + 1, evaluate(model, eval_ds,
                                                          config.eval_batch)))
 
-    if model.adapters and merge_adapters:
+    if injected:
         merge_lora(model)
     if eval_ds is not None and not record.aborted:
         record.final_eval = evaluate(model, eval_ds, config.eval_batch)

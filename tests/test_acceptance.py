@@ -157,14 +157,16 @@ def test_autodiff_gradcheck_every_op_kind():
 
 def test_strategy_isolation_bitwise():
     """After a real training run under every strategy, parameters outside
-    the selection are bitwise untouched (adapters left unmerged so the
-    check applies to the raw result)."""
+    the selection are bitwise untouched (adapters injected here, so train
+    leaves them unmerged and the check applies to the raw result)."""
     for kind in STRATEGY_KINDS:
         model, ds = micro_mm(n=32, seed=3)
         before = {p: t.data.copy() for p, t in model.tree.items()}
         strategy = TuningStrategy(kind, lora_rank=2)
         cfg = tr.TrainConfig(lr=1e-3, steps=3, batch=8, seed=0)
-        rec = tr.train(model, strategy, ds, None, cfg, merge_adapters=False)
+        if kind == "lora":
+            inject_lora(model, rank=2, seed=cfg.seed)
+        rec = tr.train(model, strategy, ds, None, cfg)
         selected = set(rec.selection["paths"])
         touched = [p for p in before
                    if p not in selected
@@ -184,8 +186,7 @@ def test_lora_inject_exact_and_merge_close():
     assert np.max(np.abs(logits_injected - logits_before)) == 0.0
 
     cfg = tr.TrainConfig(lr=1e-3, steps=4, batch=8, seed=1)
-    tr.train(model, TuningStrategy("lora", lora_rank=2), ds, None, cfg,
-             merge_adapters=False)
+    tr.train(model, TuningStrategy("lora", lora_rank=2), ds, None, cfg)
     with_adapters = model.forward(ds.tokens[:4], ds.features[:4]).data.copy()
     merge_lora(model)
     merged = model.forward(ds.tokens[:4], ds.features[:4]).data

@@ -396,10 +396,8 @@ def test_rewritten_kernels_match_reference_bitwise(dtype):
 
 # --- memory: the tape and the allocator ---------------------------------------
 
-@pytest.mark.parametrize("kind", ["finetune", "lora"])
-def test_step_peak_memory_close_to_forward(kind):
-    """A default-size step (loss + backward) holds little beyond its forward:
-    backward frees each node's arrays once its parents have their gradients."""
+def _default_step_peaks(kind):
+    """tracemalloc peaks in bytes of a default-size (loss, loss + backward)."""
     protocol = tr.AdaptProtocol(n_train=64, n_eval=8)
     train_ds, _ = protocol.mm_datasets()
     model = md.build(protocol.model, seed=0)
@@ -417,7 +415,23 @@ def test_step_peak_memory_close_to_forward(kind):
         step_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return forward_peak, step_peak
+
+
+@pytest.mark.parametrize("kind", ["finetune", "lora"])
+def test_step_peak_memory_close_to_forward(kind):
+    """A default-size step (loss + backward) holds little beyond its forward:
+    backward frees each node's arrays once its parents have their gradients."""
+    forward_peak, step_peak = _default_step_peaks(kind)
     assert step_peak <= 1.25 * forward_peak, (step_peak, forward_peak)
+
+
+def test_lora_forward_peak_close_to_finetune():
+    """An adapted projection adds x @ A.T, its product with B.T and the sum to
+    the tape, and no scaled copy of that product."""
+    lora, _ = _default_step_peaks("lora")
+    finetune, _ = _default_step_peaks("finetune")
+    assert lora <= 1.9 * finetune, (lora, finetune)
 
 
 FAULT_PROBE = """

@@ -10,7 +10,7 @@ from normadapt import autograd as ag
 from normadapt import budget
 from normadapt import model as md
 from normadapt.finite_diff import central_difference, max_relative_error
-from normadapt.strategies import inject_lora
+from normadapt.strategies import inject_lora, merge_lora
 from test_acceptance import MICRO
 
 
@@ -233,9 +233,10 @@ def test_loss_matches_cross_entropy_of_forward(case):
     m = md.build(tiny_config(**{"norm_kind": "standard", **spec["cfg"]}), seed=3,
                  dtype=np.float64)
     if spec.get("lora"):
-        inject_lora(m, rank=2, seed=1)
-        for adapter in m.adapters.values():  # B starts at zero; make A's grad live
-            adapter.B.data = np.random.default_rng(2).normal(0, 0.1, adapter.B.shape)
+        # B starts at zero; make A's grad live
+        for target in inject_lora(m, rank=2, seed=1):
+            B = m.tree[target + ".lora_B"]
+            B.data = np.random.default_rng(2).normal(0, 0.1, B.shape)
     rng = np.random.default_rng(4)
     ids = rng.integers(0, 11, size=(3, 9))
     visual = rng.standard_normal((3, 3, 5)) if spec["visual"] else None
@@ -289,6 +290,21 @@ def test_checkpoint_roundtrip(tmp_path):
     ids = np.arange(5)[None] % 11
     with ag.no_grad():
         np.testing.assert_array_equal(m.forward(ids).data, back.forward(ids).data)
+
+
+def test_checkpoint_refuses_unmerged_adapters(tmp_path):
+    m = md.build(tiny_config(norm_kind="standard"), seed=8)
+    inject_lora(m, rank=2)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match="unmerged adapters"):
+        md.save_checkpoint(m, path)
+    assert not path.exists()
+    merge_lora(m)
+    md.save_checkpoint(m, path)
+    back = md.load_checkpoint(path)
+    assert back.tree.paths() == m.tree.paths()
+    for p, t in m.tree.items():
+        np.testing.assert_array_equal(t.data, back.tree[p].data)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

@@ -41,10 +41,10 @@ def test_attn_qv_hand_count():
 
 
 def test_selection_subset_chain():
-    m = build_tiny()
-    simple = set(st.selection_paths(st.TuningStrategy("layernorm-simple"), m.tree))
-    norm = set(st.selection_paths(st.TuningStrategy("layernorm"), m.tree))
-    full = set(st.selection_paths(st.TuningStrategy("finetune"), m.tree))
+    paths = build_tiny().tree.paths()
+    simple = set(st.selection_paths(st.TuningStrategy("layernorm-simple"), paths))
+    norm = set(st.selection_paths(st.TuningStrategy("layernorm"), paths))
+    full = set(st.selection_paths(st.TuningStrategy("finetune"), paths))
     assert simple < norm < full
 
 
@@ -123,23 +123,24 @@ def test_lora_injection_preserves_forward_exactly():
 
 
 def test_lora_adapter_counts():
-    assert st.adapter_param_count(32, (4096, 4096)) == 262_144
+    # an adapter pair on an (out, in) target adds rank * (out + in) scalars
+    assert sum(np.prod(s) for _, s in md.lora_entries("w", (4096, 4096), 32)) == 262_144
     m = build_tiny()
-    adapter_set = st.inject_lora(m, rank=4)
-    want = sum(st.adapter_param_count(4, m.tree[t].data.shape)
-               for t in adapter_set.adapters)
-    assert adapter_set.param_count() == want
+    targets = st.inject_lora(m, rank=4)
+    adapter_scalars = sum(m.tree[t + suffix].data.size for t in targets
+                          for suffix in (".lora_A", ".lora_B"))
+    assert adapter_scalars == sum(4 * sum(m.tree[t].data.shape) for t in targets)
     # default targets: every 2-d matrix in the blocks, nothing else
-    assert len(adapter_set.adapters) == 2 * 6
+    assert len(targets) == 2 * 6
+    assert md.lora_targets(m.tree) == targets
     report = st.select_trainable(st.TuningStrategy("lora", lora_rank=4), m.tree)
-    assert report.trainable == adapter_set.param_count() + sum(
+    assert report.trainable == adapter_scalars + sum(
         m.tree[p].data.size for p in st.default_paths(m.tree))
 
 
 def test_lora_bases_freeze_on_injection():
     m = build_tiny()
-    adapter_set = st.inject_lora(m, rank=2)
-    for target in adapter_set.adapters:
+    for target in st.inject_lora(m, rank=2):
         assert not m.tree[target].requires_grad
 
 
@@ -157,15 +158,16 @@ def test_lora_duplicate_and_bad_target_errors():
 
 def test_lora_merge_matches_adapter_forward():
     m = build_tiny()
-    adapter_set = st.inject_lora(m, rank=4, seed=3)
+    targets = st.inject_lora(m, rank=4, seed=3)
     rng = np.random.default_rng(4)
-    for ad in adapter_set.adapters.values():  # give B real content
-        ad.B.data = rng.normal(0.0, 0.05, ad.B.data.shape).astype(np.float32)
+    for t in targets:  # give B real content
+        B = m.tree[t + ".lora_B"]
+        B.data = rng.normal(0.0, 0.05, B.data.shape).astype(np.float32)
     ids = np.arange(6)[None] % 11
     with ag.no_grad():
         with_adapters = m.forward(ids).data.copy()
     st.merge_lora(m)
-    assert not m.adapters
+    assert not md.lora_targets(m.tree)
     assert all(".lora_" not in p for p in m.tree.paths())
     with ag.no_grad():
         merged = m.forward(ids).data

@@ -10,7 +10,7 @@ from normadapt import data as dt
 from normadapt import model as md
 from normadapt import training as tr
 from normadapt.analysis import GradTrace
-from normadapt.strategies import TuningStrategy
+from normadapt.strategies import TuningStrategy, inject_lora
 
 MICRO_MODEL = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, vocab_size=96,
                    max_seq=32, norm_kind="standard", n_visual_tokens=4,
@@ -233,10 +233,30 @@ def test_lora_run_merges_adapters_and_isolates_bases():
     attn_before = model.tree["blocks.0.attn.k_proj.weight"].data.copy()
     cfg = tr.TrainConfig(lr=1e-3, steps=6, batch=8)
     rec = tr.train(model, TuningStrategy("lora", lora_rank=2), ds, None, cfg)
-    assert not model.adapters
+    assert not md.lora_targets(model.tree)
     assert all(".lora_" not in p for p in model.tree.paths())
-    # k_proj base was frozen; merged delta is scaling*B@A which trained away from 0
     assert rec.selection["strategy"] == "lora"
+    assert "blocks.0.attn.k_proj.weight" not in rec.selection["paths"]
+    # k_proj base was frozen; the merge folded in B@A, which trained away from 0
+    assert not np.array_equal(model.tree["blocks.0.attn.k_proj.weight"].data,
+                              attn_before)
+
+
+def test_clone_of_an_injected_model_is_equal_and_independent():
+    model, ds = micro_setup("mm-adapt", n=8)
+    rng = np.random.default_rng(5)
+    for target in inject_lora(model, rank=2, seed=1):  # B starts at zero
+        B = model.tree[target + ".lora_B"]
+        B.data = rng.normal(0.0, 0.05, B.shape).astype(np.float32)
+    twin = tr.clone_model(model)
+    assert twin.tree.paths() == model.tree.paths()
+    for p, t in model.tree.items():
+        assert twin.tree[p].requires_grad == t.requires_grad
+        assert not np.shares_memory(twin.tree[p].data, t.data), p
+    with ag.no_grad():
+        want = model.forward(ds.tokens, ds.features).data
+        got = twin.forward(ds.tokens, ds.features).data
+    np.testing.assert_array_equal(got, want)
 
 
 def test_compare_strategies_micro_run():
