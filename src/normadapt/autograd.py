@@ -230,10 +230,15 @@ def _mul(arrays, attrs):
 
 @register_op("embed_lookup")
 def _embed_lookup(arrays, attrs):
+    """Rows of `w` at `ids`: an int array into the first axis of a 2-d table,
+    or a tuple of int arrays, one per leading axis (a row gather).  The
+    backward scatter-adds, so repeated rows accumulate their gradients."""
     (w,) = arrays
-    ids = np.asarray(attrs["ids"])
-    if w.ndim != 2:
-        raise ShapeError("embed_lookup", [w.shape], "weight must be 2-d")
+    ids = attrs["ids"]
+    ids = tuple(map(np.asarray, ids)) if isinstance(ids, tuple) else (np.asarray(ids),)
+    if w.ndim != len(ids) + 1:
+        raise ShapeError("embed_lookup", [w.shape],
+                         f"{len(ids)} index array(s) need a {len(ids) + 1}-d input")
     out = w[ids]
 
     def backward(g, needs):

@@ -166,13 +166,17 @@ class Model:
             return ag.rms_norm(x, gain)
         return ag.layer_norm(x, gain, self.tree[prefix + ".bias"])
 
-    def _block(self, i, h):
+    def _block(self, i, h, rows=None):
         p = f"blocks.{i}."
         x = self._norm(h, p + "input_norm")
         ctx = ag.causal_attention(self._proj(x, p + "attn.q_proj.weight"),
                                   self._proj(x, p + "attn.k_proj.weight"),
                                   self._proj(x, p + "attn.v_proj.weight"),
                                   self.config.n_heads)
+        if rows is not None:
+            # keys and values cover every position; the rest of the block is
+            # per position, so it runs on the gathered rows alone
+            ctx, h = ag.embed_lookup(ctx, rows), ag.embed_lookup(h, rows)
         h = ag.add(h, self._proj(ctx, p + "attn.o_proj.weight"))
         y = self._norm(h, p + "post_norm")
         y = self._proj(ag.silu(self._proj(y, p + "mlp.fc1.weight")),
@@ -207,11 +211,15 @@ class Model:
             raise ValueError(f"sequence length {length} exceeds max_seq {cfg.max_seq}")
         return ids, feats
 
-    def forward(self, tokens, visual=None, capture=None) -> ag.Tensor:
+    def forward(self, tokens, visual=None, capture=None, rows=None) -> ag.Tensor:
         """tokens (B, T) int ids, visual optional (B, n_visual_tokens, d_visual).
 
         Returns logits (B, n_vis + T, vocab).  capture, if given, is a list that
-        collects each block's post-residual output as a detached array.
+        collects each block's post-residual output as a detached array.  rows,
+        if given, is a (batch indices, position indices) pair of N equal-length
+        int arrays: the logits are then (N, vocab), those rows of the full
+        logits, and the last block's o_proj and MLP, the final norm and the
+        head run on those N rows only.
         """
         cfg = self.config
         ids, feats = self._check_inputs(tokens, visual)
@@ -225,7 +233,7 @@ class Model:
         h = ag.add(h, ag.embed_lookup(self.tree["pos.weight"], np.arange(h.shape[1])))
 
         for i in range(cfg.n_layers):
-            h = self._block(i, h)
+            h = self._block(i, h, rows if i == cfg.n_layers - 1 else None)
             if capture is not None:
                 capture.append(h.data.copy())
         h = self._norm(h, "final_norm")
@@ -233,14 +241,16 @@ class Model:
         return ag.matmul(h, head, transpose_b=True)
 
     def loss(self, tokens, visual, targets) -> ag.Tensor:
-        """`cross_entropy(forward(tokens, visual), targets)` without the columns
+        """`cross_entropy(forward(tokens, visual), targets)` without the work
         that scalar never reads.
 
         The inputs are checked uncut, exactly as `forward` checks them.  Token
         columns after the batch's last scored position (target != -1) are then
         dropped, keeping at least one token, and `forward` runs on the rest:
         attention is causal, so no kept position reads a dropped one and the
-        cut is exact.
+        cut is exact.  `forward` then gets the scored (batch, position) pairs
+        as `rows`, so the last block's o_proj and MLP, the final norm and the
+        head run on scored rows only.
         """
         ids, feats = self._check_inputs(tokens, visual)
         n_vis = 0 if feats is None else feats.shape[1]
@@ -251,8 +261,9 @@ class Model:
         scored = np.flatnonzero((targets != -1).any(axis=0))
         # a batch with nothing scored keeps one token; cross_entropy raises on it
         length = max(n_vis + 1, scored[-1] + 1 if scored.size else 0)
-        return ag.cross_entropy(self.forward(ids[:, :length - n_vis], feats),
-                                targets[:, :length])
+        rows = np.nonzero(targets[:, :length] != -1)
+        return ag.cross_entropy(self.forward(ids[:, :length - n_vis], feats, rows=rows),
+                                targets[rows])
 
     def capture_layer_outputs(self, tokens, visual=None):
         """Per-block post-residual hidden states, one (B, L, d) array per layer."""

@@ -115,7 +115,10 @@ def default_lora_targets(tree: ParamTree):
 
 def inject_lora(model: Model, rank: int = 32, targets=None, seed: int = 0):
     """Add a zero-B adapter pair to the tree next to each target and freeze the
-    targets; forward output is unchanged at injection.  Returns the targets."""
+    targets; forward output is unchanged at injection.  Returns the targets.
+
+    Every target is checked before the tree changes, so a refused call leaves
+    it as it was."""
     tree = model.tree
     if lora_targets(tree):
         raise ValueError("adapters already injected")
@@ -129,11 +132,12 @@ def inject_lora(model: Model, rank: int = 32, targets=None, seed: int = 0):
             if not hits:
                 raise SelectionError(f"lora target {pattern!r} matched no parameters")
             paths.extend(p for p in hits if not (p in seen or seen.add(p)))
+    for p in paths:
+        if tree[p].data.ndim != 2:
+            raise ValueError(f"lora target {p!r} is {tree[p].data.ndim}-d, need a matrix")
     rng = np.random.default_rng(seed)
     for p in paths:
         base = tree[p]
-        if base.data.ndim != 2:
-            raise ValueError(f"lora target {p!r} is {base.data.ndim}-d, need a matrix")
         base.requires_grad = False
         (a_path, a_shape), (b_path, b_shape) = lora_entries(p, base.data.shape, rank)
         tree.add(a_path, ag.tensor(rng.normal(0.0, 0.02, a_shape).astype(model.dtype),

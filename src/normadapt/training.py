@@ -160,9 +160,13 @@ def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainCo
 
     A LoRA strategy on a model without adapters injects them and folds them
     back into the base weights at the end; adapters the caller injected are
-    trained and left for the caller to merge.  Non-finite loss aborts the run
-    and flags the record instead of raising.
+    trained and left for the caller to merge, so with an outdir, whose
+    checkpoint cannot hold them, they are refused before the first step.
+    Non-finite loss aborts the run and flags the record instead of raising.
     """
+    if outdir is not None and lora_targets(model.tree):
+        raise ValueError("model has unmerged adapters, which a checkpoint cannot "
+                         "hold; merge them or train without outdir")
     if train_ds.vocab_required > model.config.vocab_size:
         raise ValueError(f"task needs vocab {train_ds.vocab_required}, "
                          f"model has {model.config.vocab_size}")

@@ -85,6 +85,10 @@ def _case_for(kind, rng, seed):
     if kind == "add" or kind == "mul":
         return [rng.standard_normal((2, 4)), rng.standard_normal(4)], {}
     if kind == "embed_lookup":
+        if seed % 2:  # row gather from (B, L, d); one (batch, pos) pair twice
+            batch, pos = rng.integers(0, 2, size=4), rng.integers(0, 3, size=4)
+            batch[3], pos[3] = batch[0], pos[0]
+            return [rng.standard_normal((2, 3, 2))], {"ids": (batch, pos)}
         return [rng.standard_normal((4, 2))], {"ids": rng.integers(0, 4, size=(3,))}
     if kind == "silu":
         return [rng.standard_normal((2, 4))], {}

@@ -215,6 +215,7 @@ LOSS_CASES = {
     "rms": dict(cfg=dict(norm_kind="rms"), visual=True),
     "lora": dict(cfg={}, visual=True, lora=True),
     "early-stop": dict(cfg={}, visual=True, stop=6),
+    "uneven-rows": dict(cfg={}, visual=True, uneven=True),
 }
 
 
@@ -246,6 +247,9 @@ def test_loss_matches_cross_entropy_of_forward(case):
     targets[:, :n_vis] = -1
     stop = spec.get("stop", n_vis + 9)
     targets[:, stop:] = -1
+    if spec.get("uneven"):
+        targets[1] = -1  # a batch row with nothing scored
+        targets[2, n_vis] = 5  # and one scoring its first text position
     targets[0, stop - 1] = 7  # the last kept column is scored
 
     ref_loss, ref_grads = _loss_and_grads(
@@ -256,6 +260,31 @@ def test_loss_matches_cross_entropy_of_forward(case):
     for p, ref in ref_grads.items():
         err = np.abs(got_grads[p] - ref).max()
         assert err <= 1e-12 * np.abs(ref).max(), (p, err)
+
+
+def test_loss_runs_last_block_mlp_and_head_on_scored_rows(monkeypatch):
+    m = md.build(tiny_config(norm_kind="standard"), seed=3, dtype=np.float64)
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, 11, size=(3, 9))
+    visual = rng.standard_normal((3, 3, 5))
+    targets = np.full((3, 12), -1)
+    targets[0, [4, 9]] = 1
+    targets[2, 3] = 2
+    last = f"blocks.{m.config.n_layers - 1}.mlp.fc1.weight"
+    watched = {id(m.tree[last]): "fc1", id(m.tree["head.weight"]): "head",
+               id(m.tree["blocks.0.mlp.fc1.weight"]): "first fc1"}
+    rows = {}
+    real_op_forward = ag.op_forward
+
+    def counting(kind, inputs, attrs=None):
+        if kind == "matmul" and id(inputs[1]) in watched:
+            rows[watched[id(inputs[1])]] = inputs[0].data.shape[:-1]
+        return real_op_forward(kind, inputs, attrs)
+
+    monkeypatch.setattr(ag, "op_forward", counting)
+    m.loss(ids, visual, targets)
+    # the cut keeps 10 of 12 positions; 3 rows are scored
+    assert rows == {"first fc1": (3, 10), "fc1": (3,), "head": (3,)}
 
 
 def test_loss_checks_the_uncut_input():

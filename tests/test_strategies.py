@@ -156,6 +156,18 @@ def test_lora_duplicate_and_bad_target_errors():
         st.inject_lora(build_tiny(), rank=2, targets="blocks.9.*")
 
 
+def test_refused_lora_injection_leaves_the_tree_unchanged():
+    m = build_tiny()
+    before = {p: t.requires_grad for p, t in m.tree.items()}
+    with pytest.raises(ValueError, match="matrix"):
+        st.inject_lora(m, rank=2, targets=["blocks.0.attn.q_proj.weight",
+                                           "final_norm.weight"])
+    assert {p: t.requires_grad for p, t in m.tree.items()} == before
+    assert m.tree.paths() == list(before)
+    assert st.inject_lora(m, rank=2, targets="blocks.0.attn.q_proj.weight") == [
+        "blocks.0.attn.q_proj.weight"]
+
+
 def test_lora_merge_matches_adapter_forward():
     m = build_tiny()
     targets = st.inject_lora(m, rank=4, seed=3)

@@ -182,9 +182,9 @@ def test_evaluate_skips_batches_with_no_scored_target():
     forwarded = []
     real_forward = model.forward
 
-    def counting_forward(tokens, feats):
+    def counting_forward(tokens, feats, rows=None):
         forwarded.append(len(tokens))
-        return real_forward(tokens, feats)
+        return real_forward(tokens, feats, rows=rows)
 
     model.forward = counting_forward
     assert tr.evaluate(model, ds, batch=2) == pytest.approx(whole, rel=1e-6)
@@ -240,6 +240,21 @@ def test_lora_run_merges_adapters_and_isolates_bases():
     # k_proj base was frozen; the merge folded in B@A, which trained away from 0
     assert not np.array_equal(model.tree["blocks.0.attn.k_proj.weight"].data,
                               attn_before)
+
+
+def test_outdir_refuses_caller_adapters_before_training(tmp_path):
+    model, ds = micro_setup("mm-adapt", n=8)
+    inject_lora(model, rank=2)
+    before = {p: (t.data.copy(), t.requires_grad) for p, t in model.tree.items()}
+    cfg = tr.TrainConfig(lr=1e-2, steps=2, batch=4)
+    with pytest.raises(ValueError, match="unmerged adapters"):
+        tr.train(model, TuningStrategy("lora", lora_rank=2), ds, None, cfg,
+                 outdir=tmp_path / "run")
+    assert model.tree.paths() == list(before)
+    for p, (old, flag) in before.items():
+        np.testing.assert_array_equal(model.tree[p].data, old)
+        assert model.tree[p].requires_grad == flag, p
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_clone_of_an_injected_model_is_equal_and_independent():
