@@ -13,16 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-CONFIG_KEYS = ("strategy", "lr", "steps", "batch", "warmup_ratio",
-               "weight_decay", "seed", "preset", "mixture", "norm_kind",
-               "lora_rank", "include_defaults", "outdir")
-
-_COERCE = {
-    "lr": float, "warmup_ratio": float, "weight_decay": float,
-    "steps": int, "batch": int, "seed": int, "lora_rank": int,
-}
-
-
 def _parse_bool(value):
     lowered = value.lower()
     if lowered in ("true", "1", "yes"):
@@ -39,8 +29,27 @@ def _parse_mixture(value):
     return tuple(parts)
 
 
-def parse_config_file(path):
-    """Flat `key = value` text; # starts a comment; keys restricted."""
+# Every config key, with the argparse keywords of its flag (`--lora-rank` for
+# `lora_rank`); a config-file value goes through the same `type`.
+OPTIONS = {
+    "strategy": {},
+    "lr": {"type": float},
+    "steps": {"type": int},
+    "batch": {"type": int},
+    "warmup_ratio": {"type": float},
+    "weight_decay": {"type": float},
+    "seed": {"type": int},
+    "preset": {},
+    "mixture": {"type": _parse_mixture},
+    "norm_kind": {"choices": ("standard", "rms")},
+    "lora_rank": {"type": int},
+    "include_defaults": {"type": _parse_bool},
+    "outdir": {},
+}
+
+
+def parse_config_file(path, keys=tuple(OPTIONS)):
+    """Flat `key = value` text; # starts a comment; only `keys` allowed."""
     opts = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -50,18 +59,11 @@ def parse_config_file(path):
             raise ValueError(f"{path}:{lineno}: expected `key = value`")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
-                             f"(known: {', '.join(CONFIG_KEYS)})")
+                             f"(known: {', '.join(keys)})")
         try:
-            if key == "mixture":
-                opts[key] = _parse_mixture(value)
-            elif key == "include_defaults":
-                opts[key] = _parse_bool(value)
-            elif key in _COERCE:
-                opts[key] = _COERCE[key](value)
-            else:
-                opts[key] = value
+            opts[key] = OPTIONS[key].get("type", str)(value)
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
     return opts
@@ -76,36 +78,55 @@ def _cap_threads():
         os.environ[var] = cap
 
 
-def _merge(args, file_keys):
-    """Config-file values first, command-line overrides on top."""
-    opts = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in file_keys:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            opts[key] = flag
+def _add_options(p, names, **defaults):
+    """Flags and config keys `names`; `defaults` are this command's own."""
+    p.add_argument("--config", help="flat key = value config file "
+                   f"(keys: {', '.join(names)})")
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                       **OPTIONS[name])
+    p.set_defaults(option_names=tuple(names), option_defaults=defaults)
+
+
+def _options(args):
+    """Own defaults, then config-file values, then flags.  An option none of
+    them sets is left out, so the library's default applies."""
+    opts = dict(args.option_defaults)
+    if args.config:
+        opts.update(parse_config_file(args.config, args.option_names))
+    for name in args.option_names:
+        if getattr(args, name) is not None:
+            opts[name] = getattr(args, name)
     return opts
+
+
+def _given(opts, *names):
+    """The options among `names` that are set, as keyword arguments."""
+    return {name: opts[name] for name in names if name in opts}
 
 
 def _strategy_from_opts(opts):
     from .strategies import TuningStrategy
     return TuningStrategy(opts.get("strategy", "layernorm"),
-                          lora_rank=opts.get("lora_rank", 32),
-                          include_defaults=opts.get("include_defaults", True))
+                          **_given(opts, "lora_rank", "include_defaults"))
 
 
 def _model_config(opts):
     from .model import ModelConfig
-    kwargs = {}
-    if "norm_kind" in opts:
-        kwargs["norm_kind"] = opts["norm_kind"]
-    return ModelConfig(**kwargs)
+    return ModelConfig(**_given(opts, "norm_kind"))
+
+
+def _train_config(opts, **fixed):
+    from .training import TrainConfig
+    return TrainConfig(**_given(opts, "lr", "steps", "batch", "warmup_ratio",
+                                "weight_decay", "seed"), **fixed)
 
 
 def _build_or_load(opts, init_from):
     """A fresh model, or the checkpoint at init_from if the options agree."""
     from .model import build, load_checkpoint
     if not init_from:
-        return build(_model_config(opts), seed=opts.get("seed", 0))
+        return build(_model_config(opts), **_given(opts, "seed"))
     model = load_checkpoint(init_from)
     kind = opts.get("norm_kind")
     if kind is not None and kind != model.config.norm_kind:
@@ -116,11 +137,9 @@ def _build_or_load(opts, init_from):
 
 
 def _protocol(opts, **fields):
-    """AdaptProtocol with the seed and mixture options; `fields` set the rest."""
+    """AdaptProtocol with the batch, seed and mixture options, and `fields`."""
     from . import training as tr
-    if "mixture" in opts:
-        fields["mixture"] = opts["mixture"]
-    return tr.AdaptProtocol(seed=opts.get("seed", 0), **fields)
+    return tr.AdaptProtocol(**_given(opts, "batch", "seed", "mixture"), **fields)
 
 
 def _datasets(opts, task, model, n_train, n_eval):
@@ -133,19 +152,12 @@ def _datasets(opts, task, model, n_train, n_eval):
 
 def cmd_train(args):
     from . import training as tr
-    opts = _merge(args, ("strategy", "lr", "steps", "batch", "warmup_ratio",
-                         "weight_decay", "seed", "norm_kind", "lora_rank",
-                         "include_defaults", "outdir", "mixture"))
+    opts = _options(args)
     model = _build_or_load(opts, args.init_from)
     train_ds, eval_ds = _datasets(opts, args.task, model,
                                   args.n_samples, args.n_eval)
-    cfg = tr.TrainConfig(lr=opts.get("lr", 1e-3), steps=opts.get("steps", 200),
-                         batch=opts.get("batch", 32),
-                         warmup_ratio=opts.get("warmup_ratio", 0.03),
-                         weight_decay=opts.get("weight_decay", 0.0),
-                         seed=opts.get("seed", 0),
-                         eval_interval=args.eval_interval)
-    outdir = opts.get("outdir", "runs/train")
+    cfg = _train_config(opts, eval_interval=args.eval_interval)
+    outdir = opts["outdir"]
     record = tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
                       outdir=outdir)
     print(json.dumps({"strategy": record.selection["strategy"],
@@ -157,18 +169,16 @@ def cmd_train(args):
 
 def cmd_sweep_lr(args):
     from . import training as tr
-    opts = _merge(args, ("strategy", "steps", "batch", "seed", "norm_kind",
-                         "lora_rank", "include_defaults", "outdir", "mixture"))
+    opts = _options(args)
     grid = args.grid
     if grid not in tr.LR_GRIDS:
         grid = [float(x) for x in grid.split(",")]
     base = _build_or_load(opts, args.init_from)
     train_ds, eval_ds = _datasets(opts, args.task, base,
                                   args.n_samples, args.n_eval)
-    cfg = tr.TrainConfig(lr=1.0, steps=opts.get("steps", 100),
-                         batch=opts.get("batch", 32), seed=opts.get("seed", 0))
     result = tr.sweep_lr(grid, lambda: tr.clone_model(base),
-                         _strategy_from_opts(opts), train_ds, eval_ds, cfg)
+                         _strategy_from_opts(opts), train_ds, eval_ds,
+                         _train_config(opts, lr=1.0))
     for lr, loss in result.rows:
         print(f"{lr:.1e}\t{loss:.6f}")
     print(json.dumps({"best_lr": result.best_lr, "best_loss": result.best_loss}))
@@ -177,17 +187,17 @@ def cmd_sweep_lr(args):
 
 def cmd_compare(args):
     from . import training as tr
-    opts = _merge(args, ("batch", "seed", "norm_kind", "outdir", "mixture"))
+    opts = _options(args)
     base = _build_or_load(opts, args.init_from) if args.init_from else None
     protocol = _protocol(
         opts, model=base.config if base else _model_config(opts),
-        batch=opts.get("batch", 32), pretrain_steps=args.pretrain_steps,
+        pretrain_steps=args.pretrain_steps,
         connector_steps=args.connector_steps, adapt_steps=args.adapt_steps,
         stub_mode=args.stub_mode, noise_std=args.noise_std)
     strategies = args.strategies.split(",")
     seeds = tuple(int(s) for s in args.seeds.split(","))
     report = tr.compare_strategies(strategies, protocol, seeds=seeds, base=base)
-    outdir = Path(opts.get("outdir", "runs/compare"))
+    outdir = Path(opts["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "compare.csv", "w", newline="") as f:
         report.to_csv(f)
@@ -207,8 +217,8 @@ def cmd_budget(args):
                   f"{row.reference},{row.diff:.6f},{row.tolerance},"
                   f"{row.within},{row.gated}")
         return 0
-    opts = _merge(args, ("strategy", "preset", "lora_rank", "include_defaults"))
-    name = opts.get("preset", "llama7b")
+    opts = _options(args)
+    name = opts["preset"]
     if name not in bg.PRESETS:
         raise SystemExit(f"unknown preset {name!r} (known: "
                          f"{', '.join(sorted(bg.PRESETS))})")
@@ -257,19 +267,15 @@ def cmd_similarity(args):
 def cmd_grad_stats(args):
     from . import training as tr
     from .analysis import GradTrace
-    opts = _merge(args, ("strategy", "lr", "steps", "batch", "seed",
-                         "norm_kind", "lora_rank", "include_defaults",
-                         "outdir", "mixture"))
+    opts = _options(args)
     model = _build_or_load(opts, args.init_from)
     train_ds, eval_ds = _datasets(opts, args.task, model,
                                   args.n_samples, args.n_eval)
-    cfg = tr.TrainConfig(lr=opts.get("lr", 1e-3), steps=opts.get("steps", 50),
-                         batch=opts.get("batch", 32), seed=opts.get("seed", 0))
     trace = GradTrace()
-    tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
-             trace=trace, trace_every=args.trace_every)
-    if args.outdir:
-        outdir = Path(args.outdir)
+    tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds,
+             _train_config(opts), trace=trace, trace_every=args.trace_every)
+    if "outdir" in opts:
+        outdir = Path(opts["outdir"])
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "gradtrace.csv", "w", newline="") as f:
             trace.to_csv(f)
@@ -317,23 +323,12 @@ def cmd_normcheck(args):
     return 0 if payload["ok"] else 1
 
 
-def _add_run_options(p, with_lr=True):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--strategy", default=None)
-    if with_lr:
-        p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--warmup-ratio", dest="warmup_ratio", type=float, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--norm-kind", dest="norm_kind", default=None,
-                   choices=(None, "standard", "rms"))
-    p.add_argument("--lora-rank", dest="lora_rank", type=int, default=None)
-    p.add_argument("--include-defaults", dest="include_defaults", default=None,
-                   type=_parse_bool)
-    p.add_argument("--mixture", type=_parse_mixture, default=None)
-    p.add_argument("--outdir", default=None)
+# Options of the training commands; `train` and `grad-stats` add lr and outdir.
+_RUN_OPTIONS = ("strategy", "steps", "batch", "warmup_ratio", "weight_decay",
+                "seed", "norm_kind", "lora_rank", "include_defaults", "mixture")
+
+
+def _add_data_args(p):
     p.add_argument("--task", default="mm-adapt",
                    choices=("text-pretrain", "mm-adapt"))
     p.add_argument("--init-from", dest="init_from", default=None,
@@ -350,27 +345,25 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="run one training stage")
-    _add_run_options(p)
+    _add_options(p, _RUN_OPTIONS + ("lr", "outdir"),
+                 lr=1e-3, steps=200, outdir="runs/train")
+    _add_data_args(p)
     p.add_argument("--eval-interval", dest="eval_interval", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep-lr", help="grid-search the learning rate")
-    _add_run_options(p, with_lr=False)
+    _add_options(p, _RUN_OPTIONS, steps=100)
+    _add_data_args(p)
     p.add_argument("--grid", default="paper-grid",
                    help="named grid or comma-separated values")
     p.set_defaults(func=cmd_sweep_lr)
 
     p = sub.add_parser("compare", help="two-stage strategy comparison")
-    p.add_argument("--config")
+    _add_options(p, ("batch", "seed", "norm_kind", "mixture", "outdir"),
+                 outdir="runs/compare")
     p.add_argument("--strategies",
                    default="finetune,layernorm,layernorm-simple")
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--norm-kind", dest="norm_kind", default=None,
-                   choices=("standard", "rms"))
-    p.add_argument("--mixture", type=_parse_mixture, default=None)
-    p.add_argument("--outdir", default=None)
     p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int,
                    default=2000)
     p.add_argument("--connector-steps", dest="connector_steps", type=int,
@@ -384,12 +377,8 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("budget", help="analytic trainable-parameter accounting")
-    p.add_argument("--config")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--lora-rank", dest="lora_rank", type=int, default=None)
-    p.add_argument("--include-defaults", dest="include_defaults", default=None,
-                   type=_parse_bool)
+    _add_options(p, ("strategy", "preset", "lora_rank", "include_defaults"),
+                 preset="llama7b")
     p.add_argument("--bytes-per-param", dest="bytes_per_param", type=int,
                    default=4)
     p.add_argument("--reference-table", action="store_true",
@@ -407,7 +396,8 @@ def build_parser():
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("grad-stats", help="trace per-step norm-gradient stats")
-    _add_run_options(p)
+    _add_options(p, _RUN_OPTIONS + ("lr", "outdir"), lr=1e-3, steps=50)
+    _add_data_args(p)
     p.add_argument("--trace-every", dest="trace_every", type=int, default=10)
     p.set_defaults(func=cmd_grad_stats)
 

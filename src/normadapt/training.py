@@ -89,7 +89,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     seed: int = 0
     eval_interval: int = 0  # 0: evaluate at the end only
-    eval_batch: int = 64
 
     def __post_init__(self):
         if not 0.0 <= self.warmup_ratio < 1.0:
@@ -154,14 +153,14 @@ def clone_model(model: Model) -> Model:
 
 
 def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainConfig,
-          outdir=None, trace: GradTrace = None, trace_paths=None,
-          trace_every: int = 10) -> RunRecord:
+          outdir=None, trace: GradTrace = None, trace_every: int = 10) -> RunRecord:
     """Run one training stage.  strategy=None evaluates a fully frozen model.
 
     A LoRA strategy on a model without adapters injects them and folds them
     back into the base weights at the end; adapters the caller injected are
     trained and left for the caller to merge, so with an outdir, whose
     checkpoint cannot hold them, they are refused before the first step.
+    A trace records the selected norm parameters every `trace_every` steps.
     Non-finite loss aborts the run and flags the record instead of raising.
     """
     if outdir is not None and lora_targets(model.tree):
@@ -185,9 +184,7 @@ def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainCo
                      "total": model.tree.total_scalars(), "fraction": 0.0}
         trainable = []
 
-    if trace is not None and trace_paths is None:
-        trace_paths = [p for p in selection["paths"] if "norm" in p]
-
+    traced = [p for p in selection["paths"] if "norm" in p]
     opt = Adam(trainable, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(
@@ -209,20 +206,19 @@ def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainCo
                                  "reason": "non-finite training loss"}
             break
         ag.backward(loss)
-        if trace is not None and step % trace_every == 0 and trace_paths:
-            trace.record(step, model.tree, trace_paths)
+        if trace is not None and step % trace_every == 0 and traced:
+            trace.record(step, model.tree, traced)
         opt.step(lr)
         opt.zero_grad()
         if (config.eval_interval and eval_ds is not None
                 and (step + 1) % config.eval_interval == 0
                 and step + 1 < config.steps):
-            record.eval_curve.append((step + 1, evaluate(model, eval_ds,
-                                                         config.eval_batch)))
+            record.eval_curve.append((step + 1, evaluate(model, eval_ds)))
 
     if injected:
         merge_lora(model)
     if eval_ds is not None and not record.aborted:
-        record.final_eval = evaluate(model, eval_ds, config.eval_batch)
+        record.final_eval = evaluate(model, eval_ds)
         record.eval_curve.append((config.steps, record.final_eval))
     record.wall_clock = time.perf_counter() - started
 
@@ -398,8 +394,11 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
 
     Emits a frozen baseline row per seed (the stage-1 model, gain 0 by
     definition).  Gains require a finetune run in the same seed; rows from
-    other strategies get gain=None when finetune is absent.
+    other strategies get gain=None when finetune is absent.  Every name and
+    its stage-2 lr are checked before any training.
     """
+    stage2 = [(name, TuningStrategy(name), protocol.adapt_lrs[name])
+              for name in strategy_names]
     if base is None:
         base, _ = pretrain(protocol)
     mm_train, mm_eval = protocol.mm_datasets()
@@ -414,10 +413,9 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
         finals = {}
         clocks = {}
         fractions = {}
-        for name in strategy_names:
-            strategy = TuningStrategy(name)
+        for name, strategy, lr in stage2:
             model = clone_model(stage1)
-            cfg2 = TrainConfig(lr=protocol.adapt_lrs[name], steps=protocol.adapt_steps,
+            cfg2 = TrainConfig(lr=lr, steps=protocol.adapt_steps,
                                batch=protocol.batch, seed=1000 * seed + 2)
             rec = train(model, strategy, mm_train, mm_eval, cfg2)
             finals[name] = rec.final_eval

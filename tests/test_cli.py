@@ -272,3 +272,53 @@ def test_grad_stats_stdout_when_no_outdir(capsys):
                    "--n-eval", "8"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("step,path,mean,variance")
+
+
+# ------------------------------------------------- options each command reads
+
+@pytest.mark.parametrize("command", ["sweep-lr", "grad-stats"])
+def test_warmup_and_weight_decay_reach_train(command, monkeypatch, capsys):
+    seen = []
+
+    def fake_train(model, strategy, train_ds, eval_ds, config, **kwargs):
+        seen.append(config)
+        return tr.RunRecord(config={}, selection={"strategy": strategy.kind},
+                            train_curve=[], eval_curve=[], final_eval=1.0,
+                            wall_clock=0.0)
+
+    monkeypatch.setattr(tr, "train", fake_train)
+    extra = ["--grid", "1e-3"] if command == "sweep-lr" else []
+    rc = cli.main([command, "--warmup-ratio", "0.5", "--weight-decay", "0.5",
+                   *extra, *TINY])
+    assert rc == 0
+    (cfg,) = seen
+    assert (cfg.warmup_ratio, cfg.weight_decay) == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("command, line, args", [
+    ("compare", "strategy = lora", TINY_COMPARE),
+    ("budget", "lr = 1e-3", []),
+])
+def test_config_key_the_command_does_not_read_is_refused(
+        tmp_path, monkeypatch, capsys, command, line, args):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, f"# {command}\n{line}\n")
+    key = line.split()[0]
+    with pytest.raises(ValueError, match=f"run.cfg:2: unknown key '{key}'"):
+        cli.main([command, "--config", path, *args])
+
+
+def test_grad_stats_reads_outdir_from_config(tmp_path, capsys):
+    outdir = tmp_path / "gs"
+    path = write_config(tmp_path, f"outdir = {outdir}\n")
+    rc = cli.main(["grad-stats", "--config", path, "--strategy",
+                   "layernorm-simple", "--trace-every", "1", *TINY])
+    assert rc == 0
+    assert (outdir / "gradtrace.csv").read_text().startswith("step,path,")
+    assert capsys.readouterr().out.strip() == str(outdir / "gradtrace.csv")
+
+
+def test_sweep_lr_has_no_outdir(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sweep-lr", "--grid", "1e-3", "--outdir",
+                  str(tmp_path / "x"), *TINY])

@@ -287,6 +287,26 @@ def test_compare_strategies_micro_run():
     assert report.median_gain("frozen") == 0.0
 
 
+@pytest.mark.parametrize("names, lrs, error", [
+    (["finetune", "layernrom"], dict(tr.DEFAULT_ADAPT_LRS), ValueError),
+    (["finetune", "lora"], {"finetune": 6e-4}, KeyError),
+])
+def test_compare_strategies_checks_names_before_training(monkeypatch, names,
+                                                         lrs, error):
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(args[1])
+        return tr.RunRecord(config={}, selection={"fraction": 1.0},
+                            train_curve=[], eval_curve=[], final_eval=1.0,
+                            wall_clock=0.0)
+
+    monkeypatch.setattr(tr, "train", counting_train)
+    with pytest.raises(error, match=names[-1]):
+        tr.compare_strategies(names, micro_protocol(adapt_lrs=lrs))
+    assert calls == []
+
+
 def test_comparison_report_serialization():
     proto = micro_protocol(pretrain_steps=10, connector_steps=2, adapt_steps=2)
     report = tr.compare_strategies(["finetune"], proto, seeds=(0,))
