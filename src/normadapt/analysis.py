@@ -13,6 +13,10 @@ from .model import Model
 # context in comparison reports; desk-scale runs do not reproduce them.
 REFERENCE_SIMILARITY_PAIRS = ((0.624, 0.585), (0.591, 0.504), (0.617, 0.550))
 
+# GradTrace histogram: 64 equal bins over [-0.01, 0.01], out-of-range
+# gradients clamped into the edge bins.
+HIST_LO, HIST_HI, HIST_BINS = -0.01, 0.01, 64
+
 
 @dataclass(frozen=True)
 class SimilarityReport:
@@ -55,19 +59,12 @@ class GradEntry:
     path: str
     mean: float
     variance: float
-    hist: np.ndarray  # (n_bins,) counts, clamp-to-edge; sums to param count
+    hist: np.ndarray  # (HIST_BINS,) counts, clamp-to-edge; sums to param count
 
 
 @dataclass
 class GradTrace:
-    n_bins: int = 64
-    lo: float = -0.01
-    hi: float = 0.01
     entries: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("histogram range must satisfy lo < hi")
 
     @property
     def steps(self):
@@ -79,8 +76,8 @@ class GradTrace:
 
     @property
     def edges(self) -> np.ndarray:
-        """(n_bins + 1,) histogram bin edges from lo to hi."""
-        return np.linspace(self.lo, self.hi, self.n_bins + 1)
+        """(HIST_BINS + 1,) histogram bin edges from HIST_LO to HIST_HI."""
+        return np.linspace(HIST_LO, HIST_HI, HIST_BINS + 1)
 
     def record(self, step, tree, paths):
         """Append stats per path; call after backward, before the optimizer."""
@@ -93,7 +90,7 @@ class GradTrace:
             if g is None:
                 raise ValueError(f"no gradient materialized for {p!r}")
             flat = np.asarray(g, dtype=np.float64).ravel()
-            hist, _ = np.histogram(np.clip(flat, self.lo, self.hi), bins=edges)
+            hist, _ = np.histogram(np.clip(flat, HIST_LO, HIST_HI), bins=edges)
             self.entries.append(GradEntry(
                 step=int(step), path=p, mean=float(flat.mean()),
                 variance=float(flat.var()), hist=hist))

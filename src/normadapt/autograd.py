@@ -397,25 +397,27 @@ def _rms_norm(arrays, attrs):
     return out, backward
 
 
+IGNORE = -1  # the target value cross_entropy does not score
+
+
 @register_op("cross_entropy")
 def _cross_entropy(arrays, attrs):
     (logits,) = arrays
     targets = np.asarray(attrs["targets"])
-    ignore_index = int(attrs.get("ignore_index", -1))
     if targets.shape != logits.shape[:-1]:
         raise ShapeError("cross_entropy", [logits.shape, targets.shape],
                          "targets must match logits minus class axis")
     n_classes = logits.shape[-1]
     flat = logits.reshape(-1, n_classes)
     tgt = targets.reshape(-1)
-    rows = np.flatnonzero(tgt != ignore_index)
+    rows = np.flatnonzero(tgt != IGNORE)
     count = rows.size
     if count == 0:
         raise ValueError("cross_entropy: no targets to score (all ignored)")
     tgt = tgt[rows]
     if tgt.min() < 0 or tgt.max() >= n_classes:
         raise ValueError(f"cross_entropy: scored target out of range [0, {n_classes}): "
-                         f"min {tgt.min()}, max {tgt.max()} (ignore_index {ignore_index})")
+                         f"min {tgt.min()}, max {tgt.max()} (ignored: {IGNORE})")
     # only scored rows are normalized; the per-row loss is scattered back so
     # the sum runs over every row, as it would without the gather
     shifted = flat[rows]
@@ -530,9 +532,8 @@ def rms_norm(x, gain, eps=1e-5):
     return op_forward("rms_norm", [x, gain], {"eps": eps})
 
 
-def cross_entropy(logits, targets, ignore_index=-1):
-    return op_forward("cross_entropy", [logits],
-                      {"targets": targets, "ignore_index": ignore_index})
+def cross_entropy(logits, targets):
+    return op_forward("cross_entropy", [logits], {"targets": targets})
 
 
 def mean(x, axis=None, keepdims=False):

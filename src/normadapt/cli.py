@@ -13,15 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-def _parse_bool(value):
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def _parse_mixture(value):
     parts = [float(w) for w in value.split(",")]
     if len(parts) != 3:
@@ -43,14 +34,14 @@ OPTIONS = {
     "mixture": {"type": _parse_mixture},
     "norm_kind": {"choices": ("standard", "rms")},
     "lora_rank": {"type": int},
-    "include_defaults": {"type": _parse_bool},
     "outdir": {},
 }
 
 
 def parse_config_file(path, keys=tuple(OPTIONS)):
-    """Flat `key = value` text; # starts a comment; only `keys` allowed."""
-    opts = {}
+    """Flat `key = value` text; # starts a comment; only `keys` allowed,
+    each at most once."""
+    opts, seen = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,6 +53,10 @@ def parse_config_file(path, keys=tuple(OPTIONS)):
         if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
                              f"(known: {', '.join(keys)})")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on "
+                             f"line {seen[key]}")
+        seen[key] = lineno
         try:
             opts[key] = OPTIONS[key].get("type", str)(value)
         except ValueError as err:
@@ -108,7 +103,7 @@ def _given(opts, *names):
 def _strategy_from_opts(opts):
     from .strategies import TuningStrategy
     return TuningStrategy(opts.get("strategy", "layernorm"),
-                          **_given(opts, "lora_rank", "include_defaults"))
+                          **_given(opts, "lora_rank"))
 
 
 def _model_config(opts):
@@ -170,9 +165,14 @@ def cmd_train(args):
 def cmd_sweep_lr(args):
     from . import training as tr
     opts = _options(args)
-    grid = args.grid
-    if grid not in tr.LR_GRIDS:
-        grid = [float(x) for x in grid.split(",")]
+    grid = tr.LR_GRIDS.get(args.grid)
+    if grid is None:
+        try:
+            grid = [float(x) for x in args.grid.split(",")]
+        except ValueError:
+            raise ValueError(f"--grid {args.grid!r} is neither a named grid "
+                             f"({', '.join(tr.LR_GRIDS)}) nor comma-separated "
+                             "learning rates") from None
     base = _build_or_load(opts, args.init_from)
     train_ds, eval_ds = _datasets(opts, args.task, base,
                                   args.n_samples, args.n_eval)
@@ -220,7 +220,7 @@ def cmd_budget(args):
     opts = _options(args)
     name = opts["preset"]
     if name not in bg.PRESETS:
-        raise SystemExit(f"unknown preset {name!r} (known: "
+        raise ValueError(f"unknown preset {name!r} (known: "
                          f"{', '.join(sorted(bg.PRESETS))})")
     preset = bg.PRESETS[name]
     report = bg.count(preset, _strategy_from_opts(opts), args.bytes_per_param)
@@ -325,7 +325,7 @@ def cmd_normcheck(args):
 
 # Options of the training commands; `train` and `grad-stats` add lr and outdir.
 _RUN_OPTIONS = ("strategy", "steps", "batch", "warmup_ratio", "weight_decay",
-                "seed", "norm_kind", "lora_rank", "include_defaults", "mixture")
+                "seed", "norm_kind", "lora_rank", "mixture")
 
 
 def _add_data_args(p):
@@ -377,8 +377,7 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("budget", help="analytic trainable-parameter accounting")
-    _add_options(p, ("strategy", "preset", "lora_rank", "include_defaults"),
-                 preset="llama7b")
+    _add_options(p, ("strategy", "preset", "lora_rank"), preset="llama7b")
     p.add_argument("--bytes-per-param", dest="bytes_per_param", type=int,
                    default=4)
     p.add_argument("--reference-table", action="store_true",
@@ -413,9 +412,15 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; a ValueError from its inputs is a usage error
+    (message on stderr, exit status 2), as argparse reports a bad flag."""
     _cap_threads()
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {err}\n")
 
 
 if __name__ == "__main__":

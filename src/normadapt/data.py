@@ -10,7 +10,7 @@ reading the connector-projected prefix.  Three body categories:
   description   enumerate all attribute values in order
   reasoning     compare two attributes, answer GT / LT / EQ
 
-Targets are next-token ids with -1 everywhere loss is masked: text
+Targets are next-token ids with IGNORE (-1) everywhere loss is masked: text
 pretraining scores every non-pad transition, adaptation scores answers only.
 """
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import IGNORE
 from .model import VisionStub
 
 PAD, BOS, SEP, Q, DESC, CMP, GT, LT, EQ = range(9)
@@ -29,8 +30,6 @@ N_ROUNDS = 3  # conversation rounds per sample
 
 CATEGORIES = ("conversation", "description", "reasoning")
 TASK_KINDS = ("text-pretrain", "mm-adapt")
-
-IGNORE = -1
 
 # default stub shared by train/eval splits: same slot->feature table
 _DEFAULT_STUB_SEED = 7

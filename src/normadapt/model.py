@@ -41,7 +41,8 @@ class ModelConfig:
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size",
                      "max_seq", "n_visual_tokens", "d_visual"):
             value = getattr(self, name)
-            if int(value) != value or value <= 0:
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value <= 0):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
             setattr(self, name, int(value))
         if self.d_model % self.n_heads != 0:
@@ -52,7 +53,9 @@ class ModelConfig:
         if self.n_visual_tokens > self.max_seq:
             raise ValueError(
                 f"n_visual_tokens {self.n_visual_tokens} exceeds max_seq {self.max_seq}")
-        self.tie_embeddings = bool(self.tie_embeddings)
+        if not isinstance(self.tie_embeddings, bool):
+            raise ValueError(f"tie_embeddings must be true or false, "
+                             f"got {self.tie_embeddings!r}")
 
 
 def param_inventory(n_layers, d_model, d_ff, vocab_size, d_visual, *,
@@ -245,7 +248,7 @@ class Model:
         that scalar never reads.
 
         The inputs are checked uncut, exactly as `forward` checks them.  Token
-        columns after the batch's last scored position (target != -1) are then
+        columns after the batch's last scored position (target != IGNORE) are then
         dropped, keeping at least one token, and `forward` runs on the rest:
         attention is causal, so no kept position reads a dropped one and the
         cut is exact.  `forward` then gets the scored (batch, position) pairs
@@ -258,10 +261,10 @@ class Model:
         if targets.shape != (ids.shape[0], n_vis + ids.shape[1]):
             raise ag.ShapeError("cross_entropy", [targets.shape],
                                 f"targets must be (batch, {n_vis + ids.shape[1]})")
-        scored = np.flatnonzero((targets != -1).any(axis=0))
+        scored = np.flatnonzero((targets != ag.IGNORE).any(axis=0))
         # a batch with nothing scored keeps one token; cross_entropy raises on it
         length = max(n_vis + 1, scored[-1] + 1 if scored.size else 0)
-        rows = np.nonzero(targets[:, :length] != -1)
+        rows = np.nonzero(targets[:, :length] != ag.IGNORE)
         return ag.cross_entropy(self.forward(ids[:, :length - n_vis], feats, rows=rows),
                                 targets[rows])
 

@@ -84,12 +84,9 @@ def check_projection(inst: NormInstance) -> ProjectionDiagnostics:
 
 @dataclass
 class BoundRecord:
-    """Literal consequences of the projection form for one (x, b) pair."""
+    """The variance contraction the projection form implies, for one (x, b) pair."""
 
     n: int
-    a_mean: float
-    a_dot_ones: float
-    a_dot_y: float
     var_a: float                # sum a_i^2 / N  (a has zero mean)
     var_b_centered: float       # sum (b_i - b_mean)^2 / N
     sigma: float
@@ -111,9 +108,6 @@ def variance_bound_check(inst: NormInstance, b) -> BoundRecord:
     lhs = inst.sigma ** 2 * var_a
     return BoundRecord(
         n=n,
-        a_mean=float(a.mean()),
-        a_dot_ones=float(a.sum()),
-        a_dot_y=float(a @ inst.y),
         var_a=var_a,
         var_b_centered=var_b,
         sigma=inst.sigma,
@@ -164,9 +158,6 @@ class ScalingStudy:
         logs_v = np.log(np.maximum(np.asarray(self.median_var), 1e-300))
         self.loglog_slope = float(np.polyfit(logs_n, logs_v, 1)[0])
 
-    def rows(self):
-        return list(zip(self.n_grid, self.median_var))
-
 
 def variance_scaling_study(n_grid, sampler="softmax-xent", trials=200,
                            seed=0) -> ScalingStudy:
@@ -179,7 +170,7 @@ def variance_scaling_study(n_grid, sampler="softmax-xent", trials=200,
     n_grid = list(n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("variance_scaling_study: n_grid must be strictly ascending")
-    draw_b = SAMPLERS[sampler] if isinstance(sampler, str) else sampler
+    draw_b = SAMPLERS[sampler]
     rng = np.random.default_rng(seed)
     medians = []
     for n in n_grid:
@@ -189,6 +180,5 @@ def variance_scaling_study(n_grid, sampler="softmax-xent", trials=200,
             a = ln_backward_closed_form(inst, draw_b(rng, inst))
             variances[t] = (a * a).sum() / n - a.mean() ** 2
         medians.append(float(np.median(variances)))
-    name = sampler if isinstance(sampler, str) else getattr(sampler, "__name__", "custom")
-    return ScalingStudy(sampler=name, trials=trials, seed=seed,
+    return ScalingStudy(sampler=sampler, trials=trials, seed=seed,
                         n_grid=n_grid, median_var=medians)

@@ -15,23 +15,21 @@ import numpy as np
 from . import autograd as ag
 from .model import LORA_A, LORA_B, Model, ParamTree, lora_entries, lora_targets
 
-STRATEGY_KINDS = ("finetune", "lora", "attn-qv", "attn-mlp",
-                  "layernorm", "layernorm-simple", "connector-only")
-
-# kinds whose point is tuning *only* the named piece; defaults stay frozen
-_NO_DEFAULTS = ("layernorm-simple", "connector-only")
-
 _NORM_PATTERNS = ("blocks.*.input_norm.*", "blocks.*.post_norm.*", "final_norm.*")
 
-_CORE_PATTERNS = {
-    "finetune": ("*",),
-    "lora": ("*" + LORA_A, "*" + LORA_B),
-    "attn-qv": ("blocks.*.attn.q_proj.weight", "blocks.*.attn.v_proj.weight"),
-    "attn-mlp": ("blocks.*.mlp.*",),
-    "layernorm": _NORM_PATTERNS,
-    "layernorm-simple": _NORM_PATTERNS,
-    "connector-only": ("connector.*",),
+# kind -> (path patterns, whether connector, embedding, head and positions
+# train too).  finetune's "*" already holds them; layernorm-simple and
+# connector-only tune only the named piece.
+SELECTIONS = {
+    "finetune": (("*",), False),
+    "lora": (("*" + LORA_A, "*" + LORA_B), True),
+    "attn-qv": (("blocks.*.attn.q_proj.weight", "blocks.*.attn.v_proj.weight"), True),
+    "attn-mlp": (("blocks.*.mlp.*",), True),
+    "layernorm": (_NORM_PATTERNS, True),
+    "layernorm-simple": (_NORM_PATTERNS, False),
+    "connector-only": (("connector.*",), False),
 }
+STRATEGY_KINDS = tuple(SELECTIONS)
 
 
 class SelectionError(ValueError):
@@ -42,7 +40,6 @@ class SelectionError(ValueError):
 class TuningStrategy:
     kind: str
     lora_rank: int = 32
-    include_defaults: bool = True
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -50,8 +47,6 @@ class TuningStrategy:
                              f"expected one of {STRATEGY_KINDS}")
         if self.kind == "lora" and self.lora_rank < 1:
             raise ValueError(f"lora_rank must be >= 1, got {self.lora_rank}")
-        if self.kind in _NO_DEFAULTS:
-            object.__setattr__(self, "include_defaults", False)
 
 
 @dataclass(frozen=True)
@@ -82,17 +77,15 @@ def default_paths(paths):
 def selection_paths(strategy: TuningStrategy, paths):
     """Resolve a strategy to concrete paths, from any container of path
     strings (a tree's `paths()`, an inventory's `{path: shape}`)."""
+    patterns, with_defaults = SELECTIONS[strategy.kind]
     chosen = []
-    for pattern in _CORE_PATTERNS[strategy.kind]:
+    for pattern in patterns:
         hits = [p for p in paths if fnmatchcase(p, pattern)]
         if not hits:
             hint = "; inject adapters first" if strategy.kind == "lora" else ""
             raise SelectionError(f"pattern {pattern!r} matched no parameters{hint}")
         chosen.extend(hits)
-    if strategy.include_defaults:
-        chosen.extend(default_paths(paths))
-    seen = set()
-    return [p for p in chosen if not (p in seen or seen.add(p))]
+    return chosen + default_paths(paths) if with_defaults else chosen
 
 
 def select_trainable(strategy: TuningStrategy, tree: ParamTree) -> SelectionReport:
@@ -104,37 +97,18 @@ def select_trainable(strategy: TuningStrategy, tree: ParamTree) -> SelectionRepo
 
 
 def is_lora_target(path: str, shape) -> bool:
-    """The default LoRA rule: a 2-d weight matrix inside the blocks."""
+    """The LoRA rule: a 2-d weight matrix inside the blocks."""
     return path.startswith("blocks.") and path.endswith(".weight") and len(shape) == 2
 
 
-def default_lora_targets(tree: ParamTree):
-    """All 2-d weight matrices inside the blocks."""
-    return [p for p, t in tree.items() if is_lora_target(p, t.data.shape)]
-
-
-def inject_lora(model: Model, rank: int = 32, targets=None, seed: int = 0):
-    """Add a zero-B adapter pair to the tree next to each target and freeze the
-    targets; forward output is unchanged at injection.  Returns the targets.
-
-    Every target is checked before the tree changes, so a refused call leaves
-    it as it was."""
+def inject_lora(model: Model, rank: int = 32, seed: int = 0):
+    """Add a zero-B adapter pair to the tree next to each `is_lora_target`
+    matrix and freeze it; forward output is unchanged at injection.  Returns
+    the targets."""
     tree = model.tree
     if lora_targets(tree):
         raise ValueError("adapters already injected")
-    if targets is None:
-        paths = default_lora_targets(tree)
-    else:
-        patterns = [targets] if isinstance(targets, str) else list(targets)
-        paths, seen = [], set()
-        for pattern in patterns:
-            hits = [p for p in tree.paths() if fnmatchcase(p, pattern)]
-            if not hits:
-                raise SelectionError(f"lora target {pattern!r} matched no parameters")
-            paths.extend(p for p in hits if not (p in seen or seen.add(p)))
-    for p in paths:
-        if tree[p].data.ndim != 2:
-            raise ValueError(f"lora target {p!r} is {tree[p].data.ndim}-d, need a matrix")
+    paths = [p for p, t in tree.items() if is_lora_target(p, t.data.shape)]
     rng = np.random.default_rng(seed)
     for p in paths:
         base = tree[p]

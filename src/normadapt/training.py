@@ -152,9 +152,10 @@ def clone_model(model: Model) -> Model:
     return Model(model.config, tree, model.dtype)
 
 
-def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainConfig,
-          outdir=None, trace: GradTrace = None, trace_every: int = 10) -> RunRecord:
-    """Run one training stage.  strategy=None evaluates a fully frozen model.
+def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
+          config: TrainConfig, outdir=None, trace: GradTrace = None,
+          trace_every: int = 10) -> RunRecord:
+    """Run one training stage.
 
     A LoRA strategy on a model without adapters injects them and folds them
     back into the base weights at the end; adapters the caller injected are
@@ -170,27 +171,19 @@ def train(model: Model, strategy, train_ds: dt.Dataset, eval_ds, config: TrainCo
         raise ValueError(f"task needs vocab {train_ds.vocab_required}, "
                          f"model has {model.config.vocab_size}")
     injected = []
-    if strategy is not None:
-        if strategy.kind == "lora" and not lora_targets(model.tree):
-            injected = inject_lora(model, rank=strategy.lora_rank, seed=config.seed)
-        report = select_trainable(strategy, model.tree)
-        selection = {"strategy": strategy.kind, "paths": list(report.selected),
-                     "trainable": report.trainable, "total": report.total,
-                     "fraction": report.fraction}
-        trainable = [model.tree[p] for p in report.selected]
-    else:
-        model.tree.freeze_all()
-        selection = {"strategy": "frozen", "paths": [], "trainable": 0,
-                     "total": model.tree.total_scalars(), "fraction": 0.0}
-        trainable = []
-
-    traced = [p for p in selection["paths"] if "norm" in p]
-    opt = Adam(trainable, weight_decay=config.weight_decay)
+    if strategy.kind == "lora" and not lora_targets(model.tree):
+        injected = inject_lora(model, rank=strategy.lora_rank, seed=config.seed)
+    report = select_trainable(strategy, model.tree)
+    traced = [p for p in report.selected if "norm" in p]
+    opt = Adam([model.tree[p] for p in report.selected],
+               weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(
-        config={**asdict(config), "strategy": selection["strategy"]},
-        selection=selection, train_curve=[], eval_curve=[],
-        final_eval=None, wall_clock=0.0)
+        config={**asdict(config), "strategy": strategy.kind},
+        selection={"strategy": strategy.kind, "paths": list(report.selected),
+                   "trainable": report.trainable, "total": report.total,
+                   "fraction": report.fraction},
+        train_curve=[], eval_curve=[], final_eval=None, wall_clock=0.0)
     started = time.perf_counter()
 
     for step in range(config.steps):
@@ -264,8 +257,6 @@ class SweepResult:
 def sweep_lr(grid, model_factory, strategy, train_ds, eval_ds,
              config: TrainConfig) -> SweepResult:
     """One run per grid point, shared seed; ties break toward the smaller lr."""
-    if isinstance(grid, str):
-        grid = LR_GRIDS[grid]
     grid = list(grid)
     if not grid:
         raise ValueError("empty learning-rate grid")

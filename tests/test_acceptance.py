@@ -230,8 +230,7 @@ def test_connector_ablation_trio_exact_paths():
 
     both = select_trainable(TuningStrategy("layernorm"), model.tree)
     conn = select_trainable(TuningStrategy("connector-only"), model.tree)
-    norm_only = select_trainable(
-        TuningStrategy("layernorm", include_defaults=False), model.tree)
+    norm_only = select_trainable(TuningStrategy("layernorm-simple"), model.tree)
 
     assert set(both.selected) == norm_paths | defaults
     assert set(conn.selected) == {"connector.weight", "connector.bias"}

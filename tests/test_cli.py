@@ -30,14 +30,14 @@ warmup_ratio = 0.1
 weight_decay = 0.01
 seed = 3
 mixture = 0.5,0.25,0.25
-include_defaults = false
+lora_rank = 8
 outdir = runs/demo
 """)
     opts = cli.parse_config_file(path)
     assert opts == {"strategy": "layernorm", "lr": 2e-3, "steps": 40,
                     "batch": 8, "warmup_ratio": 0.1, "weight_decay": 0.01,
                     "seed": 3, "mixture": (0.5, 0.25, 0.25),
-                    "include_defaults": False, "outdir": "runs/demo"}
+                    "lora_rank": 8, "outdir": "runs/demo"}
     assert isinstance(opts["steps"], int) and isinstance(opts["lr"], float)
 
 
@@ -52,12 +52,17 @@ def test_config_bad_value_reports_location(tmp_path):
     path = write_config(tmp_path, "steps = soon\n")
     with pytest.raises(ValueError, match=":1"):
         cli.parse_config_file(path)
-    with pytest.raises(ValueError, match="boolean"):
-        cli.parse_config_file(write_config(tmp_path, "include_defaults = maybe"))
     with pytest.raises(ValueError, match="3 comma-separated"):
         cli.parse_config_file(write_config(tmp_path, "mixture = 0.5,0.5"))
     with pytest.raises(ValueError, match="key = value"):
         cli.parse_config_file(write_config(tmp_path, "just some words"))
+
+
+def test_config_key_given_twice_names_both_lines(tmp_path):
+    path = write_config(tmp_path, "steps = 10\n# again\nlr = 1e-3\nsteps = 20\n")
+    with pytest.raises(ValueError,
+                       match=r"run.cfg:4: key 'steps' already set on line 1"):
+        cli.parse_config_file(path)
 
 
 def test_cli_flags_override_config(tmp_path, capsys):
@@ -99,9 +104,18 @@ def test_budget_table_csv(capsys):
     assert ",True,True" in ln7
 
 
-def test_budget_unknown_preset():
-    with pytest.raises(SystemExit, match="unknown preset"):
-        cli.main(["budget", "--preset", "llama70b"])
+def usage_error(capsys, argv):
+    """stderr of a command that must end as a usage error (status 2)."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_budget_unknown_preset(capsys):
+    err = usage_error(capsys, ["budget", "--preset", "llama70b"])
+    assert err == ("normadapt budget: error: unknown preset 'llama70b' "
+                   "(known: llama13b, llama7b)\n")
 
 
 # ----------------------------------------------------------------- normcheck
@@ -227,9 +241,10 @@ def test_compare_init_from_takes_the_checkpoint_config(tmp_path, capsys):
     report = json.loads((outdir / "compare.json").read_text())
     assert ModelConfig(**report["protocol"]["model"]) == cfg
     assert {r["strategy"] for r in report["rows"]} == {"frozen", "layernorm"}
-    with pytest.raises(ValueError, match="'standard'.*'rms'"):
-        cli.main(["compare", *TINY_COMPARE, "--init-from", str(ckpt),
-                  "--norm-kind", "standard"])
+    err = usage_error(capsys, ["compare", *TINY_COMPARE, "--init-from", str(ckpt),
+                               "--norm-kind", "standard"])
+    assert err.startswith("normadapt compare: error: norm_kind 'standard'")
+    assert "'rms'" in err
 
 
 def test_similarity_single_and_pair(tmp_path, capsys):
@@ -298,14 +313,47 @@ def test_warmup_and_weight_decay_reach_train(command, monkeypatch, capsys):
 @pytest.mark.parametrize("command, line, args", [
     ("compare", "strategy = lora", TINY_COMPARE),
     ("budget", "lr = 1e-3", []),
+    ("budget", "include_defaults = false", []),
+    ("train", "include_defaults = false", TINY),
 ])
 def test_config_key_the_command_does_not_read_is_refused(
         tmp_path, monkeypatch, capsys, command, line, args):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, f"# {command}\n{line}\n")
     key = line.split()[0]
-    with pytest.raises(ValueError, match=f"run.cfg:2: unknown key '{key}'"):
-        cli.main([command, "--config", path, *args])
+    err = usage_error(capsys, [command, "--config", path, *args])
+    assert err.startswith(f"normadapt {command}: error: {path}:2: unknown key '{key}'")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-lr", "--grid", "paper-grd", *TINY],
+     "normadapt sweep-lr: error: --grid 'paper-grd' is neither a named grid "
+     "(paper-grid) nor comma-separated learning rates\n"),
+    (["compare", "--strategies", "finetune,nope", "--seeds", "0"],
+     "normadapt compare: error: unknown strategy 'nope'; expected one of "
+     "('finetune', 'lora', 'attn-qv', 'attn-mlp', 'layernorm', "
+     "'layernorm-simple', 'connector-only')\n"),
+], ids=["grid", "strategy"])
+def test_bad_input_is_a_usage_error(argv, message, capsys):
+    assert usage_error(capsys, argv) == message
+
+
+def test_named_grid_resolves_in_the_cli(monkeypatch, capsys):
+    seen = []
+
+    def fake_sweep(grid, *args):
+        seen.append(grid)
+        return tr.SweepResult(rows=[], best_lr=grid[0], best_loss=1.0, records=[])
+
+    monkeypatch.setattr(tr, "sweep_lr", fake_sweep)
+    assert cli.main(["sweep-lr", "--grid", "paper-grid", *TINY]) == 0
+    assert seen == [tr.LR_GRIDS["paper-grid"]]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-lr", "grad-stats", "budget"])
+def test_include_defaults_flag_is_gone(command, capsys):
+    err = usage_error(capsys, [command, "--include-defaults", "false"])
+    assert "unrecognized arguments: --include-defaults" in err
 
 
 def test_grad_stats_reads_outdir_from_config(tmp_path, capsys):

@@ -25,6 +25,7 @@ def tiny_config(**overrides):
 @pytest.mark.parametrize("field, value", [
     ("n_layers", 0), ("d_model", -8), ("vocab_size", 0), ("n_heads", 3),
     ("norm_kind", "batch"), ("n_visual_tokens", 99),
+    ("n_layers", None), ("n_layers", True), ("tie_embeddings", "no"),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError) as err:
@@ -361,7 +362,8 @@ def test_checkpoint_rejects_truncation(tmp_path):
 @pytest.mark.parametrize("edit, message", [
     (lambda c: c.update(n_experts=8), "unknown key 'n_experts'"),
     (lambda c: c.pop("d_ff"), "missing key 'd_ff'"),
-], ids=["unknown", "missing"])
+    (lambda c: c.update(n_layers=None), "n_layers must be a positive integer"),
+], ids=["unknown", "missing", "null"])
 def test_checkpoint_rejects_malformed_config(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     md.save_checkpoint(md.build(tiny_config()), path)

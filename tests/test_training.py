@@ -194,18 +194,6 @@ def test_evaluate_skips_batches_with_no_scored_target():
         tr.evaluate(model, ds, batch=2)
 
 
-def test_frozen_run_evaluates_without_training():
-    model, ds = micro_setup(kind="mm-adapt", n=32)
-    before = {p: t.data.copy() for p, t in model.tree.items()}
-    cfg = tr.TrainConfig(lr=1e-3, steps=0, batch=8)
-    rec = tr.train(model, None, ds, ds, cfg)
-    assert rec.selection["strategy"] == "frozen"
-    assert rec.selection["fraction"] == 0.0
-    assert rec.final_eval is not None
-    for p, old in before.items():
-        np.testing.assert_array_equal(model.tree[p].data, old)
-
-
 def test_sweep_singleton_and_ties():
     model, ds = micro_setup(kind="mm-adapt", n=32)
     cfg = tr.TrainConfig(lr=1.0, steps=0, batch=8)
@@ -220,7 +208,7 @@ def test_sweep_singleton_and_ties():
     assert tied.rows[0][1] == tied.rows[1][1]
     assert tied.best_lr == 1e-4
 
-    named = tr.sweep_lr("paper-grid", lambda: tr.clone_model(model),
+    named = tr.sweep_lr(tr.LR_GRIDS["paper-grid"], lambda: tr.clone_model(model),
                         TuningStrategy("layernorm"), ds, ds, cfg)
     assert [lr for lr, _ in named.rows] == list(tr.LR_GRIDS["paper-grid"])
 
