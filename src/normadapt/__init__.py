@@ -8,7 +8,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("analysis", "autograd", "budget", "cli", "data", "finite_diff",
+_SUBMODULES = ("analysis", "autograd", "budget", "cli", "data",
                "model", "normmath", "strategies", "training")
 
 

@@ -230,22 +230,22 @@ def _mul(arrays, attrs):
 
 @register_op("embed_lookup")
 def _embed_lookup(arrays, attrs):
-    """Rows of `w` at `ids`: an int array into the first axis of a 2-d table,
-    or a tuple of int arrays, one per leading axis (a row gather).  The
-    backward scatter-adds, so repeated rows accumulate their gradients."""
+    """Rows of `w` at `ids`, an int array into the first axis of `w`.  The
+    backward scatter-adds, so repeated rows accumulate their gradients; when
+    no row repeats, a plain assignment does the same far faster."""
     (w,) = arrays
-    ids = attrs["ids"]
-    ids = tuple(map(np.asarray, ids)) if isinstance(ids, tuple) else (np.asarray(ids),)
-    if w.ndim != len(ids) + 1:
-        raise ShapeError("embed_lookup", [w.shape],
-                         f"{len(ids)} index array(s) need a {len(ids) + 1}-d input")
+    ids = np.asarray(attrs["ids"])
     out = w[ids]
+    distinct = np.bincount(ids.reshape(-1), minlength=len(w)).max(initial=0) < 2
 
     def backward(g, needs):
         if not needs[0]:
             return (None,)
         gw = np.zeros_like(w)
-        np.add.at(gw, ids, g)
+        if distinct:
+            gw[ids] = g
+        else:
+            np.add.at(gw, ids, g)
         return (gw,)
 
     return out, backward
@@ -253,29 +253,66 @@ def _embed_lookup(arrays, attrs):
 
 @register_op("causal_attention")
 def _causal_attention(arrays, attrs):
-    """softmax(q k^T / sqrt(hd) + causal mask) v per head; (B, L, d) in and out.
+    """softmax(q k^T / sqrt(hd) + causal mask) v per head.
 
-    Future positions are set to -inf before the softmax, so their weights are
-    exactly 0.0 and no output row depends on a later position.  Exact and
-    un-tiled: the (B, H, L, L) weights are kept for the backward.
+    q, k and v are (B, L, d), or packed: (N, d) rows whose (batch, position)
+    pairs are the attr `rows`, inside a batch of attr `shape` (B, L).  Packed
+    rows are scattered into zero (B, L, d) buffers, the dense kernel runs on
+    them and the output keeps the packed rows; the backward does the reverse.
+    That is exact when each sample's rows are a prefix of its positions: a
+    kept query then sees kept keys only, and a zero row's gradient is zero.
     """
     q, k, v = arrays
     n_heads = int(attrs["n_heads"])
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
+    rows = attrs.get("rows")
+    want = 3 if rows is None else 2
+    if q.ndim != want or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
         raise ShapeError("causal_attention", [q.shape, k.shape, v.shape],
-                         f"need equal (B, L, d) with d divisible by n_heads={n_heads}")
-    bsz, length, d = q.shape
-    hd = d // n_heads
+                         f"need equal {'(B, L, d)' if rows is None else '(N, d)'} "
+                         f"with d divisible by n_heads={n_heads}")
+    d = q.shape[-1]
+    if rows is None:
+        bsz, length = q.shape[:2]
+
+        def split(t):  # (B, L, d) -> (B, H, L, hd)
+            return t.reshape(bsz, length, n_heads, -1).transpose(0, 2, 1, 3)
+
+        def merge(t):  # (B, H, L, hd) -> (B, L, d)
+            return t.transpose(0, 2, 1, 3).reshape(bsz, length, d)
+    else:
+        bsz, length = attrs["shape"]
+        batch, pos = map(np.asarray, rows)
+        if batch.shape != q.shape[:1] or pos.shape != batch.shape:
+            raise ShapeError("causal_attention", [q.shape, batch.shape, pos.shape],
+                             "one (batch, position) pair per packed row")
+        flat = batch * length + pos
+
+        def split(t):  # (N, d) -> zero-filled (B, H, L, hd)
+            dense = np.zeros((bsz * length, d), dtype=t.dtype)
+            dense[flat] = t
+            return dense.reshape(bsz, length, n_heads, -1).transpose(0, 2, 1, 3)
+
+        def merge(t):  # (B, H, L, hd) -> the packed (N, d) rows
+            return t.transpose(0, 2, 1, 3)[batch, pos].reshape(-1, d)
+
+    return _attention_heads(q, k, v, split, merge)
+
+
+def _attention_heads(q, k, v, split, merge):
+    """The causal attention kernel.  `split` maps an input or the output
+    gradient to (B, H, L, hd) heads, `merge` maps a result back.
+
+    Future positions are set to -inf before the softmax, so their weights are
+    exactly 0.0 and no output row depends on a later position.  Exact and
+    un-tiled: the (B, H, L, L) weights are kept for the backward, which
+    splits the inputs again rather than keeping their heads.
+    """
+    qh, kh = split(q), split(k)
+    length, hd = qh.shape[2:]
     scale = hd ** -0.5
 
-    def split(t):  # (B, L, d) -> (B, H, L, hd)
-        return t.reshape(bsz, length, n_heads, hd).transpose(0, 2, 1, 3)
-
-    def merge(t):  # (B, H, L, hd) -> (B, L, d)
-        return t.transpose(0, 2, 1, 3).reshape(bsz, length, d)
-
-    qh, kh, vh = split(q), split(k), split(v)
     att = qh @ kh.swapaxes(-1, -2)
+    del qh, kh
     att *= scale
     att[..., np.triu(np.ones((length, length), dtype=bool), k=1)] = -np.inf
     # row max one column at a time: exact, and far cheaper than a reduction
@@ -286,7 +323,7 @@ def _causal_attention(arrays, attrs):
     att -= row_max[..., None]
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
-    out = merge(att @ vh)
+    out = merge(att @ split(v))
 
     def backward(g, needs):
         gq = gk = gv = None
@@ -294,14 +331,14 @@ def _causal_attention(arrays, attrs):
         if needs[2]:
             gv = merge(att.swapaxes(-1, -2) @ gh)
         if needs[0] or needs[1]:
-            gs = gh @ vh.swapaxes(-1, -2)
+            gs = gh @ split(v).swapaxes(-1, -2)
             gs -= (gs * att).sum(axis=-1, keepdims=True)
             gs *= att
             gs *= scale
             if needs[0]:
-                gq = merge(gs @ kh)
+                gq = merge(gs @ split(k))
             if needs[1]:
-                gk = merge(gs.swapaxes(-1, -2) @ qh)
+                gk = merge(gs.swapaxes(-1, -2) @ split(q))
         return gq, gk, gv
 
     return out, backward
@@ -516,8 +553,9 @@ def embed_lookup(weight, ids):
     return op_forward("embed_lookup", [weight], {"ids": ids})
 
 
-def causal_attention(q, k, v, n_heads):
-    return op_forward("causal_attention", [q, k, v], {"n_heads": n_heads})
+def causal_attention(q, k, v, n_heads, rows=None, shape=None):
+    return op_forward("causal_attention", [q, k, v],
+                      {"n_heads": n_heads, "rows": rows, "shape": shape})
 
 
 def silu(x):

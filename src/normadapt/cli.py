@@ -411,9 +411,22 @@ def build_parser():
     return parser
 
 
+def _path_error(args, err):
+    """An OSError's reason, led by the flag whose path it failed on (or on a
+    file under that path) when there is one."""
+    if err.filename is not None:
+        failed = os.fsdecode(err.filename)
+        for name, value in vars(args).items():
+            if isinstance(value, str) and value and (
+                    failed == value or failed.startswith(os.path.join(value, ""))):
+                return f"--{name.replace('_', '-')} {value}: {err.strerror}"
+    return str(err)
+
+
 def main(argv=None):
-    """Run one subcommand; a ValueError from its inputs is a usage error
-    (message on stderr, exit status 2), as argparse reports a bad flag."""
+    """Run one subcommand; a ValueError from its inputs, or an OSError on a
+    path it was given, is a usage error (message on stderr, exit status 2),
+    as argparse reports a bad flag."""
     _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -421,6 +434,9 @@ def main(argv=None):
         return args.func(args)
     except ValueError as err:
         parser.exit(2, f"{parser.prog} {args.command}: error: {err}\n")
+    except OSError as err:
+        parser.exit(2, f"{parser.prog} {args.command}: error: "
+                       f"{_path_error(args, err)}\n")
 
 
 if __name__ == "__main__":

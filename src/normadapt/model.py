@@ -169,17 +169,19 @@ class Model:
             return ag.rms_norm(x, gain)
         return ag.layer_norm(x, gain, self.tree[prefix + ".bias"])
 
-    def _block(self, i, h, rows=None):
+    def _block(self, i, h, packed=None, sel=None):
+        """Block i on h: (B, L, d), or the (N, d) packed rows that `packed`
+        (the attention's rows and shape) lays out.  sel, if given, indexes
+        the rows the block's output keeps."""
         p = f"blocks.{i}."
         x = self._norm(h, p + "input_norm")
         ctx = ag.causal_attention(self._proj(x, p + "attn.q_proj.weight"),
                                   self._proj(x, p + "attn.k_proj.weight"),
                                   self._proj(x, p + "attn.v_proj.weight"),
-                                  self.config.n_heads)
-        if rows is not None:
-            # keys and values cover every position; the rest of the block is
-            # per position, so it runs on the gathered rows alone
-            ctx, h = ag.embed_lookup(ctx, rows), ag.embed_lookup(h, rows)
+                                  self.config.n_heads, **(packed or {}))
+        if sel is not None:
+            # the rest of the block is per row, so it runs on the kept rows alone
+            ctx, h = ag.embed_lookup(ctx, sel), ag.embed_lookup(h, sel)
         h = ag.add(h, self._proj(ctx, p + "attn.o_proj.weight"))
         y = self._norm(h, p + "post_norm")
         y = self._proj(ag.silu(self._proj(y, p + "mlp.fc1.weight")),
@@ -218,42 +220,87 @@ class Model:
         """tokens (B, T) int ids, visual optional (B, n_visual_tokens, d_visual).
 
         Returns logits (B, n_vis + T, vocab).  capture, if given, is a list that
-        collects each block's post-residual output as a detached array.  rows,
-        if given, is a (batch indices, position indices) pair of N equal-length
-        int arrays: the logits are then (N, vocab), those rows of the full
-        logits, and the last block's o_proj and MLP, the final norm and the
-        head run on those N rows only.
+        collects each block's post-residual output as a detached array.
+
+        rows, if given, is a (batch indices, position indices) pair of N
+        equal-length int arrays, and the logits are then (N, vocab): those
+        rows of the full logits.  Every block then runs only on each sample's
+        prefix, its positions 0 up to its last requested one, packed as one
+        (N_kept, d) array; a sample with no requested position adds no row.
+        That is exact because attention is causal: a kept position reads only
+        earlier positions of its own sample, and those are kept too.  The
+        last block's o_proj and MLP, the final norm and the head run on the
+        N requested rows only, and capture collects packed rows.
         """
         cfg = self.config
         ids, feats = self._check_inputs(tokens, visual)
-        h = ag.embed_lookup(self.tree["embed.weight"], ids)
-        if feats is not None:
-            prefix = ag.add(
-                ag.matmul(ag.tensor(feats), self.tree["connector.weight"],
-                          transpose_b=True),
-                self.tree["connector.bias"])
-            h = ag.concat([prefix, h], axis=1)
-        h = ag.add(h, ag.embed_lookup(self.tree["pos.weight"], np.arange(h.shape[1])))
+        if rows is None:
+            h, packed, sel = self._embed(ids, feats), None, None
+        else:
+            h, packed, sel = self._embed_packed(ids, feats, rows)
 
         for i in range(cfg.n_layers):
-            h = self._block(i, h, rows if i == cfg.n_layers - 1 else None)
+            h = self._block(i, h, packed, sel if i == cfg.n_layers - 1 else None)
             if capture is not None:
                 capture.append(h.data.copy())
         h = self._norm(h, "final_norm")
         head = self.tree["embed.weight" if cfg.tie_embeddings else "head.weight"]
         return ag.matmul(h, head, transpose_b=True)
 
+    def _connector(self, feats):
+        """Visual features (..., d_visual) -> prefix embeddings (..., d)."""
+        return ag.add(ag.matmul(ag.tensor(feats), self.tree["connector.weight"],
+                                transpose_b=True), self.tree["connector.bias"])
+
+    def _embed(self, ids, feats):
+        """Block 0's input (B, L, d): visual prefix, then tokens, plus positions."""
+        h = ag.embed_lookup(self.tree["embed.weight"], ids)
+        if feats is not None:
+            h = ag.concat([self._connector(feats), h], axis=1)
+        return ag.add(h, ag.embed_lookup(self.tree["pos.weight"], np.arange(h.shape[1])))
+
+    def _embed_packed(self, ids, feats, rows):
+        """(block 0's input on the packed rows, the attention's packed layout,
+        the requested rows' indices among the packed ones).
+
+        The packed rows are each sample's visual positions, then each
+        sample's token positions, up to its last requested position; they
+        are looked up straight from the tables, never cut from a dense h.
+        """
+        n_vis = 0 if feats is None else feats.shape[1]
+        shape = (ids.shape[0], n_vis + ids.shape[1])
+        batch, pos = map(np.asarray, rows)
+        if batch.ndim != 1 or batch.shape != pos.shape or not batch.size:
+            raise ValueError("rows must be two equal-length, non-empty 1-d index arrays")
+        if (min(batch.min(), pos.min()) < 0 or batch.max() >= shape[0]
+                or pos.max() >= shape[1]):
+            raise ValueError(f"rows out of range for a {shape} batch")
+        ends = np.zeros(shape[0], dtype=np.intp)
+        np.maximum.at(ends, batch, pos + 1)
+        samples = np.flatnonzero(ends)  # the samples with a requested row
+        kept = np.arange(ends.max()) < ends[samples, None]  # (B_kept, L_kept)
+        vis_b, vis_p = np.nonzero(kept[:, :n_vis])
+        tok_b, tok_p = np.nonzero(kept[:, n_vis:])
+        h = ag.embed_lookup(self.tree["embed.weight"], ids[samples[tok_b], tok_p])
+        if n_vis:
+            h = ag.concat([self._connector(feats[samples[vis_b], vis_p]), h], axis=0)
+        packed_b = np.concatenate([vis_b, tok_b])
+        packed_p = np.concatenate([vis_p, tok_p + n_vis])
+        h = ag.add(h, ag.embed_lookup(self.tree["pos.weight"], packed_p))
+        index = np.empty(kept.shape, dtype=np.intp)
+        index[packed_b, packed_p] = np.arange(packed_b.size)
+        sel = index[np.searchsorted(samples, batch), pos]
+        return h, {"rows": (packed_b, packed_p), "shape": kept.shape}, sel
+
     def loss(self, tokens, visual, targets) -> ag.Tensor:
         """`cross_entropy(forward(tokens, visual), targets)` without the work
         that scalar never reads.
 
-        The inputs are checked uncut, exactly as `forward` checks them.  Token
-        columns after the batch's last scored position (target != IGNORE) are then
-        dropped, keeping at least one token, and `forward` runs on the rest:
-        attention is causal, so no kept position reads a dropped one and the
-        cut is exact.  `forward` then gets the scored (batch, position) pairs
-        as `rows`, so the last block's o_proj and MLP, the final norm and the
-        head run on scored rows only.
+        The inputs are checked uncut, exactly as `forward` checks them.
+        `forward` then gets the scored (target != IGNORE) (batch, position)
+        pairs as `rows`, so every block runs only on each sample's prefix up
+        to its last scored position, and the last block's o_proj and MLP, the
+        final norm and the head on the scored rows alone (see `forward`).
         """
         ids, feats = self._check_inputs(tokens, visual)
         n_vis = 0 if feats is None else feats.shape[1]
@@ -261,12 +308,10 @@ class Model:
         if targets.shape != (ids.shape[0], n_vis + ids.shape[1]):
             raise ag.ShapeError("cross_entropy", [targets.shape],
                                 f"targets must be (batch, {n_vis + ids.shape[1]})")
-        scored = np.flatnonzero((targets != ag.IGNORE).any(axis=0))
-        # a batch with nothing scored keeps one token; cross_entropy raises on it
-        length = max(n_vis + 1, scored[-1] + 1 if scored.size else 0)
-        rows = np.nonzero(targets[:, :length] != ag.IGNORE)
-        return ag.cross_entropy(self.forward(ids[:, :length - n_vis], feats, rows=rows),
-                                targets[rows])
+        rows = np.nonzero(targets != ag.IGNORE)
+        if not rows[0].size:
+            raise ValueError("cross_entropy: no targets to score (all ignored)")
+        return ag.cross_entropy(self.forward(ids, feats, rows=rows), targets[rows])
 
     def capture_layer_outputs(self, tokens, visual=None):
         """Per-block post-residual hidden states, one (B, L, d) array per layer."""

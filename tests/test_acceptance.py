@@ -17,10 +17,10 @@ from normadapt import data as dt
 from normadapt import model as md
 from normadapt import normmath as nm
 from normadapt import training as tr
-from normadapt.finite_diff import central_difference, max_relative_error
 from normadapt.strategies import (STRATEGY_KINDS, TuningStrategy, inject_lora,
                                   merge_lora, select_trainable)
 
+from finite_diff import central_difference, max_relative_error
 from test_autograd import run_gradcheck
 
 MICRO = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, vocab_size=96,

@@ -13,8 +13,9 @@ import pytest
 from normadapt import autograd as ag
 from normadapt import model as md
 from normadapt import training as tr
-from normadapt.finite_diff import central_difference, max_relative_error
 from normadapt.strategies import TuningStrategy, inject_lora, select_trainable
+
+from finite_diff import central_difference, max_relative_error
 
 
 def t64(a, requires_grad=True):
@@ -81,15 +82,25 @@ def _case_for(kind, rng, seed):
         return ([rng.standard_normal(a_shape), rng.standard_normal(b_shape)],
                 {"transpose_b": transpose_b})
     if kind == "causal_attention":
-        return [rng.standard_normal((2, 4, 4)) for _ in range(3)], {"n_heads": 2}
+        if seed % 2 == 0:
+            return [rng.standard_normal((2, 4, 4)) for _ in range(3)], {"n_heads": 2}
+        # packed (N, d) rows in shuffled order: ragged prefixes of a (4, 4)
+        # batch, one of length 1 and one sample with no row at all
+        ends = rng.permutation([4, 2, 1, 0])
+        batch = np.repeat(np.arange(4), ends)
+        pos = np.concatenate([np.arange(end) for end in ends])
+        order = rng.permutation(batch.size)
+        attrs = {"n_heads": 2, "rows": (batch[order], pos[order]), "shape": (4, 4)}
+        return [rng.standard_normal((batch.size, 4)) for _ in range(3)], attrs
     if kind == "add" or kind == "mul":
         return [rng.standard_normal((2, 4)), rng.standard_normal(4)], {}
     if kind == "embed_lookup":
-        if seed % 2:  # row gather from (B, L, d); one (batch, pos) pair twice
-            batch, pos = rng.integers(0, 2, size=4), rng.integers(0, 3, size=4)
-            batch[3], pos[3] = batch[0], pos[0]
-            return [rng.standard_normal((2, 3, 2))], {"ids": (batch, pos)}
-        return [rng.standard_normal((4, 2))], {"ids": rng.integers(0, 4, size=(3,))}
+        if seed % 2:  # (B, T) ids with one row twice: gradients accumulate
+            ids = rng.integers(0, 5, size=(2, 3))
+            ids[1, 2] = ids[0, 0]
+        else:  # distinct rows: a plain scatter
+            ids = rng.permutation(5)[:3]
+        return [rng.standard_normal((5, 2))], {"ids": ids}
     if kind == "silu":
         return [rng.standard_normal((2, 4))], {}
     if kind == "layer_norm":

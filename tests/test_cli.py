@@ -338,6 +338,18 @@ def test_bad_input_is_a_usage_error(argv, message, capsys):
     assert usage_error(capsys, argv) == message
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["budget", "--config", "{missing}"], "--config"),
+    (["train", "--init-from", "{missing}", "--steps", "1"], "--init-from"),
+    (["similarity", "--ckpt", "{missing}"], "--ckpt"),
+], ids=["config", "init-from", "ckpt"])
+def test_unreadable_path_is_a_usage_error(argv, flag, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    err = usage_error(capsys, [a.format(missing=missing) for a in argv])
+    assert err == (f"normadapt {argv[0]}: error: {flag} {missing}: "
+                   "No such file or directory\n")
+
+
 def test_named_grid_resolves_in_the_cli(monkeypatch, capsys):
     seen = []
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from normadapt import autograd as ag
 from normadapt import budget
 from normadapt import model as md
-from normadapt.finite_diff import central_difference, max_relative_error
 from normadapt.strategies import inject_lora, merge_lora
+
+from finite_diff import central_difference, max_relative_error
 from test_acceptance import MICRO
 
 
@@ -217,6 +218,7 @@ LOSS_CASES = {
     "lora": dict(cfg={}, visual=True, lora=True),
     "early-stop": dict(cfg={}, visual=True, stop=6),
     "uneven-rows": dict(cfg={}, visual=True, uneven=True),
+    "ragged": dict(cfg={}, visual=True, ragged=True),
 }
 
 
@@ -251,6 +253,10 @@ def test_loss_matches_cross_entropy_of_forward(case):
     if spec.get("uneven"):
         targets[1] = -1  # a batch row with nothing scored
         targets[2, n_vis] = 5  # and one scoring its first text position
+    if spec.get("ragged"):  # per-sample prefixes of 12, 0 and 6 positions
+        targets[1] = -1
+        targets[2, n_vis + 3:] = -1
+        targets[2, n_vis + 2] = 4
     targets[0, stop - 1] = 7  # the last kept column is scored
 
     ref_loss, ref_grads = _loss_and_grads(
@@ -284,8 +290,28 @@ def test_loss_runs_last_block_mlp_and_head_on_scored_rows(monkeypatch):
 
     monkeypatch.setattr(ag, "op_forward", counting)
     m.loss(ids, visual, targets)
-    # the cut keeps 10 of 12 positions; 3 rows are scored
-    assert rows == {"first fc1": (3, 10), "fc1": (3,), "head": (3,)}
+    # each sample keeps its prefix up to its last scored position: 10 rows,
+    # none and 4 rows; 3 rows are scored
+    assert rows == {"first fc1": (14,), "fc1": (3,), "head": (3,)}
+
+
+def test_forward_rows_in_any_order_match_the_dense_logits():
+    m = md.build(tiny_config(norm_kind="standard"), seed=3, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, 11, size=(4, 9))
+    visual = rng.standard_normal((4, 3, 5))
+    # unsorted, one pair twice, a visual position and no row of sample 3
+    rows = (np.array([2, 0, 1, 2, 0, 0]), np.array([7, 11, 1, 3, 2, 11]))
+    with ag.no_grad():
+        dense = m.forward(ids, visual).data[rows]
+        got = m.forward(ids, visual, rows=rows).data
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="out of range"):
+        m.forward(ids, visual, rows=(np.array([4]), np.array([0])))
+    with pytest.raises(ValueError, match="out of range"):
+        m.forward(ids, visual, rows=(np.array([0]), np.array([12])))
+    with pytest.raises(ValueError, match="equal-length"):
+        m.forward(ids, visual, rows=(np.array([0, 1]), np.array([0])))
 
 
 def test_loss_checks_the_uncut_input():

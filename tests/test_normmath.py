@@ -3,7 +3,8 @@ import pytest
 
 from normadapt import autograd as ag
 from normadapt import normmath as nm
-from normadapt.finite_diff import central_difference, max_relative_error
+
+from finite_diff import central_difference, max_relative_error
 
 
 def test_two_point_stats():
