@@ -195,35 +195,18 @@ def _matmul_rows(a, b, bT, transpose_b):
     return out, backward
 
 
-def _check_broadcast(kind, a, b):
-    try:
-        return np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(kind, [a.shape, b.shape]) from None
-
-
 @register_op("add")
 def _add(arrays, attrs):
     a, b = arrays
-    _check_broadcast("add", a, b)
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError("add", [a.shape, b.shape]) from None
     out = a + b
 
     def backward(g, needs):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
                 _unbroadcast(g, b.shape) if needs[1] else None)
-
-    return out, backward
-
-
-@register_op("mul")
-def _mul(arrays, attrs):
-    a, b = arrays
-    _check_broadcast("mul", a, b)
-    out = a * b
-
-    def backward(g, needs):
-        return (_unbroadcast(g * b, a.shape) if needs[0] else None,
-                _unbroadcast(g * a, b.shape) if needs[1] else None)
 
     return out, backward
 
@@ -253,95 +236,84 @@ def _embed_lookup(arrays, attrs):
 
 @register_op("causal_attention")
 def _causal_attention(arrays, attrs):
-    """softmax(q k^T / sqrt(hd) + causal mask) v per head.
+    """softmax(q k^T / sqrt(hd) + causal mask) v per head, sample by sample.
 
-    q, k and v are (B, L, d), or packed: (N, d) rows whose (batch, position)
-    pairs are the attr `rows`, inside a batch of attr `shape` (B, L).  Packed
-    rows are scattered into zero (B, L, d) buffers, the dense kernel runs on
-    them and the output keeps the packed rows; the backward does the reverse.
-    That is exact when each sample's rows are a prefix of its positions: a
-    kept query then sees kept keys only, and a zero row's gradient is zero.
-    """
-    q, k, v = arrays
-    n_heads = int(attrs["n_heads"])
-    rows = attrs.get("rows")
-    want = 3 if rows is None else 2
-    if q.ndim != want or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
-        raise ShapeError("causal_attention", [q.shape, k.shape, v.shape],
-                         f"need equal {'(B, L, d)' if rows is None else '(N, d)'} "
-                         f"with d divisible by n_heads={n_heads}")
-    d = q.shape[-1]
-    if rows is None:
-        bsz, length = q.shape[:2]
-
-        def split(t):  # (B, L, d) -> (B, H, L, hd)
-            return t.reshape(bsz, length, n_heads, -1).transpose(0, 2, 1, 3)
-
-        def merge(t):  # (B, H, L, hd) -> (B, L, d)
-            return t.transpose(0, 2, 1, 3).reshape(bsz, length, d)
-    else:
-        bsz, length = attrs["shape"]
-        batch, pos = map(np.asarray, rows)
-        if batch.shape != q.shape[:1] or pos.shape != batch.shape:
-            raise ShapeError("causal_attention", [q.shape, batch.shape, pos.shape],
-                             "one (batch, position) pair per packed row")
-        flat = batch * length + pos
-
-        def split(t):  # (N, d) -> zero-filled (B, H, L, hd)
-            dense = np.zeros((bsz * length, d), dtype=t.dtype)
-            dense[flat] = t
-            return dense.reshape(bsz, length, n_heads, -1).transpose(0, 2, 1, 3)
-
-        def merge(t):  # (B, H, L, hd) -> the packed (N, d) rows
-            return t.transpose(0, 2, 1, 3)[batch, pos].reshape(-1, d)
-
-    return _attention_heads(q, k, v, split, merge)
-
-
-def _attention_heads(q, k, v, split, merge):
-    """The causal attention kernel.  `split` maps an input or the output
-    gradient to (B, H, L, hd) heads, `merge` maps a result back.
+    q, k and v are (N, d) rows in groups of equal-length samples: the attr
+    `groups` lists (count, length) pairs, and the rows hold the first
+    group's `count` samples of `length` rows each, one sample after another,
+    then the next group's.  A (B, L, d) input is the single group (B, L).
+    Each group's (count, H, length, hd) heads are a view of its rows.
 
     Future positions are set to -inf before the softmax, so their weights are
     exactly 0.0 and no output row depends on a later position.  Exact and
-    un-tiled: the (B, H, L, L) weights are kept for the backward, which
-    splits the inputs again rather than keeping their heads.
+    un-tiled: each group's (count, H, length, length) weights are kept for
+    the backward.
     """
-    qh, kh = split(q), split(k)
-    length, hd = qh.shape[2:]
-    scale = hd ** -0.5
+    q, k, v = arrays
+    n_heads = int(attrs["n_heads"])
+    groups = attrs.get("groups")
+    want = 3 if groups is None else 2
+    if q.ndim != want or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
+        raise ShapeError("causal_attention", [q.shape, k.shape, v.shape],
+                         f"need equal {'(B, L, d)' if groups is None else '(N, d)'} "
+                         f"with d divisible by n_heads={n_heads}")
+    d = q.shape[-1]
+    q2, k2, v2 = (t.reshape(-1, d) for t in (q, k, v))
+    spans, start = [], 0  # (rows, count, length) of each group
+    for count, length in [q.shape[:2]] if groups is None else groups:
+        if count < 1 or length < 1:
+            raise ShapeError("causal_attention", [q.shape],
+                             f"group ({count}, {length}) must be positive")
+        spans.append((slice(start, start + count * length), count, length))
+        start += count * length
+    if start != len(q2):
+        raise ShapeError("causal_attention", [q.shape],
+                         f"groups {list(groups)} cover {start} rows, not {len(q2)}")
+    scale = (d // n_heads) ** -0.5
 
-    att = qh @ kh.swapaxes(-1, -2)
-    del qh, kh
-    att *= scale
-    att[..., np.triu(np.ones((length, length), dtype=bool), k=1)] = -np.inf
-    # row max one column at a time: exact, and far cheaper than a reduction
-    # over rows only `length` wide
-    row_max = att[..., 0].copy()
-    for j in range(1, length):
-        np.maximum(row_max, att[..., j], out=row_max)
-    att -= row_max[..., None]
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
-    out = merge(att @ split(v))
+    def heads(t, span):  # a group's rows of an (N, d) array -> (count, H, length, hd)
+        rows, count, length = span
+        return t[rows].reshape(count, length, n_heads, -1).transpose(0, 2, 1, 3)
+
+    # C-contiguous, so heads() of it is a view and assigning to it writes through
+    out = np.empty((len(q2), d), dtype=q.dtype)
+    weights = []
+    for span in spans:
+        length = span[2]
+        att = heads(q2, span) @ heads(k2, span).swapaxes(-1, -2)
+        att *= scale
+        att[..., np.triu(np.ones((length, length), dtype=bool), k=1)] = -np.inf
+        # row max one column at a time: exact, and far cheaper than a
+        # reduction over rows only `length` wide
+        row_max = att[..., 0].copy()
+        for j in range(1, length):
+            np.maximum(row_max, att[..., j], out=row_max)
+        att -= row_max[..., None]
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        heads(out, span)[...] = att @ heads(v2, span)
+        weights.append(att)
 
     def backward(g, needs):
-        gq = gk = gv = None
-        gh = split(g)
-        if needs[2]:
-            gv = merge(att.swapaxes(-1, -2) @ gh)
-        if needs[0] or needs[1]:
-            gs = gh @ split(v).swapaxes(-1, -2)
-            gs -= (gs * att).sum(axis=-1, keepdims=True)
-            gs *= att
-            gs *= scale
-            if needs[0]:
-                gq = merge(gs @ split(k))
-            if needs[1]:
-                gk = merge(gs.swapaxes(-1, -2) @ split(q))
-        return gq, gk, gv
+        g2 = g.reshape(-1, d)
+        gq, gk, gv = grads = [np.empty((len(g2), d), dtype=g.dtype) if need else None
+                              for need in needs]
+        for span, att in zip(spans, weights):
+            gh = heads(g2, span)
+            if needs[2]:
+                heads(gv, span)[...] = att.swapaxes(-1, -2) @ gh
+            if needs[0] or needs[1]:
+                gs = gh @ heads(v2, span).swapaxes(-1, -2)
+                gs -= (gs * att).sum(axis=-1, keepdims=True)
+                gs *= att
+                gs *= scale
+                if needs[0]:
+                    heads(gq, span)[...] = gs @ heads(k2, span)
+                if needs[1]:
+                    heads(gk, span)[...] = gs.swapaxes(-1, -2) @ heads(q2, span)
+        return tuple(None if t is None else t.reshape(q.shape) for t in grads)
 
-    return out, backward
+    return out.reshape(q.shape), backward
 
 
 @register_op("silu")
@@ -479,25 +451,6 @@ def _cross_entropy(arrays, attrs):
     return out, backward
 
 
-@register_op("mean")
-def _mean(arrays, attrs):
-    (x,) = arrays
-    axis = attrs.get("axis", None)
-    keepdims = bool(attrs.get("keepdims", False))
-    out = x.mean(axis=axis, keepdims=keepdims)
-    count = x.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
-
-    def backward(g, needs):
-        if not needs[0]:
-            return (None,)
-        g = np.asarray(g)
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape) / count,)
-
-    return out, backward
-
-
 @register_op("concat")
 def _concat(arrays, attrs):
     axis = int(attrs.get("axis", 0))
@@ -545,17 +498,12 @@ def add(a, b):
     return op_forward("add", [a, b])
 
 
-def mul(a, b):
-    return op_forward("mul", [a, b])
-
-
 def embed_lookup(weight, ids):
     return op_forward("embed_lookup", [weight], {"ids": ids})
 
 
-def causal_attention(q, k, v, n_heads, rows=None, shape=None):
-    return op_forward("causal_attention", [q, k, v],
-                      {"n_heads": n_heads, "rows": rows, "shape": shape})
+def causal_attention(q, k, v, n_heads, groups=None):
+    return op_forward("causal_attention", [q, k, v], {"n_heads": n_heads, "groups": groups})
 
 
 def silu(x):
@@ -572,10 +520,6 @@ def rms_norm(x, gain, eps=1e-5):
 
 def cross_entropy(logits, targets):
     return op_forward("cross_entropy", [logits], {"targets": targets})
-
-
-def mean(x, axis=None, keepdims=False):
-    return op_forward("mean", [x], {"axis": axis, "keepdims": keepdims})
 
 
 def concat(tensors, axis=0):

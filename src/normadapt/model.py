@@ -169,16 +169,16 @@ class Model:
             return ag.rms_norm(x, gain)
         return ag.layer_norm(x, gain, self.tree[prefix + ".bias"])
 
-    def _block(self, i, h, packed=None, sel=None):
-        """Block i on h: (B, L, d), or the (N, d) packed rows that `packed`
-        (the attention's rows and shape) lays out.  sel, if given, indexes
+    def _block(self, i, h, groups=None, sel=None):
+        """Block i on h: (B, L, d), or the (N, d) packed rows that `groups`
+        (the attention's sample groups) lays out.  sel, if given, indexes
         the rows the block's output keeps."""
         p = f"blocks.{i}."
         x = self._norm(h, p + "input_norm")
         ctx = ag.causal_attention(self._proj(x, p + "attn.q_proj.weight"),
                                   self._proj(x, p + "attn.k_proj.weight"),
                                   self._proj(x, p + "attn.v_proj.weight"),
-                                  self.config.n_heads, **(packed or {}))
+                                  self.config.n_heads, groups)
         if sel is not None:
             # the rest of the block is per row, so it runs on the kept rows alone
             ctx, h = ag.embed_lookup(ctx, sel), ag.embed_lookup(h, sel)
@@ -226,7 +226,8 @@ class Model:
         equal-length int arrays, and the logits are then (N, vocab): those
         rows of the full logits.  Every block then runs only on each sample's
         prefix, its positions 0 up to its last requested one, packed as one
-        (N_kept, d) array; a sample with no requested position adds no row.
+        (N_kept, d) array of samples in groups of equal prefix length (see
+        `_embed_packed`); a sample with no requested position adds no row.
         That is exact because attention is causal: a kept position reads only
         earlier positions of its own sample, and those are kept too.  The
         last block's o_proj and MLP, the final norm and the head run on the
@@ -235,12 +236,12 @@ class Model:
         cfg = self.config
         ids, feats = self._check_inputs(tokens, visual)
         if rows is None:
-            h, packed, sel = self._embed(ids, feats), None, None
+            h, groups, sel = self._embed(ids, feats), None, None
         else:
-            h, packed, sel = self._embed_packed(ids, feats, rows)
+            h, groups, sel = self._embed_packed(ids, feats, rows)
 
         for i in range(cfg.n_layers):
-            h = self._block(i, h, packed, sel if i == cfg.n_layers - 1 else None)
+            h = self._block(i, h, groups, sel if i == cfg.n_layers - 1 else None)
             if capture is not None:
                 capture.append(h.data.copy())
         h = self._norm(h, "final_norm")
@@ -260,12 +261,15 @@ class Model:
         return ag.add(h, ag.embed_lookup(self.tree["pos.weight"], np.arange(h.shape[1])))
 
     def _embed_packed(self, ids, feats, rows):
-        """(block 0's input on the packed rows, the attention's packed layout,
-        the requested rows' indices among the packed ones).
+        """(block 0's input on the packed rows, the attention's groups, the
+        requested rows' indices among the packed ones).
 
-        The packed rows are each sample's visual positions, then each
-        sample's token positions, up to its last requested position; they
-        are looked up straight from the tables, never cut from a dense h.
+        The packed rows are each sample's positions up to its last requested
+        one, one sample after another, the samples stably sorted by that
+        prefix length; each run of equal lengths is one (count, length)
+        group.  The rows are looked up straight from the tables, never cut
+        from a dense h: the visual rows through the connector, the token
+        rows from the embedding, and one permutation interleaves them.
         """
         n_vis = 0 if feats is None else feats.shape[1]
         shape = (ids.shape[0], n_vis + ids.shape[1])
@@ -277,20 +281,25 @@ class Model:
             raise ValueError(f"rows out of range for a {shape} batch")
         ends = np.zeros(shape[0], dtype=np.intp)
         np.maximum.at(ends, batch, pos + 1)
-        samples = np.flatnonzero(ends)  # the samples with a requested row
-        kept = np.arange(ends.max()) < ends[samples, None]  # (B_kept, L_kept)
-        vis_b, vis_p = np.nonzero(kept[:, :n_vis])
-        tok_b, tok_p = np.nonzero(kept[:, n_vis:])
-        h = ag.embed_lookup(self.tree["embed.weight"], ids[samples[tok_b], tok_p])
+        samples = np.argsort(ends, kind="stable")
+        samples = samples[ends[samples] > 0]  # the samples with a requested row
+        lengths = ends[samples]
+        starts = np.zeros(shape[0], dtype=np.intp)  # each sample's first packed row
+        starts[samples] = np.cumsum(lengths) - lengths
+        packed_b = np.repeat(samples, lengths)
+        packed_p = np.arange(packed_b.size) - starts[packed_b]
+        is_vis = packed_p < n_vis
+        order = np.argsort(~is_vis, kind="stable")  # visual rows, then token rows
+        vis, tok = np.split(order, [np.count_nonzero(is_vis)])
+        h = ag.embed_lookup(self.tree["embed.weight"],
+                            ids[packed_b[tok], packed_p[tok] - n_vis])
         if n_vis:
-            h = ag.concat([self._connector(feats[samples[vis_b], vis_p]), h], axis=0)
-        packed_b = np.concatenate([vis_b, tok_b])
-        packed_p = np.concatenate([vis_p, tok_p + n_vis])
+            h = ag.concat([self._connector(feats[packed_b[vis], packed_p[vis]]), h], axis=0)
+            h = ag.embed_lookup(h, np.argsort(order))  # back to the packed order
         h = ag.add(h, ag.embed_lookup(self.tree["pos.weight"], packed_p))
-        index = np.empty(kept.shape, dtype=np.intp)
-        index[packed_b, packed_p] = np.arange(packed_b.size)
-        sel = index[np.searchsorted(samples, batch), pos]
-        return h, {"rows": (packed_b, packed_p), "shape": kept.shape}, sel
+        group_lengths, group_counts = np.unique(lengths, return_counts=True)
+        groups = list(zip(group_counts.tolist(), group_lengths.tolist()))
+        return h, groups, starts[batch] + pos
 
     def loss(self, tokens, visual, targets) -> ag.Tensor:
         """`cross_entropy(forward(tokens, visual), targets)` without the work

@@ -47,19 +47,11 @@ def test_cross_entropy_uniform_logits():
 
 
 def test_backward_quadratic():
-    w = t64([2.0, -3.0])
-    # sum(w*w) composed as mean * N
-    n = ag.tensor(np.float64(2.0))
-    loss = ag.mul(ag.mean(ag.mul(w, w)), n)
+    w = t64([[2.0, -3.0]])
+    # sum(w*w) as the (1, 1) product w w^T: both inputs add into one gradient
+    loss = ag.matmul(w, w, transpose_b=True)
     ag.backward(loss)
-    np.testing.assert_allclose(w.grad, [4.0, -6.0], atol=1e-15)
-
-
-def test_mean_gradient_is_uniform():
-    x = t64(np.arange(6, dtype=np.float64).reshape(2, 3))
-    loss = ag.mean(x)
-    ag.backward(loss)
-    np.testing.assert_allclose(x.grad, np.full((2, 3), 1.0 / 6.0), atol=1e-15)
+    np.testing.assert_allclose(w.grad, [[4.0, -6.0]], atol=1e-15)
 
 
 # --- finite-difference oracle over every registered kind ---------------------
@@ -74,6 +66,9 @@ MATMUL_CASES = (
     ((2, 3, 4), (1, 4, 2), False),
 )
 
+# causal_attention's (count, length) groups: several samples, and one of length 1
+GROUPS = ((3, 2), (1, 1), (2, 4))
+
 
 def _case_for(kind, rng, seed):
     """Random small float64 inputs + attrs for one op kind."""
@@ -84,15 +79,13 @@ def _case_for(kind, rng, seed):
     if kind == "causal_attention":
         if seed % 2 == 0:
             return [rng.standard_normal((2, 4, 4)) for _ in range(3)], {"n_heads": 2}
-        # packed (N, d) rows in shuffled order: ragged prefixes of a (4, 4)
-        # batch, one of length 1 and one sample with no row at all
-        ends = rng.permutation([4, 2, 1, 0])
-        batch = np.repeat(np.arange(4), ends)
-        pos = np.concatenate([np.arange(end) for end in ends])
-        order = rng.permutation(batch.size)
-        attrs = {"n_heads": 2, "rows": (batch[order], pos[order]), "shape": (4, 4)}
-        return [rng.standard_normal((batch.size, 4)) for _ in range(3)], attrs
-    if kind == "add" or kind == "mul":
+        # (N, d) rows in groups of equal-length samples, in shuffled group
+        # order: three samples of 2 rows, one of length 1, two of length 4
+        groups = [GROUPS[i] for i in rng.permutation(len(GROUPS))]
+        n = sum(count * length for count, length in groups)
+        return ([rng.standard_normal((n, 4)) for _ in range(3)],
+                {"n_heads": 2, "groups": groups})
+    if kind == "add":
         return [rng.standard_normal((2, 4)), rng.standard_normal(4)], {}
     if kind == "embed_lookup":
         if seed % 2:  # (B, T) ids with one row twice: gradients accumulate
@@ -114,34 +107,28 @@ def _case_for(kind, rng, seed):
         if seed % 2:
             targets[seed % 3] = -1  # an ignored row: only scored rows are gathered
         return [logits], {"targets": targets}
-    if kind == "mean":
-        return [rng.standard_normal((2, 4))], {"axis": 1}
     if kind == "concat":
         return [rng.standard_normal((2, 2)), rng.standard_normal((2, 2))], {"axis": 1}
     raise AssertionError(f"no gradcheck case for op kind {kind}")
 
 
 def run_gradcheck(kind, seed, tol=1e-5):
+    """The kernel's vector-Jacobian product for a random output gradient g
+    against central differences of vdot(g, f(x))."""
     rng = np.random.default_rng(seed)
     arrays, attrs = _case_for(kind, rng, seed)
-    out_shape = ag.op_forward(kind, [ag.tensor(a) for a in arrays], attrs).shape
-    proj = rng.standard_normal(out_shape) if out_shape else np.float64(1.0)
+    kernel = ag._OPS[kind]
+    out, backward = kernel([a.copy() for a in arrays], attrs)
+    g = rng.standard_normal(out.shape)
+    grads = backward(g, [True] * len(arrays))
 
     def scalar(arrs):
-        out = ag.op_forward(kind, [ag.tensor(a) for a in arrs], attrs)
-        return float(np.sum(out.data * proj))
+        return float(np.vdot(g, kernel([a.copy() for a in arrs], attrs)[0]))
 
-    tensors = [ag.tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = ag.op_forward(kind, tensors, attrs)
-    loss = ag.mul(ag.mean(out), ag.tensor(np.float64(out.data.size)))
-    if out.shape:
-        loss = ag.mul(ag.mean(ag.mul(out, ag.tensor(proj))),
-                      ag.tensor(np.float64(out.data.size)))
-    ag.backward(loss)
     numeric = central_difference(scalar, [a.copy() for a in arrays], step=1e-5)
-    for t, num in zip(tensors, numeric):
-        assert t.grad is not None
-        err = max_relative_error(t.grad, num)
+    for got, num in zip(grads, numeric, strict=True):
+        assert got is not None
+        err = max_relative_error(got, num)
         assert err <= tol, f"{kind} seed {seed}: rel err {err:.3e}"
 
 
@@ -151,7 +138,21 @@ def test_finite_difference_all_kinds(kind):
         run_gradcheck(kind, seed)
 
 
+def test_attention_groups_must_cover_the_rows():
+    q = t64(np.ones((7, 4)))
+    for groups in ([(3, 2)], [(3, 2), (1, 2)], [(3, 2), (0, 4), (1, 1)],
+                   [(3, 2), (1, 1), (-1, 1), (1, 1)], [(7, 1), (2, 0)]):
+        with pytest.raises(ag.ShapeError):
+            ag.causal_attention(q, q, q, 2, groups)
+    assert ag.causal_attention(q, q, q, 2, [(3, 2), (1, 1)]).shape == (7, 4)
+    with pytest.raises(ag.ShapeError):  # a (B, L, d) input is its own single group
+        ag.causal_attention(t64(np.ones((1, 7, 4))), q, q, 2)
+
+
 # --- tape contracts -----------------------------------------------------------
+
+TARGET = np.array([1])  # the scored class of a (1, C) row: a scalar loss to walk
+
 
 def test_replay_is_bitwise_identical():
     def build():
@@ -159,7 +160,7 @@ def test_replay_is_bitwise_identical():
         x = ag.tensor(rng.standard_normal((3, 5)), requires_grad=True)
         w = ag.tensor(rng.standard_normal((4, 5)), requires_grad=True)
         h = ag.silu(ag.matmul(x, w, transpose_b=True))
-        loss = ag.mean(ag.mul(h, h))
+        loss = ag.cross_entropy(h, np.array([0, 3, 1]))
         ag.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -169,34 +170,35 @@ def test_replay_is_bitwise_identical():
 
 
 def test_grad_accumulation_is_additive():
-    w0 = t64([1.0, 2.0, 3.0])
-    loss_a = ag.mean(ag.mul(w0, w0))
-    loss_b = ag.mean(ag.silu(w0))
+    w0 = t64([[1.0, 2.0, 3.0]])
+    loss_a = ag.cross_entropy(ag.add(w0, w0), TARGET)
+    loss_b = ag.cross_entropy(ag.silu(w0), TARGET)
     ag.backward(loss_a)
     ag.backward(loss_b)
     accumulated = w0.grad.copy()
 
-    w1 = t64([1.0, 2.0, 3.0])
-    ag.backward(ag.add(ag.mean(ag.mul(w1, w1)), ag.mean(ag.silu(w1))))
+    w1 = t64([[1.0, 2.0, 3.0]])
+    ag.backward(ag.add(ag.cross_entropy(ag.add(w1, w1), TARGET),
+                       ag.cross_entropy(ag.silu(w1), TARGET)))
     np.testing.assert_allclose(accumulated, w1.grad, rtol=1e-14)
 
 
 def test_backward_frees_the_graph_and_keeps_leaf_grads():
-    w = t64([1.0, -2.0, 3.0])
-    h = ag.silu(ag.mul(w, w))
-    loss = ag.mean(h)
+    w = t64([[1.0, -2.0, 3.0]])
+    h = ag.silu(ag.add(w, w))
+    loss = ag.cross_entropy(h, TARGET)
     ag.backward(loss)
     assert h.grad is None and h._parents == ()
     assert w.grad is not None and loss.grad is not None
 
 
 def test_backward_through_a_freed_graph_raises():
-    w = t64([1.0, -2.0, 3.0])
+    w = t64([[1.0, -2.0, 3.0]])
     v = t64([0.5, 0.5, 0.5])
-    h = ag.silu(ag.mul(w, w))
-    ag.backward(ag.mean(h))
+    h = ag.silu(ag.add(w, w))
+    ag.backward(ag.cross_entropy(h, TARGET))
     kept = w.grad.copy()
-    second = ag.mean(ag.mul(h, v))
+    second = ag.cross_entropy(ag.add(h, v), TARGET)
     with pytest.raises(RuntimeError, match="freed by an earlier backward"):
         ag.backward(second)
     # raised before any gradient was accumulated
@@ -204,17 +206,17 @@ def test_backward_through_a_freed_graph_raises():
 
 
 def test_backward_skips_frozen_leaves():
-    w = t64(np.ones(3), requires_grad=False)
+    w = t64(np.ones((1, 3)), requires_grad=False)
     x = t64(np.ones(3), requires_grad=True)
-    loss = ag.mean(ag.mul(w, x))
+    loss = ag.cross_entropy(ag.add(w, x), TARGET)
     ag.backward(loss)
     assert w.grad is None
     assert x.grad is not None
 
 
 def test_fully_frozen_graph_backward_is_noop():
-    w = t64(np.ones(3), requires_grad=False)
-    loss = ag.mean(ag.mul(w, w))
+    w = t64(np.ones((1, 3)), requires_grad=False)
+    loss = ag.cross_entropy(ag.add(w, w), TARGET)
     ag.backward(loss)  # must not raise
     assert w.grad is None
 
@@ -222,7 +224,7 @@ def test_fully_frozen_graph_backward_is_noop():
 def test_no_grad_suppresses_recording():
     w = t64(np.ones(3))
     with ag.no_grad():
-        out = ag.mul(w, w)
+        out = ag.add(w, w)
     assert not out.requires_grad
     assert out._parents == ()
 
@@ -248,12 +250,12 @@ def test_layer_norm_degenerate_sigma():
 def test_backward_rejects_non_scalar():
     x = t64(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        ag.backward(ag.mul(x, x))
+        ag.backward(ag.add(x, x))
 
 
 def test_double_backward_without_rebuild_raises():
-    x = t64([1.0, 2.0])
-    loss = ag.mean(ag.mul(x, x))
+    x = t64([[1.0, 2.0]])
+    loss = ag.cross_entropy(x, TARGET)
     ag.backward(loss)
     with pytest.raises(RuntimeError):
         ag.backward(loss)

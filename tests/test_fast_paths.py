@@ -1,0 +1,71 @@
+"""Property-based checks that each fast path computes what its slow reference does.
+
+The examples are derandomized, so every run draws the same ones.  The module
+runs in a few seconds.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from normadapt import autograd as ag
+from normadapt import model as md
+
+from test_model import _loss_and_grads
+
+N_VIS, D_VISUAL, VOCAB = 3, 5, 11
+
+
+@st.composite
+def loss_cases(draw):
+    """(float64 model, tokens, visual features or None, targets).
+
+    The batch always holds a sample with nothing scored, one scored inside
+    its visual prefix only (position 0 alone without visual features), one
+    scored up to a position inside the sequence and one up to its end, so
+    there are at least 3 distinct prefix lengths; up to two more samples
+    score up to any position.  The samples come in any order.
+    """
+    cfg = md.ModelConfig(
+        n_layers=draw(st.integers(1, 3), label="n_layers"), d_model=8,
+        n_heads=draw(st.sampled_from([1, 2, 4]), label="n_heads"), d_ff=16,
+        vocab_size=VOCAB, max_seq=16, n_visual_tokens=N_VIS, d_visual=D_VISUAL,
+        norm_kind=draw(st.sampled_from(md.NORM_KINDS), label="norm_kind"),
+        tie_embeddings=draw(st.booleans(), label="tie_embeddings"))
+    model = md.build(cfg, dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    for _, t in model.tree.items():  # move norms off 1 and 0, and sharpen attention
+        t.data += rng.normal(0.0, 0.3, t.shape)
+
+    n_vis = N_VIS if draw(st.booleans(), label="visual") else 0
+    n_tok = draw(st.integers(3, 6), label="n_tokens")
+    length = n_vis + n_tok
+    short = max(n_vis, 1)
+    ends = [0, draw(st.integers(1, short)), draw(st.integers(short + 1, length - 1)),
+            length]
+    ends += draw(st.lists(st.integers(0, length), max_size=2), label="more ends")
+    ends = draw(st.permutations(ends), label="sample order")
+    targets = np.full((len(ends), length), ag.IGNORE)
+    for b, end in enumerate(ends):
+        scored = np.arange(length) < end
+        if end and draw(st.booleans(), label="sparse"):
+            scored[:end - 1] &= rng.random(end - 1) < 0.5  # the last one stays scored
+        targets[b, scored] = rng.integers(0, VOCAB, np.count_nonzero(scored))
+    tokens = rng.integers(0, VOCAB, (len(ends), n_tok))
+    feats = rng.standard_normal((len(ends), N_VIS, D_VISUAL)) if n_vis else None
+    return model, tokens, feats, targets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=loss_cases())
+def test_loss_matches_cross_entropy_of_forward(case):
+    """`Model.loss` runs packed sample groups and the scored rows alone; its
+    loss and every gradient match the dense forward's to 1e-12."""
+    model, tokens, feats, targets = case
+    ref_loss, ref_grads = _loss_and_grads(
+        model, lambda: ag.cross_entropy(model.forward(tokens, feats), targets))
+    got_loss, got_grads = _loss_and_grads(model, lambda: model.loss(tokens, feats, targets))
+    assert abs(got_loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert set(got_grads) == set(ref_grads)
+    for p, ref in ref_grads.items():
+        err = np.abs(got_grads[p] - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max(), (p, err)
