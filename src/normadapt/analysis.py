@@ -134,6 +134,7 @@ def compare_similarity(reports):
     return rows
 
 
-def mean_relative_drop(pairs=REFERENCE_SIMILARITY_PAIRS) -> float:
-    """Mean of (a - b)/a over (higher, lower) average-similarity pairs."""
-    return float(np.mean([(a - b) / a for a, b in pairs]))
+def mean_relative_drop() -> float:
+    """Mean of (a - b)/a over the (higher, lower) reference average-similarity
+    pairs."""
+    return float(np.mean([(a - b) / a for a, b in REFERENCE_SIMILARITY_PAIRS]))

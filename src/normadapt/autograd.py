@@ -88,8 +88,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
                  "_backward_done")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -114,8 +114,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag}, op={self._op})"
 
 
-def tensor(data, requires_grad=False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
+def tensor(data, requires_grad=False) -> Tensor:
+    return Tensor(data, requires_grad=requires_grad)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -146,51 +146,24 @@ def op_kinds():
 
 @register_op("matmul")
 def _matmul(arrays, attrs):
-    a, b = arrays
-    transpose_b = bool(attrs.get("transpose_b", False))
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul", [a.shape, b.shape], "operands must be >= 2-d")
-    b_inner = b.shape[-1] if transpose_b else b.shape[-2]
-    if a.shape[-1] != b_inner:
-        raise ShapeError("matmul", [a.shape, b.shape],
-                         f"inner dims {a.shape[-1]} vs {b_inner}")
-    bT = np.swapaxes(b, -1, -2) if transpose_b else b
-    if b.ndim == 2 and a.ndim > 2:
-        return _matmul_rows(a, b, bT, transpose_b)
-    out = a @ bT
+    """x @ W.T: x (..., in) through a 2-d (out, in) weight.
 
-    def backward(g, needs):
-        ga = gb = None
-        if needs[0]:
-            ga = _unbroadcast(g @ b if transpose_b else g @ np.swapaxes(b, -1, -2), a.shape)
-        if needs[1]:
-            if transpose_b:
-                gb = _unbroadcast(np.swapaxes(g, -1, -2) @ a, b.shape)
-            else:
-                gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
-        return ga, gb
-
-    return out, backward
-
-
-def _matmul_rows(a, b, bT, transpose_b):
-    """(..., in) @ 2-d weight with the leading axes folded into rows.
-
-    One GEMM per product instead of one small product per batch entry; the
-    weight gradient is a single (out, in) product, not a stack of partial
-    ones summed afterwards.
+    The leading axes of x fold into rows, so the product is one GEMM and the
+    weight gradient a single (out, in) product, not a stack of partial ones
+    summed afterwards.
     """
-    a2 = a.reshape(-1, a.shape[-1])
-    out = (a2 @ bT).reshape(a.shape[:-1] + (bT.shape[-1],))
+    x, w = arrays
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+        raise ShapeError("matmul", [x.shape, w.shape],
+                         "need x (..., in) and a 2-d (out, in) weight")
+    x2 = x.reshape(-1, x.shape[-1])
+    out = (x2 @ w.T).reshape(x.shape[:-1] + (len(w),))
 
     def backward(g, needs):
         g2 = g.reshape(-1, g.shape[-1])
-        ga = gb = None
-        if needs[0]:
-            ga = (g2 @ bT.T).reshape(a.shape)
-        if needs[1]:
-            gb = g2.T @ a2 if transpose_b else a2.T @ g2
-        return ga, gb
+        gx = (g2 @ w).reshape(x.shape) if needs[0] else None
+        gw = g2.T @ x2 if needs[1] else None
+        return gx, gw
 
     return out, backward
 
@@ -238,11 +211,12 @@ def _embed_lookup(arrays, attrs):
 def _causal_attention(arrays, attrs):
     """softmax(q k^T / sqrt(hd) + causal mask) v per head, sample by sample.
 
-    q, k and v are (N, d) rows in groups of equal-length samples: the attr
-    `groups` lists (count, length) pairs, and the rows hold the first
-    group's `count` samples of `length` rows each, one sample after another,
-    then the next group's.  A (B, L, d) input is the single group (B, L).
-    Each group's (count, H, length, hd) heads are a view of its rows.
+    q, k and v are equal (..., d) arrays, read as their (N, d) rows, in
+    groups of equal-length samples: the attr `groups` lists (count, length)
+    pairs, and the rows hold the first group's `count` samples of `length`
+    rows each, one sample after another, then the next group's.  A dense
+    (B, L, d) batch is the single group (B, L).  Each group's
+    (count, H, length, hd) heads are a view of its rows.
 
     Future positions are set to -inf before the softmax, so their weights are
     exactly 0.0 and no output row depends on a later position.  Exact and
@@ -250,17 +224,14 @@ def _causal_attention(arrays, attrs):
     the backward.
     """
     q, k, v = arrays
-    n_heads = int(attrs["n_heads"])
-    groups = attrs.get("groups")
-    want = 3 if groups is None else 2
-    if q.ndim != want or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
+    n_heads, groups = int(attrs["n_heads"]), attrs["groups"]
+    if k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
         raise ShapeError("causal_attention", [q.shape, k.shape, v.shape],
-                         f"need equal {'(B, L, d)' if groups is None else '(N, d)'} "
-                         f"with d divisible by n_heads={n_heads}")
+                         f"need equal (..., d) with d divisible by n_heads={n_heads}")
     d = q.shape[-1]
     q2, k2, v2 = (t.reshape(-1, d) for t in (q, k, v))
     spans, start = [], 0  # (rows, count, length) of each group
-    for count, length in [q.shape[:2]] if groups is None else groups:
+    for count, length in groups:
         if count < 1 or length < 1:
             raise ShapeError("causal_attention", [q.shape],
                              f"group ({count}, {length}) must be positive")
@@ -490,8 +461,8 @@ def op_forward(kind: str, inputs: list[Tensor], attrs: dict | None = None) -> Te
 
 # Thin wrappers so call sites read naturally.
 
-def matmul(a, b, transpose_b=False):
-    return op_forward("matmul", [a, b], {"transpose_b": transpose_b})
+def matmul(x, w):
+    return op_forward("matmul", [x, w])
 
 
 def add(a, b):
@@ -502,7 +473,7 @@ def embed_lookup(weight, ids):
     return op_forward("embed_lookup", [weight], {"ids": ids})
 
 
-def causal_attention(q, k, v, n_heads, groups=None):
+def causal_attention(q, k, v, n_heads, groups):
     return op_forward("causal_attention", [q, k, v], {"n_heads": n_heads, "groups": groups})
 
 

@@ -65,13 +65,12 @@ PRESETS = {
 }
 
 
-def preset_from_config(cfg: ModelConfig, name: str = "toy",
-                       vision_params: int = 0) -> ArchPreset:
-    """Preset whose inventory matches a built toy model path-for-path."""
+def preset_from_config(cfg: ModelConfig) -> ArchPreset:
+    """Preset "toy" whose inventory matches a built toy model path-for-path;
+    the stub vision encoder has no parameters."""
     return ArchPreset(
-        name=name, n_layers=cfg.n_layers, d_model=cfg.d_model, d_ff=cfg.d_ff,
-        vocab_size=cfg.vocab_size, d_visual=cfg.d_visual,
-        vision_params=vision_params,
+        name="toy", n_layers=cfg.n_layers, d_model=cfg.d_model, d_ff=cfg.d_ff,
+        vocab_size=cfg.vocab_size, d_visual=cfg.d_visual, vision_params=0,
         norm_style="gain" if cfg.norm_kind == "rms" else "gain-bias",
         mlp_style="plain2", tie_embeddings=cfg.tie_embeddings,
         max_seq=cfg.max_seq)

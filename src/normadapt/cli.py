@@ -189,11 +189,11 @@ def cmd_compare(args):
     from . import training as tr
     opts = _options(args)
     base = _build_or_load(opts, args.init_from) if args.init_from else None
-    protocol = _protocol(
-        opts, model=base.config if base else _model_config(opts),
-        pretrain_steps=args.pretrain_steps,
-        connector_steps=args.connector_steps, adapt_steps=args.adapt_steps,
-        stub_mode=args.stub_mode, noise_std=args.noise_std)
+    given = {name: value for name in ("pretrain_steps", "connector_steps",
+                                      "adapt_steps", "stub_mode", "noise_std")
+             if (value := getattr(args, name)) is not None}
+    protocol = _protocol(opts, model=base.config if base else _model_config(opts),
+                         **given)
     strategies = args.strategies.split(",")
     seeds = tuple(int(s) for s in args.seeds.split(","))
     report = tr.compare_strategies(strategies, protocol, seeds=seeds, base=base)
@@ -364,14 +364,12 @@ def build_parser():
     p.add_argument("--strategies",
                    default="finetune,layernorm,layernorm-simple")
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int,
-                   default=2000)
-    p.add_argument("--connector-steps", dest="connector_steps", type=int,
-                   default=200)
-    p.add_argument("--adapt-steps", dest="adapt_steps", type=int, default=400)
-    p.add_argument("--stub-mode", dest="stub_mode", default="aligned",
-                   choices=("aligned", "unaligned"))
-    p.add_argument("--noise-std", dest="noise_std", type=float, default=0.05)
+    # unset, each of these takes AdaptProtocol's default
+    p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int)
+    p.add_argument("--connector-steps", dest="connector_steps", type=int)
+    p.add_argument("--adapt-steps", dest="adapt_steps", type=int)
+    p.add_argument("--stub-mode", dest="stub_mode", choices=("aligned", "unaligned"))
+    p.add_argument("--noise-std", dest="noise_std", type=float)
     p.add_argument("--init-from", dest="init_from", default=None,
                    help="pretrained base checkpoint (skips stage 0)")
     p.set_defaults(func=cmd_compare)

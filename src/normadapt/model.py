@@ -136,9 +136,6 @@ class ParamTree:
     def total_scalars(self) -> int:
         return sum(t.data.size for t in self._params.values())
 
-    def trainable_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values() if t.requires_grad)
-
     def freeze_all(self):
         for t in self._params.values():
             t.requires_grad = False
@@ -157,10 +154,10 @@ class Model:
         self.dtype = np.dtype(dtype)
 
     def _proj(self, x, path):
-        out = ag.matmul(x, self.tree[path], transpose_b=True)
+        out = ag.matmul(x, self.tree[path])
         if path + LORA_A in self.tree:
-            low = ag.matmul(x, self.tree[path + LORA_A], transpose_b=True)  # (..., rank)
-            out = ag.add(out, ag.matmul(low, self.tree[path + LORA_B], transpose_b=True))
+            low = ag.matmul(x, self.tree[path + LORA_A])  # (..., rank)
+            out = ag.add(out, ag.matmul(low, self.tree[path + LORA_B]))
         return out
 
     def _norm(self, x, prefix):
@@ -169,10 +166,10 @@ class Model:
             return ag.rms_norm(x, gain)
         return ag.layer_norm(x, gain, self.tree[prefix + ".bias"])
 
-    def _block(self, i, h, groups=None, sel=None):
-        """Block i on h: (B, L, d), or the (N, d) packed rows that `groups`
-        (the attention's sample groups) lays out.  sel, if given, indexes
-        the rows the block's output keeps."""
+    def _block(self, i, h, groups, sel=None):
+        """Block i on h: a dense (B, L, d) batch with groups [(B, L)], or the
+        (N, d) packed rows that `groups` (the attention's sample groups) lays
+        out.  sel, if given, indexes the rows the block's output keeps."""
         p = f"blocks.{i}."
         x = self._norm(h, p + "input_norm")
         ctx = ag.causal_attention(self._proj(x, p + "attn.q_proj.weight"),
@@ -236,7 +233,8 @@ class Model:
         cfg = self.config
         ids, feats = self._check_inputs(tokens, visual)
         if rows is None:
-            h, groups, sel = self._embed(ids, feats), None, None
+            h = self._embed(ids, feats)
+            groups, sel = [h.shape[:2]], None  # the dense batch is one group
         else:
             h, groups, sel = self._embed_packed(ids, feats, rows)
 
@@ -246,12 +244,12 @@ class Model:
                 capture.append(h.data.copy())
         h = self._norm(h, "final_norm")
         head = self.tree["embed.weight" if cfg.tie_embeddings else "head.weight"]
-        return ag.matmul(h, head, transpose_b=True)
+        return ag.matmul(h, head)
 
     def _connector(self, feats):
         """Visual features (..., d_visual) -> prefix embeddings (..., d)."""
-        return ag.add(ag.matmul(ag.tensor(feats), self.tree["connector.weight"],
-                                transpose_b=True), self.tree["connector.bias"])
+        return ag.add(ag.matmul(ag.tensor(feats), self.tree["connector.weight"]),
+                      self.tree["connector.bias"])
 
     def _embed(self, ids, feats):
         """Block 0's input (B, L, d): visual prefix, then tokens, plus positions."""

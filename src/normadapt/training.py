@@ -49,9 +49,10 @@ def lr_schedule(step, total, warmup_ratio, base_lr) -> float:
 class Adam:
     """Decoupled-weight-decay Adam over a list of tensors."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, weight_decay=0.0):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.m = [np.zeros_like(t.data) for t in self.params]
         self.v = [np.zeros_like(t.data) for t in self.params]
@@ -97,6 +98,8 @@ class TrainConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.steps < 0 or self.batch < 1:
             raise ValueError("steps must be >= 0 and batch >= 1")
+        if self.eval_interval < 0:
+            raise ValueError(f"eval_interval must be >= 0, got {self.eval_interval}")
 
 
 @dataclass
@@ -164,6 +167,8 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
     A trace records the selected norm parameters every `trace_every` steps.
     Non-finite loss aborts the run and flags the record instead of raising.
     """
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
     if outdir is not None and lora_targets(model.tree):
         raise ValueError("model has unmerged adapters, which a checkpoint cannot "
                          "hold; merge them or train without outdir")
@@ -334,13 +339,13 @@ class AdaptProtocol:
                 self.eval_dataset("mm-adapt"))
 
 
-def pretrain(protocol: AdaptProtocol, outdir=None):
+def pretrain(protocol: AdaptProtocol):
     """Stage 0: teach the base model the retrieval task from text declarations."""
     model = build(protocol.model, seed=protocol.seed)
     ds = protocol.text_dataset()
     cfg = TrainConfig(lr=protocol.pretrain_lr, steps=protocol.pretrain_steps,
                       batch=protocol.batch, seed=protocol.seed)
-    record = train(model, TuningStrategy("finetune"), ds, None, cfg, outdir=outdir)
+    record = train(model, TuningStrategy("finetune"), ds, None, cfg)
     return model, record
 
 
@@ -426,6 +431,4 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
                                       final_eval=finals[name], gain=gain,
                                       fraction=fractions[name],
                                       wall_clock=clocks[name]))
-    proto_dict = asdict(protocol)
-    proto_dict["model"] = asdict(protocol.model)
-    return ComparisonReport(rows=rows, protocol=proto_dict)
+    return ComparisonReport(rows=rows, protocol=asdict(protocol))

@@ -25,9 +25,9 @@ def t64(a, requires_grad=True):
 # --- trivial frozen examples -------------------------------------------------
 
 def test_matmul_ones():
-    a = t64(np.ones((2, 3)))
-    b = t64(np.ones((3, 2)))
-    out = ag.matmul(a, b)
+    x = t64(np.ones((2, 3)))
+    w = t64(np.ones((2, 3)))  # (out, in): the op computes x @ w.T
+    out = ag.matmul(x, w)
     assert np.array_equal(out.data, np.full((2, 2), 3.0))
 
 
@@ -49,21 +49,21 @@ def test_cross_entropy_uniform_logits():
 def test_backward_quadratic():
     w = t64([[2.0, -3.0]])
     # sum(w*w) as the (1, 1) product w w^T: both inputs add into one gradient
-    loss = ag.matmul(w, w, transpose_b=True)
+    loss = ag.matmul(w, w)
     ag.backward(loss)
     np.testing.assert_allclose(w.grad, [[4.0, -6.0]], atol=1e-15)
 
 
 # --- finite-difference oracle over every registered kind ---------------------
 
-# (a shape, b shape, transpose_b): 2-d, the flattened 3-d x 2-d path with and
-# without transpose_b, batched 4-d (attention-style) and a broadcast batch.
+# (x shape, weight shape) of x @ W.T: 2-d, 3-d and 4-d x into an (out, in)
+# weight, and rank-1 weights as a LoRA adapter pair of rank 1 has them.
 MATMUL_CASES = (
-    ((2, 4), (4, 2), False),
-    ((2, 3, 4), (5, 4), True),
-    ((2, 3, 4), (4, 5), False),
-    ((2, 2, 3, 4), (2, 2, 5, 4), True),
-    ((2, 3, 4), (1, 4, 2), False),
+    ((2, 4), (3, 4)),
+    ((2, 3, 4), (5, 4)),
+    ((2, 2, 3, 4), (5, 4)),
+    ((2, 3, 4), (1, 4)),
+    ((2, 3, 1), (5, 1)),
 )
 
 # causal_attention's (count, length) groups: several samples, and one of length 1
@@ -73,12 +73,12 @@ GROUPS = ((3, 2), (1, 1), (2, 4))
 def _case_for(kind, rng, seed):
     """Random small float64 inputs + attrs for one op kind."""
     if kind == "matmul":
-        a_shape, b_shape, transpose_b = MATMUL_CASES[seed % len(MATMUL_CASES)]
-        return ([rng.standard_normal(a_shape), rng.standard_normal(b_shape)],
-                {"transpose_b": transpose_b})
+        x_shape, w_shape = MATMUL_CASES[seed % len(MATMUL_CASES)]
+        return [rng.standard_normal(x_shape), rng.standard_normal(w_shape)], {}
     if kind == "causal_attention":
-        if seed % 2 == 0:
-            return [rng.standard_normal((2, 4, 4)) for _ in range(3)], {"n_heads": 2}
+        if seed % 2 == 0:  # a dense (B, L, d) batch: the single group (B, L)
+            return ([rng.standard_normal((2, 4, 4)) for _ in range(3)],
+                    {"n_heads": 2, "groups": [(2, 4)]})
         # (N, d) rows in groups of equal-length samples, in shuffled group
         # order: three samples of 2 rows, one of length 1, two of length 4
         groups = [GROUPS[i] for i in rng.permutation(len(GROUPS))]
@@ -145,8 +145,10 @@ def test_attention_groups_must_cover_the_rows():
         with pytest.raises(ag.ShapeError):
             ag.causal_attention(q, q, q, 2, groups)
     assert ag.causal_attention(q, q, q, 2, [(3, 2), (1, 1)]).shape == (7, 4)
-    with pytest.raises(ag.ShapeError):  # a (B, L, d) input is its own single group
-        ag.causal_attention(t64(np.ones((1, 7, 4))), q, q, 2)
+    dense = t64(np.ones((1, 7, 4)))  # a (B, L, d) batch is read as its rows
+    assert ag.causal_attention(dense, dense, dense, 2, [(1, 7)]).shape == (1, 7, 4)
+    with pytest.raises(ag.ShapeError):  # q, k and v of unequal shapes
+        ag.causal_attention(dense, q, q, 2, [(1, 7)])
 
 
 # --- tape contracts -----------------------------------------------------------
@@ -159,7 +161,7 @@ def test_replay_is_bitwise_identical():
         rng = np.random.default_rng(7)
         x = ag.tensor(rng.standard_normal((3, 5)), requires_grad=True)
         w = ag.tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        h = ag.silu(ag.matmul(x, w, transpose_b=True))
+        h = ag.silu(ag.matmul(x, w))
         loss = ag.cross_entropy(h, np.array([0, 3, 1]))
         ag.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
@@ -232,10 +234,13 @@ def test_no_grad_suppresses_recording():
 # --- errors -------------------------------------------------------------------
 
 def test_matmul_shape_error_names_kind_and_shapes():
-    with pytest.raises(ag.ShapeError) as exc:
-        ag.matmul(t64(np.ones((2, 3))), t64(np.ones((4, 2))))
-    assert exc.value.kind == "matmul"
-    assert (2, 3) in exc.value.shapes and (4, 2) in exc.value.shapes
+    # an (out, in) weight whose in does not match, and a 3-d weight: the op
+    # computes x @ W.T for a 2-d W only, never a batched product
+    for x_shape, w_shape in (((2, 3), (4, 2)), ((2, 3), (2, 3, 4))):
+        with pytest.raises(ag.ShapeError) as exc:
+            ag.matmul(t64(np.ones(x_shape)), t64(np.ones(w_shape)))
+        assert exc.value.kind == "matmul"
+        assert x_shape in exc.value.shapes and w_shape in exc.value.shapes
 
 
 def test_layer_norm_degenerate_sigma():
@@ -376,8 +381,8 @@ def _kernel_cases(dtype):
         ("silu", [4.0 * r(3, 7)], {}, ref_silu),
         ("layer_norm", [r(3, 5, 8), r(8), r(8)], {"eps": 1e-5}, ref_layer_norm),
         ("rms_norm", [r(3, 5, 8), r(8)], {"eps": 1e-5}, ref_rms_norm),
-        ("causal_attention", [r(2, 5, 8), r(2, 5, 8), r(2, 5, 8)], {"n_heads": 2},
-         ref_causal_attention),
+        ("causal_attention", [r(2, 5, 8), r(2, 5, 8), r(2, 5, 8)],
+         {"n_heads": 2, "groups": [(2, 5)]}, ref_causal_attention),
         ("cross_entropy", [r(2, 6, 10)], {"targets": targets}, ref_cross_entropy),
         ("cross_entropy", [r(2, 6, 10)], {"targets": sparse}, ref_cross_entropy),
     ]

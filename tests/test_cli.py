@@ -1,5 +1,6 @@
 """CLI surface: config parsing, every subcommand end to end (tiny sizes)."""
 
+import dataclasses
 import json
 import os
 
@@ -218,6 +219,34 @@ TINY_COMPARE = ["--strategies", "layernorm", "--seeds", "0",
                 "--adapt-steps", "2"]
 
 
+def test_compare_takes_unset_protocol_flags_from_the_protocol(tmp_path, monkeypatch,
+                                                             capsys):
+    @dataclasses.dataclass
+    class Shifted(tr.AdaptProtocol):  # other defaults, as if the protocol changed
+        pretrain_steps: int = 7
+        connector_steps: int = 5
+        adapt_steps: int = 3
+        stub_mode: str = "unaligned"
+        noise_std: float = 0.25
+
+    seen = []
+
+    def fake_compare(strategies, protocol, seeds, base):
+        seen.append(protocol)
+        return tr.ComparisonReport(rows=[], protocol=dataclasses.asdict(protocol))
+
+    monkeypatch.setattr(tr, "AdaptProtocol", Shifted)
+    monkeypatch.setattr(tr, "compare_strategies", fake_compare)
+    outdir = str(tmp_path / "cmp")
+    assert cli.main(["compare", "--outdir", outdir]) == 0
+    assert cli.main(["compare", "--outdir", outdir, "--adapt-steps", "9",
+                     "--stub-mode", "aligned"]) == 0
+    fields = ("pretrain_steps", "connector_steps", "adapt_steps", "stub_mode",
+              "noise_std")
+    assert [tuple(getattr(p, f) for f in fields) for p in seen] == [
+        (7, 5, 3, "unaligned", 0.25), (7, 5, 9, "aligned", 0.25)]
+
+
 def test_compare_honours_norm_kind(tmp_path, capsys):
     outdir = tmp_path / "cmp"
     rc = cli.main(["compare", *TINY_COMPARE, "--norm-kind", "rms",
@@ -333,7 +362,14 @@ def test_config_key_the_command_does_not_read_is_refused(
      "normadapt compare: error: unknown strategy 'nope'; expected one of "
      "('finetune', 'lora', 'attn-qv', 'attn-mlp', 'layernorm', "
      "'layernorm-simple', 'connector-only')\n"),
-], ids=["grid", "strategy"])
+    (["grad-stats", "--trace-every", "0", *TINY],
+     "normadapt grad-stats: error: trace_every must be >= 1, got 0\n"),
+    (["grad-stats", "--trace-every", "-2", *TINY],
+     "normadapt grad-stats: error: trace_every must be >= 1, got -2\n"),
+    (["train", "--eval-interval", "-2", *TINY],
+     "normadapt train: error: eval_interval must be >= 0, got -2\n"),
+], ids=["grid", "strategy", "trace-every-0", "trace-every-negative",
+        "eval-interval-negative"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     assert usage_error(capsys, argv) == message
 

@@ -159,7 +159,7 @@ def test_captured_state_feeds_next_block():
     ids = np.arange(6)[None] % 11
     states = m.capture_layer_outputs(ids)
     with ag.no_grad():
-        refed = m._block(1, ag.tensor(states[0])).data
+        refed = m._block(1, ag.tensor(states[0]), [(1, 6)]).data
     np.testing.assert_array_equal(refed, states[1])
 
 

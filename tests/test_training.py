@@ -90,6 +90,20 @@ def test_train_config_validation():
         tr.TrainConfig(lr=-1e-3, steps=10)
     with pytest.raises(ValueError, match="batch"):
         tr.TrainConfig(lr=1e-3, steps=10, batch=0)
+    with pytest.raises(ValueError, match="eval_interval must be >= 0, got -2"):
+        tr.TrainConfig(lr=1e-3, steps=10, eval_interval=-2)
+
+
+def test_train_refuses_trace_every_below_one():
+    model, ds = micro_setup()
+    before = {p: t.data.copy() for p, t in model.tree.items()}
+    cfg = tr.TrainConfig(lr=1e-3, steps=2, batch=4)
+    for every in (0, -2):
+        with pytest.raises(ValueError, match=f"trace_every must be >= 1, got {every}"):
+            tr.train(model, TuningStrategy("layernorm"), ds, None, cfg,
+                     trace=GradTrace(), trace_every=every)
+    # refused before the first step
+    assert all(np.array_equal(t.data, before[p]) for p, t in model.tree.items())
 
 
 def test_lr_zero_is_a_bitwise_null_update():
