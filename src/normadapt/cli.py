@@ -148,10 +148,10 @@ def _datasets(opts, task, model, n_train, n_eval):
 def cmd_train(args):
     from . import training as tr
     opts = _options(args)
+    cfg = _train_config(opts, eval_interval=args.eval_interval)
     model = _build_or_load(opts, args.init_from)
     train_ds, eval_ds = _datasets(opts, args.task, model,
                                   args.n_samples, args.n_eval)
-    cfg = _train_config(opts, eval_interval=args.eval_interval)
     outdir = opts["outdir"]
     record = tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
                       outdir=outdir)
@@ -173,12 +173,12 @@ def cmd_sweep_lr(args):
             raise ValueError(f"--grid {args.grid!r} is neither a named grid "
                              f"({', '.join(tr.LR_GRIDS)}) nor comma-separated "
                              "learning rates") from None
+    cfg = _train_config(opts, lr=1.0)
     base = _build_or_load(opts, args.init_from)
     train_ds, eval_ds = _datasets(opts, args.task, base,
                                   args.n_samples, args.n_eval)
     result = tr.sweep_lr(grid, lambda: tr.clone_model(base),
-                         _strategy_from_opts(opts), train_ds, eval_ds,
-                         _train_config(opts, lr=1.0))
+                         _strategy_from_opts(opts), train_ds, eval_ds, cfg)
     for lr, loss in result.rows:
         print(f"{lr:.1e}\t{loss:.6f}")
     print(json.dumps({"best_lr": result.best_lr, "best_loss": result.best_loss}))
@@ -268,12 +268,13 @@ def cmd_grad_stats(args):
     from . import training as tr
     from .analysis import GradTrace
     opts = _options(args)
+    cfg = _train_config(opts)
     model = _build_or_load(opts, args.init_from)
     train_ds, eval_ds = _datasets(opts, args.task, model,
                                   args.n_samples, args.n_eval)
     trace = GradTrace()
-    tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds,
-             _train_config(opts), trace=trace, trace_every=args.trace_every)
+    tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
+             trace=trace, trace_every=args.trace_every)
     if "outdir" in opts:
         outdir = Path(opts["outdir"])
         outdir.mkdir(parents=True, exist_ok=True)

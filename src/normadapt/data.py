@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import IGNORE
-from .model import VisionStub
+from .model import VisionStub, sample_rngs
 
 PAD, BOS, SEP, Q, DESC, CMP, GT, LT, EQ = range(9)
 _N_SPECIALS = 9
@@ -62,6 +62,8 @@ class TaskSpec:
             raise ValueError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
         if self.n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         mix = tuple(float(w) for w in self.mixture)
         if len(mix) != len(CATEGORIES) or any(w < 0 for w in mix):
             raise ValueError(f"mixture needs {len(CATEGORIES)} non-negative weights")
@@ -105,13 +107,15 @@ class Dataset:
 def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     """Build the dataset of `spec`; visual features come from `stub`.
 
-    Sample i depends only on (spec.seed, i): one generator seeded with that
-    pair draws, in order, the category (one uniform against the mixture CDF,
-    as Generator.choice does), the latent z (integers(0, n_values, n_attrs))
-    and, for conversation and reasoning, a permutation of the attributes.
-    Its visual noise depends only on (stub.seed, spec.seed * 1_000_003 + i).
-    Only those draws run per sample; tokens, masks and targets are written
-    one category at a time.
+    Sample i depends only on (spec.seed, i): one generator, in the state
+    `np.random.default_rng` gives that pair, draws in order the category (one
+    uniform against the mixture CDF, as Generator.choice does), the latent z
+    (integers(0, n_values, n_attrs)) and, for conversation and reasoning, a
+    permutation of the attributes.  Its visual noise depends only on
+    (stub.seed, spec.seed * 1_000_003 + i) in the same way.  `sample_rngs`
+    hashes the seeds of all samples in one vectorized pass and makes each
+    generator as the loop reaches it.  Only those draws run per sample;
+    tokens, masks and targets are written one category at a time.
     """
     K, M = spec.n_attrs, spec.n_values
     n, T = spec.n_samples, spec.seq_len
@@ -127,8 +131,7 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     categories = np.empty(n, dtype=np.int64)
     values = np.empty((n, K), dtype=np.int64)
     picks = np.zeros((n, rounds), dtype=np.int64)  # leading attribute permutation
-    for i in range(n):
-        rng = np.random.default_rng((spec.seed, i))
+    for i, rng in enumerate(sample_rngs(spec.seed, np.arange(n))):
         cat = bisect_right(cdf, rng.random())
         categories[i] = cat
         values[i] = rng.integers(0, M, size=K)

@@ -88,6 +88,15 @@ def selection_paths(strategy: TuningStrategy, paths):
     return chosen + default_paths(paths) if with_defaults else chosen
 
 
+def norm_paths(strategy: TuningStrategy, paths):
+    """The norm gains and biases among `paths` that `strategy` trains.  LoRA
+    adapters sit on matrices only, so the answer is the same before they are
+    injected as after."""
+    patterns, _ = SELECTIONS[strategy.kind]
+    return [p for p in paths
+            if "norm" in p and any(fnmatchcase(p, pattern) for pattern in patterns)]
+
+
 def select_trainable(strategy: TuningStrategy, tree: ParamTree) -> SelectionReport:
     paths = selection_paths(strategy, tree.paths())
     tree.set_trainable(paths)

@@ -25,7 +25,8 @@ from . import data as dt
 from .analysis import GradTrace
 from .model import (Model, ModelConfig, ParamTree, VisionStub, build,
                     lora_targets, save_checkpoint)
-from .strategies import TuningStrategy, inject_lora, merge_lora, select_trainable
+from .strategies import (TuningStrategy, inject_lora, merge_lora, norm_paths,
+                         select_trainable)
 
 LR_GRIDS = {
     # 11-point reference grid used by the large-scale sweeps we mirror
@@ -100,6 +101,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0 and batch >= 1")
         if self.eval_interval < 0:
             raise ValueError(f"eval_interval must be >= 0, got {self.eval_interval}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -164,11 +167,15 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
     back into the base weights at the end; adapters the caller injected are
     trained and left for the caller to merge, so with an outdir, whose
     checkpoint cannot hold them, they are refused before the first step.
-    A trace records the selected norm parameters every `trace_every` steps.
+    A trace records the selected norm parameters every `trace_every` steps;
+    a strategy that trains none is refused before anything runs.
     Non-finite loss aborts the run and flags the record instead of raising.
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
+    if trace is not None and not norm_paths(strategy, model.tree.paths()):
+        raise ValueError(f"strategy {strategy.kind!r} trains no norm parameter, "
+                         "so there are no norm gradients to trace")
     if outdir is not None and lora_targets(model.tree):
         raise ValueError("model has unmerged adapters, which a checkpoint cannot "
                          "hold; merge them or train without outdir")
@@ -179,7 +186,7 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
     if strategy.kind == "lora" and not lora_targets(model.tree):
         injected = inject_lora(model, rank=strategy.lora_rank, seed=config.seed)
     report = select_trainable(strategy, model.tree)
-    traced = [p for p in report.selected if "norm" in p]
+    traced = norm_paths(strategy, report.selected)
     opt = Adam([model.tree[p] for p in report.selected],
                weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
@@ -204,7 +211,7 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
                                  "reason": "non-finite training loss"}
             break
         ag.backward(loss)
-        if trace is not None and step % trace_every == 0 and traced:
+        if trace is not None and step % trace_every == 0:
             trace.record(step, model.tree, traced)
         opt.step(lr)
         opt.zero_grad()
@@ -341,10 +348,10 @@ class AdaptProtocol:
 
 def pretrain(protocol: AdaptProtocol):
     """Stage 0: teach the base model the retrieval task from text declarations."""
-    model = build(protocol.model, seed=protocol.seed)
-    ds = protocol.text_dataset()
     cfg = TrainConfig(lr=protocol.pretrain_lr, steps=protocol.pretrain_steps,
                       batch=protocol.batch, seed=protocol.seed)
+    model = build(protocol.model, seed=protocol.seed)
+    ds = protocol.text_dataset()
     record = train(model, TuningStrategy("finetune"), ds, None, cfg)
     return model, record
 

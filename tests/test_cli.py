@@ -309,6 +309,16 @@ def test_grad_stats_csv(tmp_path, capsys):
     assert any("final_norm.weight" in l for l in lines[1:])
 
 
+@pytest.mark.parametrize("strategy", ["connector-only", "lora", "attn-qv", "attn-mlp"])
+def test_grad_stats_refuses_a_strategy_without_norms(strategy, tmp_path, capsys):
+    outdir = tmp_path / "gs"
+    err = usage_error(capsys, ["grad-stats", "--strategy", strategy,
+                               "--outdir", str(outdir), *TINY])
+    assert err == (f"normadapt grad-stats: error: strategy {strategy!r} trains no "
+                   "norm parameter, so there are no norm gradients to trace\n")
+    assert not outdir.exists()
+
+
 def test_grad_stats_stdout_when_no_outdir(capsys):
     rc = cli.main(["grad-stats", "--task", "mm-adapt", "--strategy",
                    "layernorm-simple", "--lr", "1e-3", "--trace-every", "1",
@@ -368,8 +378,11 @@ def test_config_key_the_command_does_not_read_is_refused(
      "normadapt grad-stats: error: trace_every must be >= 1, got -2\n"),
     (["train", "--eval-interval", "-2", *TINY],
      "normadapt train: error: eval_interval must be >= 0, got -2\n"),
+    (["train", "--steps", "1", "--batch", "2", "--n-samples", "4", "--n-eval", "4",
+      "--seed", "-3"],
+     "normadapt train: error: seed must be >= 0, got -3\n"),
 ], ids=["grid", "strategy", "trace-every-0", "trace-every-negative",
-        "eval-interval-negative"])
+        "eval-interval-negative", "seed-negative"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     assert usage_error(capsys, argv) == message
 

@@ -110,7 +110,9 @@ def test_generate_matches_per_sample_reference(kind, stub, mixture,
     K, M = attrs_values
     head = 2 + (2 * K if kind == "text-pretrain" else 0)
     tight = head + max(3 * dt.N_ROUNDS, 1 + K)
-    for seed, slack in ((0, 0), (3, 5), (11, 1)):
+    # 4295's feature ids (4295 * 1_000_003 + i) and 2**32 + 5's sample keys
+    # are two uint32 words each
+    for seed, slack in ((0, 0), (3, 5), (11, 1), (4295, 2), (2**32 + 5, 0)):
         sp = spec(kind=kind, n_samples=40, mixture=mixture, n_attrs=K,
                   n_values=M, seq_len=tight + slack, seed=seed)
         st = None
@@ -147,6 +149,8 @@ def test_mixture_validation():
         spec(seq_len=10)
     with pytest.raises(ValueError, match="n_attrs >= 2"):
         spec(n_attrs=1, mixture=(0.5, 0.0, 0.5))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        spec(seed=-3)
 
 
 def test_category_counts_track_mixture():

@@ -8,8 +8,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from normadapt import autograd as ag
+from normadapt import data as dt
 from normadapt import model as md
 
+from test_data import assert_matches_reference
 from test_model import _loss_and_grads
 
 N_VIS, D_VISUAL, VOCAB = 3, 5, 11
@@ -69,3 +71,39 @@ def test_loss_matches_cross_entropy_of_forward(case):
     for p, ref in ref_grads.items():
         err = np.abs(got_grads[p] - ref).max()
         assert err <= 1e-12 * np.abs(ref).max(), (p, err)
+
+
+@st.composite
+def task_cases(draw):
+    """(TaskSpec, VisionStub or None): any kind, 2-5 attributes of 2-17
+    values, any mixture (categories may be missing), a seq_len up to 3 past
+    the tightest, and seeds from 0 to past 2**32, where a sample's seed grows
+    from one uint32 word to two.  A stub seed may pass 2**64, which with two
+    more words of feature id overflows SeedSequence's 4-word pool."""
+    kind = draw(st.sampled_from(dt.TASK_KINDS), label="kind")
+    K = draw(st.integers(2, 5), label="n_attrs")
+    M = draw(st.integers(2, 17), label="n_values")
+    weights = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)
+                   .filter(any), label="mixture weights")
+    seed = st.one_of(st.integers(0, 2**16), st.integers(2**32 - 40, 2**34))
+    probe = dt.TaskSpec(kind=kind, n_samples=1, n_attrs=K, n_values=M)
+    spec = dt.TaskSpec(
+        kind=kind, n_samples=draw(st.integers(1, 40), label="n_samples"),
+        seq_len=probe.max_body_len() + draw(st.integers(0, 3), label="slack"),
+        mixture=tuple(w / sum(weights) for w in weights), n_attrs=K, n_values=M,
+        seed=draw(seed, label="seed"))
+    stub = None
+    if kind == "mm-adapt" and draw(st.booleans(), label="own stub"):
+        stub = md.VisionStub(d_visual=draw(st.integers(1, 5), label="d_visual"),
+                             n_slots=K * M, mode=draw(st.sampled_from(md.VISION_MODES)),
+                             seed=draw(st.one_of(seed, st.integers(2**64 - 40, 2**66)),
+                                       label="stub seed"))
+    return spec, stub
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=task_cases())
+def test_generate_matches_per_sample_reference(case):
+    """Bulk `generate` writes every array as the per-sample reference, which
+    seeds each sample with numpy's own tuple-seeded `default_rng`."""
+    assert_matches_reference(*case)

@@ -451,6 +451,32 @@ def test_checkpoint_load_keeps_build_layout(tmp_path, norm_kind, tie, dtype):
         np.testing.assert_array_equal(t.data, m.tree[p].data)
 
 
+@pytest.mark.parametrize("key", [0, 7, 2**32 - 1, 2**32 + 3, 2**64 + 5, 2**96 + 1],
+                         ids=["0", "7", "2^32-1", "2^32+3", "2^64+5", "2^96+1"])
+def test_sample_rngs_match_tuple_seeded_default_rng(key):
+    """Keys of 1 to 4 uint32 words, with ids of 1 and 2 words: a 3-word key
+    with a 2-word id runs the entropy past SeedSequence's 4-word pool."""
+    ids = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 5 * 10**12, 2**63 - 1])
+    rngs = md.sample_rngs(key, ids)
+    assert iter(rngs) is rngs  # made one at a time, not as a list
+    for rng, i in zip(rngs, ids.tolist(), strict=True):
+        ref = np.random.default_rng((key, i))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+        np.testing.assert_array_equal(rng.integers(0, 16, 4), ref.integers(0, 16, 4))
+        np.testing.assert_array_equal(rng.permutation(5), ref.permutation(5))
+        np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
+
+def test_sample_rngs_refuse_negative_keys_and_ids():
+    with pytest.raises(ValueError, match="non-negative"):
+        md.sample_rngs(-1, np.arange(3))
+    with pytest.raises(ValueError, match="non-negative"):
+        md.sample_rngs(0, np.array([4, -2, 1]))
+    with pytest.raises(TypeError, match="integers"):
+        md.sample_rngs(0, np.array([0.5]))
+
+
 def test_vision_stub_determinism_and_modes():
     a = md.VisionStub(d_visual=6, n_slots=10, seed=3)
     b = md.VisionStub(d_visual=6, n_slots=10, seed=3)

@@ -92,6 +92,8 @@ def test_train_config_validation():
         tr.TrainConfig(lr=1e-3, steps=10, batch=0)
     with pytest.raises(ValueError, match="eval_interval must be >= 0, got -2"):
         tr.TrainConfig(lr=1e-3, steps=10, eval_interval=-2)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        tr.TrainConfig(lr=1e-3, steps=10, seed=-3)
 
 
 def test_train_refuses_trace_every_below_one():
@@ -103,6 +105,18 @@ def test_train_refuses_trace_every_below_one():
             tr.train(model, TuningStrategy("layernorm"), ds, None, cfg,
                      trace=GradTrace(), trace_every=every)
     # refused before the first step
+    assert all(np.array_equal(t.data, before[p]) for p, t in model.tree.items())
+
+
+@pytest.mark.parametrize("kind", ["connector-only", "lora", "attn-qv", "attn-mlp"])
+def test_trace_refuses_a_strategy_without_norms(kind):
+    model, ds = micro_setup()
+    before = {p: t.data.copy() for p, t in model.tree.items()}
+    cfg = tr.TrainConfig(lr=1e-3, steps=2, batch=4)
+    with pytest.raises(ValueError, match=f"strategy '{kind}' trains no norm parameter"):
+        tr.train(model, TuningStrategy(kind), ds, None, cfg, trace=GradTrace())
+    # refused before any adapter is injected or any step runs
+    assert set(model.tree.paths()) == set(before)
     assert all(np.array_equal(t.data, before[p]) for p, t in model.tree.items())
 
 
