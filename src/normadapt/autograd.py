@@ -424,20 +424,14 @@ def _cross_entropy(arrays, attrs):
 
 @register_op("concat")
 def _concat(arrays, attrs):
-    axis = int(attrs.get("axis", 0))
-    base = list(arrays[0].shape)
-    for a in arrays[1:]:
-        other = list(a.shape)
-        if len(other) != len(base) or any(
-                i != axis % len(base) and other[i] != base[i] for i in range(len(base))):
-            raise ShapeError("concat", [a.shape for a in arrays], f"axis {axis}")
-    out = np.concatenate(arrays, axis=axis)
-    sizes = [a.shape[axis] for a in arrays]
-    offsets = np.cumsum(sizes)[:-1]
+    """(n_i, d) arrays joined along their rows."""
+    if any(a.ndim != 2 or a.shape[1] != arrays[0].shape[1] for a in arrays):
+        raise ShapeError("concat", [a.shape for a in arrays], "need (n_i, d) rows")
+    out = np.concatenate(arrays)
+    offsets = np.cumsum([len(a) for a in arrays])[:-1]
 
     def backward(g, needs):
-        pieces = np.split(g, offsets, axis=axis)
-        return tuple(p if need else None for p, need in zip(pieces, needs))
+        return tuple(p if need else None for p, need in zip(np.split(g, offsets), needs))
 
     return out, backward
 
@@ -493,8 +487,8 @@ def cross_entropy(logits, targets):
     return op_forward("cross_entropy", [logits], {"targets": targets})
 
 
-def concat(tensors, axis=0):
-    return op_forward("concat", list(tensors), {"axis": axis})
+def concat(tensors):
+    return op_forward("concat", list(tensors))
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -20,6 +20,13 @@ def _parse_mixture(value):
     return tuple(parts)
 
 
+def _parse_seeds(value):
+    if not all(s.strip().isdecimal() for s in value.split(",")):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated non-negative integers, got {value!r}")
+    return tuple(map(int, value.split(",")))
+
+
 # Every config key, with the argparse keywords of its flag (`--lora-rank` for
 # `lora_rank`); a config-file value goes through the same `type`.
 OPTIONS = {
@@ -195,8 +202,7 @@ def cmd_compare(args):
     protocol = _protocol(opts, model=base.config if base else _model_config(opts),
                          **given)
     strategies = args.strategies.split(",")
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    report = tr.compare_strategies(strategies, protocol, seeds=seeds, base=base)
+    report = tr.compare_strategies(strategies, protocol, seeds=args.seeds, base=base)
     outdir = Path(opts["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "compare.csv", "w", newline="") as f:
@@ -364,7 +370,7 @@ def build_parser():
                  outdir="runs/compare")
     p.add_argument("--strategies",
                    default="finetune,layernorm,layernorm-simple")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", type=_parse_seeds, default="0,1,2")
     # unset, each of these takes AdaptProtocol's default
     p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int)
     p.add_argument("--connector-steps", dest="connector_steps", type=int)

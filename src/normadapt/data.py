@@ -33,6 +33,7 @@ TASK_KINDS = ("text-pretrain", "mm-adapt")
 
 # default stub shared by train/eval splits: same slot->feature table
 _DEFAULT_STUB_SEED = 7
+_FEATURE_ID_STRIDE = 1_000_003  # sample i's feature id is seed * stride + i
 
 
 def attr_token(k):
@@ -64,6 +65,10 @@ class TaskSpec:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if (self.kind == "mm-adapt"
+                and self.seed > (2**64 - self.n_samples) // _FEATURE_ID_STRIDE):
+            raise ValueError(f"seed {self.seed} too large: mm-adapt feature ids "
+                             f"seed * {_FEATURE_ID_STRIDE} + i must stay below 2**64")
         mix = tuple(float(w) for w in self.mixture)
         if len(mix) != len(CATEGORIES) or any(w < 0 for w in mix):
             raise ValueError(f"mixture needs {len(CATEGORIES)} non-negative weights")
@@ -112,10 +117,11 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     uniform against the mixture CDF, as Generator.choice does), the latent z
     (integers(0, n_values, n_attrs)) and, for conversation and reasoning, a
     permutation of the attributes.  Its visual noise depends only on
-    (stub.seed, spec.seed * 1_000_003 + i) in the same way.  `sample_rngs`
-    hashes the seeds of all samples in one vectorized pass and makes each
-    generator as the loop reaches it.  Only those draws run per sample;
-    tokens, masks and targets are written one category at a time.
+    (stub.seed, spec.seed * 1_000_003 + i) in the same way, that id taken
+    exactly, as a uint64.  `sample_rngs` hashes the seeds of all samples in
+    one vectorized pass and makes each generator as the loop reaches it.
+    Only those draws run per sample; tokens, masks and targets are written
+    one category at a time.
     """
     K, M = spec.n_attrs, spec.n_values
     n, T = spec.n_samples, spec.seq_len
@@ -182,7 +188,8 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     features = None
     if visual:
         features = stub.features(attrs * M + values,
-                                 spec.seed * 1_000_003 + np.arange(n))
+                                 np.uint64(spec.seed * _FEATURE_ID_STRIDE)
+                                 + np.arange(n, dtype=np.uint64))
     return Dataset(spec=spec, tokens=tokens, targets=targets,
                    answer_mask=answer_mask, categories=categories,
                    values=values, features=features)

@@ -188,7 +188,8 @@ class Model:
         return ag.add(h, y)
 
     def _check_inputs(self, tokens, visual):
-        """(ids (B, T), features (B, n_vis, d_visual) or None), or ValueError."""
+        """(ids (B, T), features (B, n_vis, d_visual) or None, the sequence
+        shape (B, n_vis + T)), or ValueError."""
         cfg = self.config
         ids = np.asarray(tokens)
         if ids.ndim == 1:
@@ -213,7 +214,7 @@ class Model:
         length = ids.shape[1] + (0 if feats is None else cfg.n_visual_tokens)
         if length > cfg.max_seq:
             raise ValueError(f"sequence length {length} exceeds max_seq {cfg.max_seq}")
-        return ids, feats
+        return ids, feats, (ids.shape[0], length)
 
     def forward(self, tokens, visual=None, capture=None, rows=None) -> ag.Tensor:
         """tokens (B, T) int ids, visual optional (B, n_visual_tokens, d_visual).
@@ -226,19 +227,20 @@ class Model:
         rows of the full logits.  Every block then runs only on each sample's
         prefix, its positions 0 up to its last requested one, packed as one
         (N_kept, d) array of samples in groups of equal prefix length (see
-        `_embed_packed`); a sample with no requested position adds no row.
+        `_pack_rows`); a sample with no requested position adds no row.
         That is exact because attention is causal: a kept position reads only
         earlier positions of its own sample, and those are kept too.  The
         last block's o_proj and MLP, the final norm and the head run on the
         N requested rows only, and capture collects packed rows.
         """
         cfg = self.config
-        ids, feats = self._check_inputs(tokens, visual)
-        if rows is None:
-            h = self._embed(ids, feats)
-            groups, sel = [h.shape[:2]], None  # the dense batch is one group
+        ids, feats, shape = self._check_inputs(tokens, visual)
+        if rows is None:  # the dense batch is one group
+            b, p = np.indices(shape)
+            groups, sel = [shape], None
         else:
-            h, groups, sel = self._embed_packed(ids, feats, rows)
+            b, p, groups, sel = _pack_rows(shape, rows)
+        h = self._embed(ids, feats, b, p)
 
         for i in range(cfg.n_layers):
             h = self._block(i, h, groups, sel if i == cfg.n_layers - 1 else None)
@@ -248,58 +250,22 @@ class Model:
         head = self.tree["embed.weight" if cfg.tie_embeddings else "head.weight"]
         return ag.matmul(h, head)
 
-    def _connector(self, feats):
-        """Visual features (..., d_visual) -> prefix embeddings (..., d)."""
-        return ag.add(ag.matmul(ag.tensor(feats), self.tree["connector.weight"]),
-                      self.tree["connector.bias"])
-
-    def _embed(self, ids, feats):
-        """Block 0's input (B, L, d): visual prefix, then tokens, plus positions."""
-        h = ag.embed_lookup(self.tree["embed.weight"], ids)
-        if feats is not None:
-            h = ag.concat([self._connector(feats), h], axis=1)
-        return ag.add(h, ag.embed_lookup(self.tree["pos.weight"], np.arange(h.shape[1])))
-
-    def _embed_packed(self, ids, feats, rows):
-        """(block 0's input on the packed rows, the attention's groups, the
-        requested rows' indices among the packed ones).
-
-        The packed rows are each sample's positions up to its last requested
-        one, one sample after another, the samples stably sorted by that
-        prefix length; each run of equal lengths is one (count, length)
-        group.  The rows are looked up straight from the tables, never cut
-        from a dense h: the visual rows through the connector, the token
-        rows from the embedding, and one permutation interleaves them.
-        """
+    def _embed(self, ids, feats, b, p):
+        """Block 0's input at the rows (b, p), equal-shape arrays of batch and
+        position indices: one lookup into the embedding table with the
+        connector's projections of the visual rows (p < n_vis, in the order
+        listed) appended, plus one into the position table."""
         n_vis = 0 if feats is None else feats.shape[1]
-        shape = (ids.shape[0], n_vis + ids.shape[1])
-        batch, pos = map(np.asarray, rows)
-        if batch.ndim != 1 or batch.shape != pos.shape or not batch.size:
-            raise ValueError("rows must be two equal-length, non-empty 1-d index arrays")
-        if (min(batch.min(), pos.min()) < 0 or batch.max() >= shape[0]
-                or pos.max() >= shape[1]):
-            raise ValueError(f"rows out of range for a {shape} batch")
-        ends = np.zeros(shape[0], dtype=np.intp)
-        np.maximum.at(ends, batch, pos + 1)
-        samples = np.argsort(ends, kind="stable")
-        samples = samples[ends[samples] > 0]  # the samples with a requested row
-        lengths = ends[samples]
-        starts = np.zeros(shape[0], dtype=np.intp)  # each sample's first packed row
-        starts[samples] = np.cumsum(lengths) - lengths
-        packed_b = np.repeat(samples, lengths)
-        packed_p = np.arange(packed_b.size) - starts[packed_b]
-        is_vis = packed_p < n_vis
-        order = np.argsort(~is_vis, kind="stable")  # visual rows, then token rows
-        vis, tok = np.split(order, [np.count_nonzero(is_vis)])
-        h = ag.embed_lookup(self.tree["embed.weight"],
-                            ids[packed_b[tok], packed_p[tok] - n_vis])
+        table = self.tree["embed.weight"]
+        src = ids[b, np.maximum(p - n_vis, 0)]
         if n_vis:
-            h = ag.concat([self._connector(feats[packed_b[vis], packed_p[vis]]), h], axis=0)
-            h = ag.embed_lookup(h, np.argsort(order))  # back to the packed order
-        h = ag.add(h, ag.embed_lookup(self.tree["pos.weight"], packed_p))
-        group_lengths, group_counts = np.unique(lengths, return_counts=True)
-        groups = list(zip(group_counts.tolist(), group_lengths.tolist()))
-        return h, groups, starts[batch] + pos
+            vis = p < n_vis
+            x = ag.matmul(ag.tensor(feats[b[vis], p[vis]]), self.tree["connector.weight"])
+            prefix = ag.add(x, self.tree["connector.bias"])
+            src[vis] = len(table.data) + np.arange(len(prefix.data))
+            table = ag.concat([table, prefix])
+        return ag.add(ag.embed_lookup(table, src),
+                      ag.embed_lookup(self.tree["pos.weight"], p))
 
     def loss(self, tokens, visual, targets) -> ag.Tensor:
         """`cross_entropy(forward(tokens, visual), targets)` without the work
@@ -311,12 +277,11 @@ class Model:
         to its last scored position, and the last block's o_proj and MLP, the
         final norm and the head on the scored rows alone (see `forward`).
         """
-        ids, feats = self._check_inputs(tokens, visual)
-        n_vis = 0 if feats is None else feats.shape[1]
+        ids, feats, shape = self._check_inputs(tokens, visual)
         targets = np.asarray(targets)
-        if targets.shape != (ids.shape[0], n_vis + ids.shape[1]):
+        if targets.shape != shape:
             raise ag.ShapeError("cross_entropy", [targets.shape],
-                                f"targets must be (batch, {n_vis + ids.shape[1]})")
+                                f"targets must be (batch, {shape[1]})")
         rows = np.nonzero(targets != ag.IGNORE)
         if not rows[0].size:
             raise ValueError("cross_entropy: no targets to score (all ignored)")
@@ -328,6 +293,32 @@ class Model:
         with ag.no_grad():
             self.forward(tokens, visual, capture=grabbed)
         return grabbed
+
+
+def _pack_rows(shape, rows):
+    """(batch, position) of each packed row, the attention's groups and the
+    requested rows' indices among the packed ones, for `rows` of a `shape`
+    (B, L) batch: each sample's positions up to its last requested one, one
+    sample after another, the samples stably sorted by that prefix length;
+    each run of equal lengths is one (count, length) group."""
+    batch, pos = map(np.asarray, rows)
+    if batch.ndim != 1 or batch.shape != pos.shape or not batch.size:
+        raise ValueError("rows must be two equal-length, non-empty 1-d index arrays")
+    if (min(batch.min(), pos.min()) < 0 or batch.max() >= shape[0]
+            or pos.max() >= shape[1]):
+        raise ValueError(f"rows out of range for a {shape} batch")
+    ends = np.zeros(shape[0], dtype=np.intp)
+    np.maximum.at(ends, batch, pos + 1)
+    samples = np.argsort(ends, kind="stable")
+    samples = samples[ends[samples] > 0]  # the samples with a requested row
+    lengths = ends[samples]
+    starts = np.zeros(shape[0], dtype=np.intp)  # each sample's first packed row
+    starts[samples] = np.cumsum(lengths) - lengths
+    packed_b = np.repeat(samples, lengths)
+    packed_p = np.arange(packed_b.size) - starts[packed_b]
+    group_lengths, group_counts = np.unique(lengths, return_counts=True)
+    groups = list(zip(group_counts.tolist(), group_lengths.tolist()))
+    return packed_b, packed_p, groups, starts[batch] + pos
 
 
 def _inventory(config: ModelConfig):

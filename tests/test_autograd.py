@@ -107,8 +107,8 @@ def _case_for(kind, rng, seed):
         if seed % 2:
             targets[seed % 3] = -1  # an ignored row: only scored rows are gathered
         return [logits], {"targets": targets}
-    if kind == "concat":
-        return [rng.standard_normal((2, 2)), rng.standard_normal((2, 2))], {"axis": 1}
+    if kind == "concat":  # the embedding table and the connector's rows
+        return [rng.standard_normal((5, 3)), rng.standard_normal((2, 3))], {}
     raise AssertionError(f"no gradcheck case for op kind {kind}")
 
 

@@ -187,6 +187,13 @@ def test_train_scores_on_the_protocol_splits(tmp_path, monkeypatch, capsys):
         np.testing.assert_array_equal(g.features, w.features)
 
 
+def test_train_takes_a_seed_whose_feature_ids_pass_int64(tmp_path, capsys):
+    # the mm-adapt feature ids (seed + 2000) * 1_000_003 + i pass 2**63
+    assert cli.main(["train", "--steps", "1", "--batch", "2", "--n-samples", "4",
+                     "--n-eval", "4", "--seed", str(10**13),
+                     "--outdir", str(tmp_path / "run")]) == 0
+
+
 def test_sweep_lr_comma_grid(capsys):
     rc = cli.main(["sweep-lr", "--task", "mm-adapt", "--strategy",
                    "layernorm-simple", "--grid", "1e-3,1e-5", *TINY])
@@ -381,10 +388,24 @@ def test_config_key_the_command_does_not_read_is_refused(
     (["train", "--steps", "1", "--batch", "2", "--n-samples", "4", "--n-eval", "4",
       "--seed", "-3"],
      "normadapt train: error: seed must be >= 0, got -3\n"),
+    (["train", "--steps", "1", "--batch", "2", "--n-samples", "4", "--n-eval", "4",
+      "--seed", str(2**45)],
+     f"normadapt train: error: seed {2**45 + 2000} too large: mm-adapt feature ids "
+     "seed * 1000003 + i must stay below 2**64\n"),
 ], ids=["grid", "strategy", "trace-every-0", "trace-every-negative",
-        "eval-interval-negative", "seed-negative"])
+        "eval-interval-negative", "seed-negative", "seed-past-feature-ids"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     assert usage_error(capsys, argv) == message
+
+
+def test_compare_refuses_negative_seeds_before_pretraining(monkeypatch, capsys):
+    def pretrain(protocol):
+        raise AssertionError("pretrain ran")
+
+    monkeypatch.setattr(tr, "pretrain", pretrain)
+    err = usage_error(capsys, ["compare", *TINY_COMPARE, "--seeds", "0,-1"])
+    assert err.endswith("normadapt compare: error: argument --seeds: expected "
+                        "comma-separated non-negative integers, got '0,-1'\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -111,8 +111,9 @@ def test_generate_matches_per_sample_reference(kind, stub, mixture,
     head = 2 + (2 * K if kind == "text-pretrain" else 0)
     tight = head + max(3 * dt.N_ROUNDS, 1 + K)
     # 4295's feature ids (4295 * 1_000_003 + i) and 2**32 + 5's sample keys
-    # are two uint32 words each
-    for seed, slack in ((0, 0), (3, 5), (11, 1), (4295, 2), (2**32 + 5, 0)):
+    # are two uint32 words each; 10**13's feature ids pass 2**63
+    for seed, slack in ((0, 0), (3, 5), (11, 1), (4295, 2), (2**32 + 5, 0),
+                        (10**13, 0)):
         sp = spec(kind=kind, n_samples=40, mixture=mixture, n_attrs=K,
                   n_values=M, seq_len=tight + slack, seed=seed)
         st = None

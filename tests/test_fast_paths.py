@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from normadapt import autograd as ag
 from normadapt import data as dt
 from normadapt import model as md
+from normadapt.strategies import inject_lora
 
 from test_data import assert_matches_reference
 from test_model import _loss_and_grads
@@ -21,6 +22,7 @@ N_VIS, D_VISUAL, VOCAB = 3, 5, 11
 def loss_cases(draw):
     """(float64 model, tokens, visual features or None, targets).
 
+    The model may carry LoRA adapters of rank 1 to 3, with B moved off zero.
     The batch always holds a sample with nothing scored, one scored inside
     its visual prefix only (position 0 alone without visual features), one
     scored up to a position inside the sequence and one up to its end, so
@@ -34,8 +36,11 @@ def loss_cases(draw):
         norm_kind=draw(st.sampled_from(md.NORM_KINDS), label="norm_kind"),
         tie_embeddings=draw(st.booleans(), label="tie_embeddings"))
     model = md.build(cfg, dtype=np.float64)
+    rank = draw(st.integers(0, 3), label="lora rank")
+    if rank:
+        inject_lora(model, rank=rank)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    for _, t in model.tree.items():  # move norms off 1 and 0, and sharpen attention
+    for _, t in model.tree.items():  # move norms and B off 1 and 0, and sharpen attention
         t.data += rng.normal(0.0, 0.3, t.shape)
 
     n_vis = N_VIS if draw(st.booleans(), label="visual") else 0

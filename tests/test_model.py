@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from normadapt import autograd as ag
 from normadapt import budget
+from normadapt import data as dt
 from normadapt import model as md
 from normadapt.strategies import inject_lora, merge_lora
 
@@ -293,6 +294,15 @@ def test_loss_runs_last_block_mlp_and_head_on_scored_rows(monkeypatch):
     # each sample keeps its prefix up to its last scored position: 10 rows,
     # none and 4 rows; 3 rows are scored
     assert rows == {"first fc1": (14,), "fc1": (3,), "head": (3,)}
+
+
+def test_mm_loss_looks_up_block0_input_from_one_table():
+    # the token and visual rows from the embedding table joined with the
+    # connector's rows, the positions, and the last block's kept rows twice
+    m = md.build(md.ModelConfig())
+    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4, seq_len=12))
+    ops = [node._op for node in ag._toposort(m.loss(ds.tokens, ds.features, ds.targets))]
+    assert ops.count("embed_lookup") == 4 and ops.count("concat") == 1
 
 
 def test_forward_rows_in_any_order_match_the_dense_logits():
