@@ -5,6 +5,7 @@
 import numpy as np
 
 from normadapt import data as dt
+from normadapt import training as tr
 
 spec = dt.TaskSpec(kind="text-pretrain", n_samples=6, seq_len=20,
                    mixture=(0.4, 0.3, 0.3), seed=42)
@@ -14,10 +15,12 @@ for i in range(3):
     cat = dt.CATEGORIES[ds.categories[i]]
     print(f"sample {i} ({cat:12s}) z={ds.values[i]} tokens={ds.tokens[i]}")
 
-# same latent recipe, but declarations replaced by visual features: the
-# model sees K projected vectors in front of BOS instead of token pairs
+# same latent recipe, but declarations replaced by visual features, here
+# from the protocol's vision stub: the model sees K projected vectors in
+# front of BOS instead of token pairs
 mm = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=6, seq_len=12,
-                             mixture=(0.4, 0.3, 0.3), seed=42))
+                             mixture=(0.4, 0.3, 0.3), seed=42),
+                 tr.AdaptProtocol().stub())
 print("\nmm-adapt tokens (no declarations, features carry the attributes):")
 print(mm.tokens[0], " features", mm.features.shape)
 

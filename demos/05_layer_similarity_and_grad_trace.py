@@ -15,7 +15,7 @@ from normadapt.strategies import TuningStrategy
 cfg = md.ModelConfig(n_layers=4, d_model=48, n_heads=2, d_ff=128,
                      vocab_size=96, max_seq=32, n_visual_tokens=4, d_visual=16)
 base = md.build(cfg, seed=0)
-stub = md.VisionStub(d_visual=16, n_slots=64, seed=7)
+stub = dt.VisionStub(d_visual=16, n_slots=64, seed=7)
 ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=256, seq_len=12,
                              seed=0), stub)
 

@@ -144,21 +144,23 @@ def _protocol(opts, **fields):
     return tr.AdaptProtocol(**_given(opts, "batch", "seed", "mixture"), **fields)
 
 
-def _datasets(opts, task, model, n_train, n_eval):
-    """(train, eval) splits from the protocol's recipe, as `compare` uses them."""
-    protocol = _protocol(opts, model=model.config, n_train=n_train, n_eval=n_eval)
-    if task == "mm-adapt":
-        return protocol.mm_datasets()
-    return protocol.text_dataset(), protocol.eval_dataset(task)
+def _run_inputs(args, **fixed):
+    """Options, TrainConfig, model, and (train, eval) splits of a training
+    command; the splits come from the protocol's recipe, as `compare` uses it."""
+    opts = _options(args)
+    cfg = _train_config(opts, **fixed)
+    model = _build_or_load(opts, args.init_from)
+    protocol = _protocol(opts, model=model.config, n_train=args.n_samples,
+                         n_eval=args.n_eval)
+    if args.task == "mm-adapt":
+        return opts, cfg, model, *protocol.mm_datasets()
+    return opts, cfg, model, protocol.text_dataset(), protocol.eval_dataset(args.task)
 
 
 def cmd_train(args):
     from . import training as tr
-    opts = _options(args)
-    cfg = _train_config(opts, eval_interval=args.eval_interval)
-    model = _build_or_load(opts, args.init_from)
-    train_ds, eval_ds = _datasets(opts, args.task, model,
-                                  args.n_samples, args.n_eval)
+    opts, cfg, model, train_ds, eval_ds = _run_inputs(
+        args, eval_interval=args.eval_interval)
     outdir = opts["outdir"]
     record = tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
                       outdir=outdir)
@@ -171,7 +173,6 @@ def cmd_train(args):
 
 def cmd_sweep_lr(args):
     from . import training as tr
-    opts = _options(args)
     grid = tr.LR_GRIDS.get(args.grid)
     if grid is None:
         try:
@@ -180,10 +181,7 @@ def cmd_sweep_lr(args):
             raise ValueError(f"--grid {args.grid!r} is neither a named grid "
                              f"({', '.join(tr.LR_GRIDS)}) nor comma-separated "
                              "learning rates") from None
-    cfg = _train_config(opts, lr=1.0)
-    base = _build_or_load(opts, args.init_from)
-    train_ds, eval_ds = _datasets(opts, args.task, base,
-                                  args.n_samples, args.n_eval)
+    opts, cfg, base, train_ds, eval_ds = _run_inputs(args, lr=1.0)
     result = tr.sweep_lr(grid, lambda: tr.clone_model(base),
                          _strategy_from_opts(opts), train_ds, eval_ds, cfg)
     for lr, loss in result.rows:
@@ -273,11 +271,7 @@ def cmd_similarity(args):
 def cmd_grad_stats(args):
     from . import training as tr
     from .analysis import GradTrace
-    opts = _options(args)
-    cfg = _train_config(opts)
-    model = _build_or_load(opts, args.init_from)
-    train_ds, eval_ds = _datasets(opts, args.task, model,
-                                  args.n_samples, args.n_eval)
+    opts, cfg, model, train_ds, eval_ds = _run_inputs(args)
     trace = GradTrace()
     tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
              trace=trace, trace_every=args.trace_every)

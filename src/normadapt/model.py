@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import io
 import json
-import operator
 import struct
 import zlib
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import autograd as ag
 
 CHECKPOINT_MAGIC = b"NORMADAPT2"
 NORM_KINDS = ("standard", "rms")
-VISION_MODES = ("aligned", "unaligned")
 
 
 @dataclass
@@ -344,148 +341,6 @@ def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
             data = rng.normal(0.0, 0.02, shape).astype(dt)
         tree.add(path, ag.tensor(data, requires_grad=True))
     return Model(config, tree, dt)
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
-# uint32 words and its multipliers.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
-_MASK32 = 0xFFFFFFFF
-
-
-def _int_words(n):
-    """SeedSequence's little-endian uint32 words of a non-negative int."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_states(entropy):
-    """`SeedSequence(entropy).generate_state(4, np.uint64)` for many rows at
-    once: `entropy` is a list of uint32 columns, one per entropy word, and
-    the result is (rows, 4) uint64.  The hash constants depend only on the
-    word position, so every row runs the same uint32 operations."""
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = h * _MULT_A & _MASK32
-        value = value * np.uint32(h)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = x * _MIX_L - y * _MIX_R
-        return out ^ (out >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:  # entropy longer than the pool
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    h = _INIT_B
-    state = np.empty((len(zero), 2 * _POOL), dtype=np.uint32)
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ np.uint32(h)
-        h = h * _MULT_B & _MASK32
-        value = value * np.uint32(h)
-        state[:, i] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedState(ISeedSequence):
-    """Hands PCG64 the seed words `_seed_states` computed for it."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
-            raise ValueError(f"holds {self.words.size} {self.words.dtype} words")
-        return self.words
-
-
-def sample_rngs(key, ids):
-    """One Generator for each of the int array `ids`, made only when asked
-    for, in the state `np.random.default_rng` gives the seed (key, id).
-
-    The seeding hash runs for all ids at once; numpy still seeds each PCG64
-    from the hashed words.  A key or id is one uint32 word per 32 bits, so an
-    id from 2**32 up makes its row's entropy one word longer: every row is
-    hashed with a one-word id, and those rows again with a two-word one.
-    """
-    key = operator.index(key)
-    ids = np.asarray(ids).reshape(-1)
-    if ids.dtype.kind not in "iu":
-        raise TypeError(f"ids must be integers, got {ids.dtype}")
-    if key < 0 or (ids.size and ids.min() < 0):
-        raise ValueError("key and ids must be non-negative")
-    ids = ids.astype(np.uint64)
-    low = (ids & _MASK32).astype(np.uint32)
-    high = (ids >> 32).astype(np.uint32)
-    head = [np.full(ids.size, w, dtype=np.uint32) for w in _int_words(key)]
-    states = _seed_states(head + [low])
-    long = high != 0
-    if long.any():
-        states[long] = _seed_states([w[long] for w in head] + [low[long], high[long]])
-    return (np.random.Generator(np.random.PCG64(_SeedState(words)))
-            for words in states)
-
-
-class VisionStub:
-    """Deterministic stand-in for a frozen vision encoder.
-
-    A fixed table of per-slot feature vectors (drawn once from `seed`) plus
-    per-sample noise keyed by (seed, sample_id).  `unaligned` warps the table
-    through a fixed random tanh layer so no linear connector can match the
-    aligned geometry.  Never trainable.
-    """
-
-    def __init__(self, d_visual, n_slots, mode="aligned", seed=0, noise_std=0.05):
-        if mode not in VISION_MODES:
-            raise ValueError(f"mode must be one of {VISION_MODES}, got {mode!r}")
-        self.d_visual = int(d_visual)
-        self.n_slots = int(n_slots)
-        self.mode = mode
-        self.seed = int(seed)
-        self.noise_std = float(noise_std)
-        rng = np.random.default_rng(self.seed)
-        table = rng.normal(0.0, 1.0, (self.n_slots, self.d_visual))
-        if mode == "unaligned":
-            warp = rng.normal(0.0, 1.0, (self.d_visual, self.d_visual))
-            table = np.tanh(table @ (warp / np.sqrt(self.d_visual))) * 1.5
-        self._table = table
-
-    def features(self, slot_ids, sample_id) -> np.ndarray:
-        """(..., n_tokens) slot ids -> (..., n_tokens, d_visual) float64.
-
-        `sample_id` has the leading shape of `slot_ids`: one id for a 1-d
-        call, n ids for (n, n_tokens) slots.  Each sample's noise is drawn
-        from its own generator, in the state numpy's `default_rng` gives the
-        seed (seed, sample_id) (see `sample_rngs`).
-        """
-        slots = np.asarray(slot_ids)
-        ids = np.asarray(sample_id)
-        if ids.shape != slots.shape[:-1]:
-            raise ValueError(f"sample_id shape {ids.shape} does not match "
-                             f"slot_ids shape {slots.shape}")
-        if slots.min() < 0 or slots.max() >= self.n_slots:
-            raise ValueError(f"slot id out of range [0, {self.n_slots})")
-        noise = np.empty(slots.shape + (self.d_visual,))
-        for rng, out in zip(sample_rngs(self.seed, ids),
-                            noise.reshape(-1, *noise.shape[-2:])):
-            rng.standard_normal(out=out)
-        noise *= self.noise_std
-        noise += self._table[slots]
-        return noise
 
 
 def save_checkpoint(model: Model, path):

@@ -23,8 +23,8 @@ import numpy as np
 from . import autograd as ag
 from . import data as dt
 from .analysis import GradTrace
-from .model import (Model, ModelConfig, ParamTree, VisionStub, build,
-                    lora_targets, save_checkpoint)
+from .model import (Model, ModelConfig, ParamTree, build, lora_targets,
+                    save_checkpoint)
 from .strategies import (TuningStrategy, inject_lora, merge_lora, norm_paths,
                          select_trainable)
 
@@ -297,6 +297,9 @@ DEFAULT_ADAPT_LRS = {
 }
 
 
+_STUB_SEED = 7  # AdaptProtocol.stub(): every mm-adapt split shares its slot table
+
+
 @dataclass
 class AdaptProtocol:
     """Everything the two-stage comparison experiment needs, in one place."""
@@ -319,20 +322,35 @@ class AdaptProtocol:
     batch: int = 32
     seed: int = 0
 
-    def stub(self) -> VisionStub:
-        return VisionStub(d_visual=self.model.d_visual,
-                          n_slots=self.n_attrs * self.n_values,
-                          mode=self.stub_mode, seed=dt._DEFAULT_STUB_SEED,
-                          noise_std=self.noise_std)
+    def __post_init__(self):
+        # refuse before any work a seed whose split TaskSpec refuses; of the
+        # non-negative seed's splits, only mm-adapt's feature ids can fail
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for n, offset in ((self.n_train, 2000), (self.n_eval, 3000)):
+            self._spec("mm-adapt", n, 0)  # other refusals, in TaskSpec's words
+            try:
+                self._spec("mm-adapt", n, self.seed + offset)
+            except ValueError as err:
+                raise ValueError(f"seed {self.seed} too large: the mm-adapt split's "
+                                 f"seed + {offset} is refused ({err})") from None
+
+    def stub(self) -> dt.VisionStub:
+        return dt.VisionStub(d_visual=self.model.d_visual,
+                             n_slots=self.n_attrs * self.n_values,
+                             mode=self.stub_mode, seed=_STUB_SEED,
+                             noise_std=self.noise_std)
+
+    def _spec(self, kind, n, seed) -> dt.TaskSpec:
+        seq_len = self.pretrain_seq_len if kind == "text-pretrain" else self.adapt_seq_len
+        return dt.TaskSpec(kind=kind, n_samples=n, seq_len=seq_len,
+                           mixture=self.mixture, n_attrs=self.n_attrs,
+                           n_values=self.n_values, seed=seed)
 
     def dataset(self, kind, n, seed) -> dt.Dataset:
         """n samples of task `kind`; the one place that knows the data recipe."""
-        text = kind == "text-pretrain"
-        seq_len = self.pretrain_seq_len if text else self.adapt_seq_len
-        spec = dt.TaskSpec(kind=kind, n_samples=n, seq_len=seq_len,
-                           mixture=self.mixture, n_attrs=self.n_attrs,
-                           n_values=self.n_values, seed=seed)
-        return dt.generate(spec, None if text else self.stub())
+        stub = None if kind == "text-pretrain" else self.stub()
+        return dt.generate(self._spec(kind, n, seed), stub)
 
     def eval_dataset(self, kind):
         """Held-out split of `kind`; compare, train, sweep-lr, grad-stats score it."""

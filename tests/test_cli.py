@@ -1,5 +1,6 @@
 """CLI surface: config parsing, every subcommand end to end (tiny sizes)."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from normadapt import cli
+from normadapt import data as dt
+from normadapt import normmath as nm
 from normadapt import training as tr
-from normadapt.model import ModelConfig, build, save_checkpoint
+from normadapt.model import NORM_KINDS, ModelConfig, build, save_checkpoint
 
 
 def write_config(tmp_path, text):
@@ -390,8 +393,9 @@ def test_config_key_the_command_does_not_read_is_refused(
      "normadapt train: error: seed must be >= 0, got -3\n"),
     (["train", "--steps", "1", "--batch", "2", "--n-samples", "4", "--n-eval", "4",
       "--seed", str(2**45)],
-     f"normadapt train: error: seed {2**45 + 2000} too large: mm-adapt feature ids "
-     "seed * 1000003 + i must stay below 2**64\n"),
+     f"normadapt train: error: seed {2**45} too large: the mm-adapt split's seed "
+     f"+ 2000 is refused (seed {2**45 + 2000} too large: mm-adapt feature ids "
+     "seed * 1000003 + i must stay below 2**64)\n"),
 ], ids=["grid", "strategy", "trace-every-0", "trace-every-negative",
         "eval-interval-negative", "seed-negative", "seed-past-feature-ids"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
@@ -406,6 +410,16 @@ def test_compare_refuses_negative_seeds_before_pretraining(monkeypatch, capsys):
     err = usage_error(capsys, ["compare", *TINY_COMPARE, "--seeds", "0,-1"])
     assert err.endswith("normadapt compare: error: argument --seeds: expected "
                         "comma-separated non-negative integers, got '0,-1'\n")
+
+
+def test_compare_refuses_a_seed_past_feature_ids_before_pretraining(
+        monkeypatch, capsys):
+    def pretrain(protocol):
+        raise AssertionError("pretrain ran")
+
+    monkeypatch.setattr(tr, "pretrain", pretrain)
+    err = usage_error(capsys, ["compare", *TINY_COMPARE, "--seed", str(2**45)])
+    assert err.startswith(f"normadapt compare: error: seed {2**45} too large: ")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -452,3 +466,17 @@ def test_sweep_lr_has_no_outdir(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["sweep-lr", "--grid", "1e-3", "--outdir",
                   str(tmp_path / "x"), *TINY])
+
+
+@pytest.mark.parametrize("flag, library", [
+    ("--norm-kind", NORM_KINDS), ("--task", dt.TASK_KINDS),
+    ("--stub-mode", dt.VISION_MODES), ("--sampler", tuple(nm.SAMPLERS))])
+def test_flag_choices_copy_the_library(flag, library):
+    """cli.py imports only the stdlib at module level, so it repeats these
+    choices; every subcommand's copy must equal the library's."""
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    copies = {name: tuple(a.choices) for name, sub in commands.items()
+              for a in sub._actions if flag in a.option_strings}
+    assert copies and set(copies.values()) == {library}, copies

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from normadapt import data as dt
-from normadapt.model import VisionStub
+from normadapt import training as tr
 
 
 def reference_generate(spec, stub=None):
@@ -10,9 +10,6 @@ def reference_generate(spec, stub=None):
     K, M = spec.n_attrs, spec.n_values
     n, T = spec.n_samples, spec.seq_len
     visual = spec.kind == "mm-adapt"
-    if visual and stub is None:
-        stub = VisionStub(d_visual=64, n_slots=K * M, mode="aligned",
-                          seed=dt._DEFAULT_STUB_SEED)
     tokens = np.full((n, T), dt.PAD, dtype=np.int64)
     answer_mask = np.zeros((n, T), dtype=bool)
     categories = np.zeros(n, dtype=np.int64)
@@ -81,13 +78,16 @@ def spec(**overrides):
     return dt.TaskSpec(**base)
 
 
+STUB = tr.AdaptProtocol().stub()  # for the default 4 attributes of 16 values
+
+
 def test_same_seed_is_bitwise_identical():
-    a = dt.generate(spec(kind="mm-adapt"))
-    b = dt.generate(spec(kind="mm-adapt"))
+    a = dt.generate(spec(kind="mm-adapt"), STUB)
+    b = dt.generate(spec(kind="mm-adapt"), STUB)
     np.testing.assert_array_equal(a.tokens, b.tokens)
     np.testing.assert_array_equal(a.targets, b.targets)
     np.testing.assert_array_equal(a.features, b.features)
-    c = dt.generate(spec(kind="mm-adapt", seed=1))
+    c = dt.generate(spec(kind="mm-adapt", seed=1), STUB)
     assert not np.array_equal(a.tokens, c.tokens)
 
 
@@ -116,17 +116,19 @@ def test_generate_matches_per_sample_reference(kind, stub, mixture,
                         (10**13, 0)):
         sp = spec(kind=kind, n_samples=40, mixture=mixture, n_attrs=K,
                   n_values=M, seq_len=tight + slack, seed=seed)
-        st = None
-        if stub != "default":
-            st = VisionStub(d_visual=6, n_slots=K * M, **ORACLE_STUBS[stub])
+        if stub == "default":
+            st = tr.AdaptProtocol(n_attrs=K, n_values=M).stub()
+        else:
+            st = dt.VisionStub(d_visual=6, n_slots=K * M, **ORACLE_STUBS[stub])
         assert_matches_reference(sp, st)
 
 
 @pytest.mark.parametrize("kind", dt.TASK_KINDS)
 def test_generate_single_attribute_without_reasoning(kind):
     for mixture in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0)):
+        stub = tr.AdaptProtocol(n_attrs=1, n_values=3, mixture=mixture).stub()
         assert_matches_reference(spec(kind=kind, n_samples=20, n_attrs=1,
-                                      n_values=3, mixture=mixture))
+                                      n_values=3, mixture=mixture), stub)
 
 
 def test_degenerate_mixture_labels_all_conversation():
@@ -162,7 +164,7 @@ def test_category_counts_track_mixture():
 
 def test_oracle_decoder_recovers_every_answer():
     for kind in dt.TASK_KINDS:
-        ds = dt.generate(spec(kind=kind, n_samples=200, seed=5))
+        ds = dt.generate(spec(kind=kind, n_samples=200, seed=5), STUB)
         for i in range(len(ds)):
             expect = dict(dt.expected_answers(ds.tokens[i], ds.values[i], ds.spec))
             masked = np.flatnonzero(ds.answer_mask[i])
@@ -185,7 +187,7 @@ def test_text_targets_score_all_transitions():
 
 
 def test_mm_targets_are_answer_only_with_prefix_offset():
-    ds = dt.generate(spec(kind="mm-adapt", n_samples=20, seed=2))
+    ds = dt.generate(spec(kind="mm-adapt", n_samples=20, seed=2), STUB)
     K = ds.spec.n_attrs
     assert ds.targets.shape == (20, K + ds.spec.seq_len)
     assert (ds.targets[:, :K] == dt.IGNORE).all()
@@ -198,7 +200,7 @@ def test_mm_targets_are_answer_only_with_prefix_offset():
 
 
 def test_features_follow_latent_slots():
-    st = VisionStub(d_visual=8, n_slots=4 * 16, seed=11, noise_std=0.0)
+    st = dt.VisionStub(d_visual=8, n_slots=4 * 16, seed=11, noise_std=0.0)
     ds = dt.generate(spec(kind="mm-adapt", n_samples=10, seed=4), stub=st)
     for i in range(10):
         slots = np.arange(4) * 16 + ds.values[i]
@@ -225,3 +227,66 @@ def test_reasoning_relation_tokens():
         assert rel == want
         seen.add(int(rel))
     assert seen == {dt.GT, dt.LT, dt.EQ}  # all three outcomes occur at n=300
+
+
+def test_mm_adapt_needs_a_stub():
+    with pytest.raises(ValueError, match="VisionStub"):
+        dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4, seq_len=12))
+
+
+@pytest.mark.parametrize("key", [0, 7, 2**32 - 1, 2**32 + 3, 2**64 + 5, 2**96 + 1],
+                         ids=["0", "7", "2^32-1", "2^32+3", "2^64+5", "2^96+1"])
+def test_sample_rngs_match_tuple_seeded_default_rng(key):
+    """Keys of 1 to 4 uint32 words, with ids of 1 and 2 words: a 3-word key
+    with a 2-word id runs the entropy past SeedSequence's 4-word pool."""
+    ids = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 5 * 10**12, 2**63 - 1])
+    rngs = dt.sample_rngs(key, ids)
+    assert iter(rngs) is rngs  # made one at a time, not as a list
+    for rng, i in zip(rngs, ids.tolist(), strict=True):
+        ref = np.random.default_rng((key, i))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+        np.testing.assert_array_equal(rng.integers(0, 16, 4), ref.integers(0, 16, 4))
+        np.testing.assert_array_equal(rng.permutation(5), ref.permutation(5))
+        np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
+
+def test_sample_rngs_refuse_negative_keys_and_ids():
+    with pytest.raises(ValueError, match="non-negative"):
+        dt.sample_rngs(-1, np.arange(3))
+    with pytest.raises(ValueError, match="non-negative"):
+        dt.sample_rngs(0, np.array([4, -2, 1]))
+    with pytest.raises(TypeError, match="integers"):
+        dt.sample_rngs(0, np.array([0.5]))
+
+
+def test_vision_stub_determinism_and_modes():
+    a = dt.VisionStub(d_visual=6, n_slots=10, seed=3)
+    b = dt.VisionStub(d_visual=6, n_slots=10, seed=3)
+    slots = np.array([[1, 4, 7]])
+    np.testing.assert_array_equal(a.features(slots, [17]), b.features(slots, [17]))
+    assert not np.allclose(a.features(slots, [17]), a.features(slots, [18]))
+
+    warped = dt.VisionStub(d_visual=6, n_slots=10, seed=3, mode="unaligned")
+    assert not np.allclose(a.features(slots, [17]), warped.features(slots, [17]))
+    with pytest.raises(ValueError):
+        dt.VisionStub(d_visual=6, n_slots=10, mode="conv")
+    with pytest.raises(ValueError):
+        a.features(np.array([[10]]), [0])
+
+    # a batched call is its one-row batches stacked, bitwise
+    batch = np.array([[1, 4, 7], [0, 9, 2], [3, 3, 5], [8, 6, 1]])
+    ids = np.array([17, 18, 5, 400_000_000_000])
+    for stub in (a, warped, dt.VisionStub(d_visual=6, n_slots=10, seed=3,
+                                          noise_std=0.0)):
+        rows = stub.features(batch, ids)
+        assert rows.shape == (4, 3, 6)
+        for i in range(len(batch)):
+            np.testing.assert_array_equal(
+                rows[i:i + 1], stub.features(batch[i:i + 1], ids[i:i + 1]))
+    with pytest.raises(ValueError, match="sample_id shape"):
+        a.features(batch, 17)
+    with pytest.raises(ValueError, match="sample_id shape"):
+        a.features(batch[0], 17)  # one sample is a one-row batch
+    with pytest.raises(ValueError, match="out of range"):
+        a.features(np.array([[1, 2], [3, -1]]), [0, 1])

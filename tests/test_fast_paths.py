@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from normadapt import autograd as ag
 from normadapt import data as dt
 from normadapt import model as md
+from normadapt import training as tr
 from normadapt.strategies import inject_lora
 
 from test_data import assert_matches_reference
@@ -80,11 +81,12 @@ def test_loss_matches_cross_entropy_of_forward(case):
 
 @st.composite
 def task_cases(draw):
-    """(TaskSpec, VisionStub or None): any kind, 2-5 attributes of 2-17
-    values, any mixture (categories may be missing), a seq_len up to 3 past
-    the tightest, and seeds from 0 to past 2**32, where a sample's seed grows
-    from one uint32 word to two.  A stub seed may pass 2**64, which with two
-    more words of feature id overflows SeedSequence's 4-word pool."""
+    """(TaskSpec, VisionStub or None for text): any kind, 2-5 attributes of
+    2-17 values, any mixture (categories may be missing), a seq_len up to 3
+    past the tightest, and seeds from 0 to past 2**32, where a sample's seed
+    grows from one uint32 word to two.  An mm-adapt spec takes the
+    protocol's stub or one of its own, whose seed may pass 2**64: with two
+    more words of feature id that overflows SeedSequence's 4-word pool."""
     kind = draw(st.sampled_from(dt.TASK_KINDS), label="kind")
     K = draw(st.integers(2, 5), label="n_attrs")
     M = draw(st.integers(2, 17), label="n_values")
@@ -99,10 +101,12 @@ def task_cases(draw):
         seed=draw(seed, label="seed"))
     stub = None
     if kind == "mm-adapt" and draw(st.booleans(), label="own stub"):
-        stub = md.VisionStub(d_visual=draw(st.integers(1, 5), label="d_visual"),
-                             n_slots=K * M, mode=draw(st.sampled_from(md.VISION_MODES)),
+        stub = dt.VisionStub(d_visual=draw(st.integers(1, 5), label="d_visual"),
+                             n_slots=K * M, mode=draw(st.sampled_from(dt.VISION_MODES)),
                              seed=draw(st.one_of(seed, st.integers(2**64 - 40, 2**66)),
                                        label="stub seed"))
+    elif kind == "mm-adapt":
+        stub = tr.AdaptProtocol(n_attrs=K, n_values=M).stub()
     return spec, stub
 
 

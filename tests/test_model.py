@@ -10,6 +10,7 @@ from normadapt import autograd as ag
 from normadapt import budget
 from normadapt import data as dt
 from normadapt import model as md
+from normadapt import training as tr
 from normadapt.strategies import inject_lora, merge_lora
 
 from finite_diff import central_difference, max_relative_error
@@ -300,7 +301,8 @@ def test_mm_loss_looks_up_block0_input_from_one_table():
     # the token and visual rows from the embedding table joined with the
     # connector's rows, the positions, and the last block's kept rows twice
     m = md.build(md.ModelConfig())
-    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4, seq_len=12))
+    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4, seq_len=12),
+                     tr.AdaptProtocol().stub())
     ops = [node._op for node in ag._toposort(m.loss(ds.tokens, ds.features, ds.targets))]
     assert ops.count("embed_lookup") == 4 and ops.count("concat") == 1
 
@@ -459,58 +461,3 @@ def test_checkpoint_load_keeps_build_layout(tmp_path, norm_kind, tie, dtype):
     for p, t in back.tree.items():
         assert t.data.dtype == np.dtype(dtype) and t.requires_grad
         np.testing.assert_array_equal(t.data, m.tree[p].data)
-
-
-@pytest.mark.parametrize("key", [0, 7, 2**32 - 1, 2**32 + 3, 2**64 + 5, 2**96 + 1],
-                         ids=["0", "7", "2^32-1", "2^32+3", "2^64+5", "2^96+1"])
-def test_sample_rngs_match_tuple_seeded_default_rng(key):
-    """Keys of 1 to 4 uint32 words, with ids of 1 and 2 words: a 3-word key
-    with a 2-word id runs the entropy past SeedSequence's 4-word pool."""
-    ids = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 5 * 10**12, 2**63 - 1])
-    rngs = md.sample_rngs(key, ids)
-    assert iter(rngs) is rngs  # made one at a time, not as a list
-    for rng, i in zip(rngs, ids.tolist(), strict=True):
-        ref = np.random.default_rng((key, i))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random() == ref.random()
-        np.testing.assert_array_equal(rng.integers(0, 16, 4), ref.integers(0, 16, 4))
-        np.testing.assert_array_equal(rng.permutation(5), ref.permutation(5))
-        np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
-
-
-def test_sample_rngs_refuse_negative_keys_and_ids():
-    with pytest.raises(ValueError, match="non-negative"):
-        md.sample_rngs(-1, np.arange(3))
-    with pytest.raises(ValueError, match="non-negative"):
-        md.sample_rngs(0, np.array([4, -2, 1]))
-    with pytest.raises(TypeError, match="integers"):
-        md.sample_rngs(0, np.array([0.5]))
-
-
-def test_vision_stub_determinism_and_modes():
-    a = md.VisionStub(d_visual=6, n_slots=10, seed=3)
-    b = md.VisionStub(d_visual=6, n_slots=10, seed=3)
-    slots = np.array([1, 4, 7])
-    np.testing.assert_array_equal(a.features(slots, 17), b.features(slots, 17))
-    assert not np.allclose(a.features(slots, 17), a.features(slots, 18))
-
-    warped = md.VisionStub(d_visual=6, n_slots=10, seed=3, mode="unaligned")
-    assert not np.allclose(a.features(slots, 17), warped.features(slots, 17))
-    with pytest.raises(ValueError):
-        md.VisionStub(d_visual=6, n_slots=10, mode="conv")
-    with pytest.raises(ValueError):
-        a.features(np.array([10]), 0)
-
-    # a batched call is the per-sample calls stacked, bitwise
-    batch = np.array([[1, 4, 7], [0, 9, 2], [3, 3, 5], [8, 6, 1]])
-    ids = np.array([17, 18, 5, 400_000_000_000])
-    for stub in (a, warped, md.VisionStub(d_visual=6, n_slots=10, seed=3,
-                                          noise_std=0.0)):
-        rows = stub.features(batch, ids)
-        assert rows.shape == (4, 3, 6)
-        for row, slots_i, sid in zip(rows, batch, ids):
-            np.testing.assert_array_equal(row, stub.features(slots_i, sid))
-    with pytest.raises(ValueError, match="sample_id shape"):
-        a.features(batch, 17)
-    with pytest.raises(ValueError, match="out of range"):
-        a.features(np.array([[1, 2], [3, -1]]), [0, 1])

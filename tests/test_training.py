@@ -27,7 +27,7 @@ def micro_protocol(**overrides):
 
 def micro_setup(kind="text-pretrain", n=64, seed=0):
     model = md.build(md.ModelConfig(**MICRO_MODEL), seed=seed)
-    stub = md.VisionStub(d_visual=8, n_slots=64, seed=7)
+    stub = dt.VisionStub(d_visual=8, n_slots=64, seed=7)
     seq_len = 20 if kind == "text-pretrain" else 12
     ds = dt.generate(dt.TaskSpec(kind=kind, n_samples=n, seq_len=seq_len, seed=seed),
                      stub if kind == "mm-adapt" else None)
