@@ -188,7 +188,9 @@ def _add(arrays, attrs):
 def _embed_lookup(arrays, attrs):
     """Rows of `w` at `ids`, an int array into the first axis of `w`.  The
     backward scatter-adds, so repeated rows accumulate their gradients; when
-    no row repeats, a plain assignment does the same far faster."""
+    no row repeats, a plain assignment does the same far faster.  The scatter
+    runs on the flattened table, where `np.add.at` takes its fast 1-d path
+    and adds in the same order as on rows."""
     (w,) = arrays
     ids = np.asarray(attrs["ids"])
     out = w[ids]
@@ -201,7 +203,9 @@ def _embed_lookup(arrays, attrs):
         if distinct:
             gw[ids] = g
         else:
-            np.add.at(gw, ids, g)
+            width = gw[0].size
+            flat = ids.reshape(-1, 1) * width + np.arange(width)
+            np.add.at(gw.reshape(-1), flat.reshape(-1), g.reshape(-1))
         return (gw,)
 
     return out, backward

@@ -18,7 +18,6 @@ Visual features come from `VisionStub`; `sample_rngs` seeds every sample.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +64,10 @@ class TaskSpec:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_attrs < 1:
+            raise ValueError(f"n_attrs must be positive, got {self.n_attrs}")
+        if not 1 <= self.n_values <= 2**32:  # generate's draws are 32-bit
+            raise ValueError(f"n_values must be in [1, 2**32], got {self.n_values}")
         if (self.kind == "mm-adapt"
                 and self.seed > (2**64 - self.n_samples) // _FEATURE_ID_STRIDE):
             raise ValueError(f"seed {self.seed} too large: mm-adapt feature ids "
@@ -168,14 +171,14 @@ class _SeedState(ISeedSequence):
         return self.words
 
 
-def sample_rngs(key, ids):
-    """One Generator for each of the int array `ids`, made only when asked
-    for, in the state `np.random.default_rng` gives the seed (key, id).
+def _sample_states(key, ids):
+    """The PCG64 seed words `np.random.default_rng((key, id))` hashes for
+    each of the int array `ids`, as (len(ids), 4) uint64 rows.
 
-    The seeding hash runs for all ids at once; numpy still seeds each PCG64
-    from the hashed words.  A key or id is one uint32 word per 32 bits, so an
-    id from 2**32 up makes its row's entropy one word longer: every row is
-    hashed with a one-word id, and those rows again with a two-word one.
+    The seeding hash runs for all ids at once.  A key or id is one uint32 word
+    per 32 bits, so an id from 2**32 up makes its row's entropy one word
+    longer: every row is hashed with a one-word id, and those rows again with
+    a two-word one.
     """
     key = operator.index(key)
     ids = np.asarray(ids).reshape(-1)
@@ -193,8 +196,14 @@ def sample_rngs(key, ids):
     long = high != 0
     if long.any():
         states[long] = _seed_states([w[long] for w in head] + [low[long], high[long]])
+    return states
+
+
+def sample_rngs(key, ids):
+    """One Generator for each of the int array `ids`, made only when asked
+    for, in the state `np.random.default_rng` gives the seed (key, id)."""
     return (np.random.Generator(np.random.PCG64(_SeedState(words)))
-            for words in states)
+            for words in _sample_states(key, ids))
 
 
 class VisionStub:
@@ -242,6 +251,58 @@ class VisionStub:
         return noise
 
 
+_FIRST_WORDS = 8  # PCG64 outputs a sample draws at first; 4 attributes use about 5
+
+
+def _draws(words, cdf, K, M, rounds):
+    """What a Generator whose PCG64 outputs the rows of `words` draws for
+    `generate`, by numpy's own algorithms, for all rows at once: the category
+    (`random()` against the mixture `cdf`), the latent z (`integers(0, M,
+    size=K)`) and, unless the category is description, the first `rounds`
+    of `permutation(K)`.  Returns those and the rows whose words ran out.
+    """
+    n = len(words)
+    categories = np.searchsorted(cdf, (words[:, 0] >> 11) * 2.0**-53, side="right")
+    # next_uint32 takes a word's low half, then its high half; reads past
+    # the last half land on a zero pad and mark the row short
+    width = 2 * words.shape[1] - 2
+    halves = np.zeros((n, width + 1), dtype=np.uint64)
+    halves[:, :width:2] = words[:, 1:] & _MASK32
+    halves[:, 1:width:2] = words[:, 1:] >> 32
+    at = np.zeros(n, dtype=np.int64)  # each row's next half
+
+    def draw(rows, take):  # take: halves -> (values, accepted); rejected rows read on
+        out = np.empty(rows.size, dtype=np.uint64)
+        need = np.arange(rows.size)
+        while need.size:
+            r = rows[need]
+            out[need], ok = take(halves[r, np.minimum(at[r], width)])
+            at[r] += 1
+            need = need[~ok & (at[r] <= width)]
+        return out
+
+    def lemire(h):  # bounded_lemire_uint32
+        m = h * np.uint64(M)
+        return m >> 32, (m & _MASK32) >= (2**32 - M) % M
+
+    values = np.zeros((n, K), dtype=np.int64)
+    if M > 1:  # a range of one value draws nothing
+        for k in range(K):
+            values[:, k] = draw(np.arange(n), lemire)
+    # Fisher-Yates with random_interval's masked rejection, as shuffle does
+    rows = np.flatnonzero(categories != 1)
+    perm = np.tile(np.arange(K), (rows.size, 1))
+    index = np.arange(rows.size)
+    for i in range(K - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        # a short row may stop on a rejected draw; clip it to stay in range
+        j = np.minimum(draw(rows, lambda h: (h & mask, (h & mask) <= i)), i)
+        perm[index, i], perm[index, j] = perm[index, j], perm[index, i]
+    picks = np.zeros((n, rounds), dtype=np.int64)
+    picks[rows] = perm[:, :rounds]
+    return categories, values, picks, at > width
+
+
 def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     """Build the dataset of `spec`; an mm-adapt spec's visual features come
     from `stub`, which it requires.
@@ -250,10 +311,12 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     `np.random.default_rng` gives that pair, draws in order the category (one
     uniform against the mixture CDF, as Generator.choice does), the latent z
     (integers(0, n_values, n_attrs)) and, for conversation and reasoning, a
-    permutation of the attributes.  Its visual noise depends only on
+    permutation of the attributes.  Those draws are made for all samples at
+    once from each one's raw PCG64 outputs (`_draws`); only making the
+    PCG64s runs per sample.  Its visual noise depends only on
     (stub.seed, spec.seed * 1_000_003 + i) in the same way, that id taken
-    exactly, as a uint64.  Only those draws run per sample; tokens, masks
-    and targets are written one category at a time.
+    exactly, as a uint64.  Tokens, masks and targets are written one
+    category at a time.
     """
     K, M = spec.n_attrs, spec.n_values
     n, T = spec.n_samples, spec.seq_len
@@ -265,16 +328,17 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     rounds = min(N_ROUNDS, K)
     cdf = np.cumsum(spec.mixture)
     cdf /= cdf[-1]
-    cdf = cdf.tolist()
+    states = _sample_states(spec.seed, np.arange(n))
     categories = np.empty(n, dtype=np.int64)
     values = np.empty((n, K), dtype=np.int64)
-    picks = np.zeros((n, rounds), dtype=np.int64)  # leading attribute permutation
-    for i, rng in enumerate(sample_rngs(spec.seed, np.arange(n))):
-        cat = bisect_right(cdf, rng.random())
-        categories[i] = cat
-        values[i] = rng.integers(0, M, size=K)
-        if cat != 1:
-            picks[i] = rng.permutation(K)[:rounds]
+    picks = np.empty((n, rounds), dtype=np.int64)  # leading attribute permutation
+    todo, n_words = np.arange(n), _FIRST_WORDS
+    while todo.size:  # rows whose words ran out redraw twice as many
+        words = np.array([np.random.PCG64(_SeedState(s)).random_raw(n_words)
+                          for s in states[todo]])
+        categories[todo], values[todo], picks[todo], short = _draws(
+            words, cdf, K, M, rounds)
+        todo, n_words = todo[short], 2 * n_words
 
     attrs = np.arange(K)
     value_tokens = value_token(attrs, values, K, M)  # (n, K)

@@ -334,6 +334,7 @@ class AdaptProtocol:
             except ValueError as err:
                 raise ValueError(f"seed {self.seed} too large: the mm-adapt split's "
                                  f"seed + {offset} is refused ({err})") from None
+        self.stub()  # refuses a stub_mode VisionStub does not know
 
     def stub(self) -> dt.VisionStub:
         return dt.VisionStub(d_visual=self.model.d_visual,

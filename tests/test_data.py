@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,7 @@ ORACLE_STUBS = {
 @pytest.mark.parametrize("kind, stub", [
     ("text-pretrain", "default"), ("mm-adapt", "default"),
     ("mm-adapt", "unaligned"), ("mm-adapt", "noiseless")])
-@pytest.mark.parametrize("attrs_values", [(4, 16), (3, 5), (5, 7)],
+@pytest.mark.parametrize("attrs_values", [(4, 16), (3, 5), (5, 7), (2, 1)],
                          ids=lambda kv: f"K{kv[0]}M{kv[1]}")
 @pytest.mark.parametrize("mixture", [
     (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
@@ -131,6 +133,134 @@ def test_generate_single_attribute_without_reasoning(kind):
                                       n_values=3, mixture=mixture), stub)
 
 
+_M32 = 0xFFFFFFFF
+
+
+def numpy_c_draws(words, cdf, K, M):
+    """A plain-Python copy of the numpy C behind one sample's draws, run on
+    its PCG64 outputs `words`: `random()` (next_double), `integers(0, M,
+    size=K)` (random_bounded_uint64_fill) and, unless the category is
+    description, `permutation(K)` (shuffle's random_interval), all 32-bit
+    draws reading pcg64_next32's low-then-high halves.  (category, z,
+    permutation), or None when the words run out."""
+    words = iter(words)
+    spare = []
+
+    def next_uint32():
+        if spare:
+            return spare.pop()
+        word = next(words)
+        spare.append(word >> 32)
+        return word & _M32
+
+    def bounded_lemire_uint32(rng):
+        rng_excl = rng + 1
+        m = next_uint32() * rng_excl
+        leftover = m & _M32
+        if leftover < rng_excl:
+            threshold = (_M32 - rng) % rng_excl
+            while leftover < threshold:
+                m = next_uint32() * rng_excl
+                leftover = m & _M32
+        return m >> 32
+
+    def random_interval(max_):
+        mask = max_
+        for shift in (1, 2, 4, 8, 16, 32):
+            mask |= mask >> shift
+        while (value := next_uint32() & mask) > max_:
+            pass
+        return value
+
+    try:
+        cat = bisect_right(cdf, (next(words) >> 11) * (1.0 / 9007199254740992.0))
+        rng = M - 1
+        if rng == 0:
+            z = [0] * K
+        elif rng == _M32:
+            z = [next_uint32() for _ in range(K)]
+        else:
+            z = [bounded_lemire_uint32(rng) for _ in range(K)]
+        perm = list(range(K))
+        if cat != 1:
+            for i in range(K - 1, 0, -1):
+                j = random_interval(i)
+                perm[i], perm[j] = perm[j], perm[i]
+    except StopIteration:
+        return None
+    return cat, z, perm
+
+
+CDF = [0.3, 0.6, 1.0]
+
+
+@pytest.mark.parametrize("K, M", [(4, 16), (5, 17), (2, 1), (3, 2**32)])
+def test_numpy_c_copy_matches_numpy(K, M):
+    for i in range(200):
+        rng = np.random.default_rng((9, i))
+        words = np.random.default_rng((9, i)).bit_generator.random_raw(40).tolist()
+        cat, z, perm = numpy_c_draws(words, CDF, K, M)
+        assert cat == bisect_right(CDF, rng.random())
+        assert z == rng.integers(0, M, size=K).tolist()
+        if cat != 1:
+            assert perm == rng.permutation(K).tolist()
+
+
+@pytest.mark.parametrize("K, M", [(1, 3), (2, 1), (3, 17), (4, 16), (5, 17),
+                                  (4, 2**32)])
+def test_draws_match_numpys_c_on_crafted_words(K, M):
+    """Rows of 1 to 7 words.  Every third row's words 1 and 2 are zero: with
+    M = 17 a zero half is rejected, as (2**32 - 17) % 17 == 1.  A row whose
+    words run out is reported short, whatever it drew."""
+    rng = np.random.default_rng(K * 31 + M % 97)
+    rounds = min(dt.N_ROUNDS, K)
+    seen_short = seen_whole = 0
+    for n_words in range(1, 8):
+        words = rng.bit_generator.random_raw((300, n_words))
+        words[::3, 1:3] = 0
+        cats, values, picks, short = dt._draws(words, np.array(CDF), K, M, rounds)
+        for row, got in enumerate(zip(cats, values, picks, short)):
+            want = numpy_c_draws(words[row].tolist(), CDF, K, M)
+            assert got[3] == (want is None), (n_words, row)
+            if want is None:
+                seen_short += 1
+                continue
+            seen_whole += 1
+            cat, z, perm = want
+            assert got[0] == cat and got[1].tolist() == z
+            assert got[2].tolist() == (perm[:rounds] if cat != 1 else [0] * rounds)
+            if M == 17 and row % 3 == 0 and n_words > 3:  # 4 zero halves rejected
+                assert z[0] == (int(words[row, 3]) & _M32) * 17 >> 32
+    assert seen_whole and seen_short
+
+
+@pytest.mark.parametrize("kind", dt.TASK_KINDS)
+def test_rows_that_run_out_of_words_redraw_more(kind, monkeypatch):
+    """With one word drawn at first, every row that draws a value runs out
+    and redraws 2, 4, 8 and 16 words."""
+    monkeypatch.setattr(dt, "_FIRST_WORDS", 1)
+    for K, M in ((4, 16), (5, 17), (3, 1)):
+        stub = tr.AdaptProtocol(n_attrs=K, n_values=M).stub()
+        assert_matches_reference(spec(kind=kind, n_samples=60, n_attrs=K,
+                                      n_values=M, seed=3), stub)
+
+
+@pytest.mark.parametrize("split", ["text_dataset", "mm_datasets"])
+def test_default_protocol_training_splits_match_reference(split):
+    """All 4096 samples of the default protocol's training splits."""
+    proto = tr.AdaptProtocol()
+    ds = getattr(proto, split)()
+    ds = ds[0] if split == "mm_datasets" else ds
+    stub = proto.stub() if split == "mm_datasets" else None
+    assert len(ds) == 4096
+    for name, expect in reference_generate(ds.spec, stub).items():
+        actual = getattr(ds, name)
+        if expect is None:
+            assert actual is None
+            continue
+        assert actual.dtype == expect.dtype and actual.tobytes() == expect.tobytes(), name
+
+
 def test_degenerate_mixture_labels_all_conversation():
     ds = dt.generate(spec(mixture=(1.0, 0.0, 0.0)))
     assert (ds.categories == 0).all()
@@ -154,6 +284,18 @@ def test_mixture_validation():
         spec(n_attrs=1, mixture=(0.5, 0.0, 0.5))
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         spec(seed=-3)
+    with pytest.raises(ValueError, match="n_attrs must be positive, got 0"):
+        spec(n_attrs=0, mixture=(0.5, 0.5, 0.0))
+    with pytest.raises(ValueError, match=r"n_values must be in \[1, 2\*\*32\], got 0"):
+        spec(n_values=0)
+    with pytest.raises(ValueError, match=f"n_values must be .* got {2**32 + 1}"):
+        spec(n_values=2**32 + 1)
+
+
+def test_generate_takes_the_widest_32_bit_range():
+    """n_values = 2**32 is numpy's unbounded 32-bit draw, which Lemire's
+    method with a zero threshold reproduces."""
+    assert_matches_reference(spec(n_samples=30, n_values=2**32, seed=7))
 
 
 def test_category_counts_track_mixture():

@@ -82,14 +82,14 @@ def test_loss_matches_cross_entropy_of_forward(case):
 @st.composite
 def task_cases(draw):
     """(TaskSpec, VisionStub or None for text): any kind, 2-5 attributes of
-    2-17 values, any mixture (categories may be missing), a seq_len up to 3
+    1-17 values (one value draws no word), any mixture (categories may be missing), a seq_len up to 3
     past the tightest, and seeds from 0 to past 2**32, where a sample's seed
     grows from one uint32 word to two.  An mm-adapt spec takes the
     protocol's stub or one of its own, whose seed may pass 2**64: with two
     more words of feature id that overflows SeedSequence's 4-word pool."""
     kind = draw(st.sampled_from(dt.TASK_KINDS), label="kind")
     K = draw(st.integers(2, 5), label="n_attrs")
-    M = draw(st.integers(2, 17), label="n_values")
+    M = draw(st.integers(1, 17), label="n_values")
     weights = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)
                    .filter(any), label="mixture weights")
     seed = st.one_of(st.integers(0, 2**16), st.integers(2**32 - 40, 2**34))
@@ -116,3 +116,34 @@ def test_generate_matches_per_sample_reference(case):
     """Bulk `generate` writes every array as the per-sample reference, which
     seeds each sample with numpy's own tuple-seeded `default_rng`."""
     assert_matches_reference(*case)
+
+
+@st.composite
+def scatter_cases(draw):
+    """(table, ids, g): a float32 or float64 zero table of 1-300 rows, 1-130
+    wide, 1- or 2-d ids into a few of its rows, so ids repeat, and an output
+    gradient with some -0.0 entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = draw(st.integers(1, 300), label="rows")
+    width = draw(st.integers(1, 130), label="width")
+    dtype = draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    shape = tuple(draw(st.lists(st.integers(2, 40), min_size=1, max_size=2),
+                       label="ids shape"))
+    ids = rng.integers(0, draw(st.integers(1, rows), label="rows used"), shape)
+    ids.flat[-1] = ids.flat[0]
+    g = rng.standard_normal(shape + (width,)).astype(dtype)
+    g[rng.random(g.shape) < 0.2] = -0.0
+    return np.zeros((rows, width), dtype), ids, g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=scatter_cases())
+def test_embed_lookup_scatter_matches_add_at(case):
+    """`embed_lookup`'s backward on repeated ids, one 1-d `np.add.at` into
+    the flattened table, is 2-d `np.add.at` byte for byte."""
+    table, ids, g = case
+    _, backward = ag._OPS["embed_lookup"]([table], {"ids": ids})
+    (got,) = backward(g, [True])
+    want = np.zeros_like(table)
+    np.add.at(want, ids, g)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -323,6 +323,15 @@ def test_compare_strategies_checks_names_before_training(monkeypatch, names,
     assert calls == []
 
 
+def test_compare_refuses_an_unknown_stub_mode_before_pretraining(monkeypatch):
+    def pretrain(protocol):
+        raise AssertionError("pretrain ran")
+
+    monkeypatch.setattr(tr, "pretrain", pretrain)
+    with pytest.raises(ValueError, match="mode must be one of .* got 'conv'"):
+        tr.compare_strategies(["finetune"], micro_protocol(stub_mode="conv"))
+
+
 def test_comparison_report_serialization():
     proto = micro_protocol(pretrain_steps=10, connector_steps=2, adapt_steps=2)
     report = tr.compare_strategies(["finetune"], proto, seeds=(0,))
