@@ -12,7 +12,10 @@ reading the connector-projected prefix.  Three body categories:
 
 Targets are next-token ids with IGNORE (-1) everywhere loss is masked: text
 pretraining scores every non-pad transition, adaptation scores answers only.
-Visual features come from `VisionStub`; `sample_rngs` seeds every sample.
+Sample i's draws come from the generator `np.random.default_rng((seed, i))`
+would make; `_sample_states` seeds and `_pcg64_words` steps every sample's
+PCG64 at once in numpy integer arithmetic.  Visual features come from
+`VisionStub`, whose noise generators `sample_rngs` makes.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ class TaskSpec:
             raise ValueError(f"seed {self.seed} too large: mm-adapt feature ids "
                              f"seed * {_FEATURE_ID_STRIDE} + i must stay below 2**64")
         mix = tuple(float(w) for w in self.mixture)
-        if len(mix) != len(CATEGORIES) or any(w < 0 for w in mix):
-            raise ValueError(f"mixture needs {len(CATEGORIES)} non-negative weights")
+        if len(mix) != len(CATEGORIES) or not all(0 <= w < np.inf for w in mix):
+            raise ValueError(f"mixture needs {len(CATEGORIES)} finite non-negative "
+                             f"weights, got {mix}")
         if abs(sum(mix) - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must sum to 1, got {sum(mix)}")
         object.__setattr__(self, "mixture", mix)
@@ -206,6 +210,50 @@ def sample_rngs(key, ids):
             for words in _sample_states(key, ids))
 
 
+# numpy's PCG64 (numpy/random/src/pcg64/pcg64.h): a 128-bit LCG with this
+# multiplier and an XSL-RR output, its 128-bit words held as (high, low) uint64
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc, mod 2**128.  The high word of the low words'
+    product is built from 32-bit halves, whose products fit in 64 bits."""
+    l0, l1 = lo & _MASK32, lo >> 32
+    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    t = l0 * m0
+    mid = l1 * m0 + (t >> 32)
+    carry = l1 * m1 + (mid >> 32) + ((l0 * m1 + (mid & _MASK32)) >> 32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = (hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi
+              + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+def _pcg64_words(states, n):
+    """`np.random.PCG64(_SeedState(words)).random_raw(n)` for every row of the
+    (rows, 4) uint64 seed words `states` (as `_sample_states` returns them),
+    as (rows, n) uint64, every row stepped at once.
+
+    Seeding is numpy's `pcg64_set_seed`: the state is words 0 and 1 (high
+    first), the stream words 2 and 3, inc = stream << 1 | 1; one step from
+    state 0, the state added, one more step.  Each output is a step, then the
+    high word ^ the low word rotated right by the top 6 bits of the state.
+    """
+    s_hi, s_lo, q_hi, q_lo = states.T
+    inc_hi = (q_hi << 1) | (q_lo >> 63)
+    inc_lo = (q_lo << 1) | 1
+    lo = inc_lo + s_lo  # the first step from 0 leaves inc
+    hi = inc_hi + s_hi + (lo < s_lo)
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((len(s_hi), n), dtype=np.uint64)
+    for j in range(n):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))  # rot 0 shifts by 0, not 64
+    return out
+
+
 class VisionStub:
     """Deterministic stand-in for a frozen vision encoder.
 
@@ -223,6 +271,8 @@ class VisionStub:
         self.mode = mode
         self.seed = int(seed)
         self.noise_std = float(noise_std)
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         rng = np.random.default_rng(self.seed)
         table = rng.normal(0.0, 1.0, (self.n_slots, self.d_visual))
         if mode == "unaligned":
@@ -311,12 +361,12 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     `np.random.default_rng` gives that pair, draws in order the category (one
     uniform against the mixture CDF, as Generator.choice does), the latent z
     (integers(0, n_values, n_attrs)) and, for conversation and reasoning, a
-    permutation of the attributes.  Those draws are made for all samples at
-    once from each one's raw PCG64 outputs (`_draws`); only making the
-    PCG64s runs per sample.  Its visual noise depends only on
+    permutation of the attributes.  Every sample's raw PCG64 outputs are
+    computed at once (`_pcg64_words`), and so are the draws made from them
+    (`_draws`); no bit generator is made.  Its visual noise depends only on
     (stub.seed, spec.seed * 1_000_003 + i) in the same way, that id taken
-    exactly, as a uint64.  Tokens, masks and targets are written one
-    category at a time.
+    exactly, as a uint64; numpy's normal sampler draws it, one generator per
+    sample.  Tokens, masks and targets are written one category at a time.
     """
     K, M = spec.n_attrs, spec.n_values
     n, T = spec.n_samples, spec.seq_len
@@ -334,10 +384,8 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     picks = np.empty((n, rounds), dtype=np.int64)  # leading attribute permutation
     todo, n_words = np.arange(n), _FIRST_WORDS
     while todo.size:  # rows whose words ran out redraw twice as many
-        words = np.array([np.random.PCG64(_SeedState(s)).random_raw(n_words)
-                          for s in states[todo]])
         categories[todo], values[todo], picks[todo], short = _draws(
-            words, cdf, K, M, rounds)
+            _pcg64_words(states[todo], n_words), cdf, K, M, rounds)
         todo, n_words = todo[short], 2 * n_words
 
     attrs = np.arange(K)

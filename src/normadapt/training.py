@@ -48,7 +48,11 @@ def lr_schedule(step, total, warmup_ratio, base_lr) -> float:
 
 
 class Adam:
-    """Decoupled-weight-decay Adam over a list of tensors."""
+    """Decoupled-weight-decay Adam over a list of tensors.
+
+    `step` updates each `p.data` in place, so an array a caller kept of a
+    parameter changes with it; copy it to keep a snapshot.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -58,28 +62,46 @@ class Adam:
         self.m = [np.zeros_like(t.data) for t in self.params]
         self.v = [np.zeros_like(t.data) for t in self.params]
         self.t = 0
+        # two scratch buffers per dtype, as large as its largest parameter,
+        # and each parameter's views of them
+        sizes = {}
+        for t in self.params:
+            sizes[t.dtype] = max(sizes.get(t.dtype, 0), t.size)
+        buffers = {d: (np.empty(n, d), np.empty(n, d)) for d, n in sizes.items()}
+        self._scratch = [tuple(buf[:t.size].reshape(t.shape) for buf in buffers[t.dtype])
+                         for t in self.params]
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self, lr):
+        """One update of every parameter with a gradient, written into `m`,
+        `v` and `p.data`; each temporary lives in the scratch buffers."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
             if g is None:  # parameter absent from this step's graph
                 continue
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
             if lr == 0.0:
                 continue  # keep the lr=0 null update bitwise exact
             if self.weight_decay:
-                p.data = p.data - lr * self.weight_decay * p.data
-            p.data = p.data - lr * ((m / b1c) / (np.sqrt(v / b2c) + self.eps))
+                p.data -= np.multiply(lr * self.weight_decay, p.data, out=a)
+            np.divide(m, b1c, out=a)
+            np.divide(v, b2c, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            a *= lr
+            p.data -= a
 
 
 @dataclass
@@ -95,14 +117,22 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.steps < 0 or self.batch < 1:
-            raise ValueError("steps must be >= 0 and batch >= 1")
-        if self.eval_interval < 0:
-            raise ValueError(f"eval_interval must be >= 0, got {self.eval_interval}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_rate("lr", self.lr)
+        _check_rate("weight_decay", self.weight_decay)
+        _check_count("steps", self.steps)
+        _check_count("batch", self.batch, 1)
+        _check_count("eval_interval", self.eval_interval)
+        _check_count("seed", self.seed)
+
+
+def _check_rate(name, value):
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_count(name, value, low=0):
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -334,7 +364,15 @@ class AdaptProtocol:
             except ValueError as err:
                 raise ValueError(f"seed {self.seed} too large: the mm-adapt split's "
                                  f"seed + {offset} is refused ({err})") from None
-        self.stub()  # refuses a stub_mode VisionStub does not know
+        # each stage's TrainConfig fields, by TrainConfig's rules and by name
+        _check_count("batch", self.batch, 1)
+        for stage in ("pretrain", "connector", "adapt"):
+            _check_count(f"{stage}_steps", getattr(self, f"{stage}_steps"))
+        _check_rate("pretrain_lr", self.pretrain_lr)
+        _check_rate("connector_lr", self.connector_lr)
+        for name, lr in self.adapt_lrs.items():
+            _check_rate(f"adapt_lrs[{name!r}]", lr)
+        self.stub()  # refuses a stub_mode or noise_std VisionStub refuses
 
     def stub(self) -> dt.VisionStub:
         return dt.VisionStub(d_visual=self.model.d_visual,

@@ -422,6 +422,23 @@ def test_compare_refuses_a_seed_past_feature_ids_before_pretraining(
     assert err.startswith(f"normadapt compare: error: seed {2**45} too large: ")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--connector-steps", "-1", "connector_steps must be >= 0, got -1"),
+    ("--adapt-steps", "-3", "adapt_steps must be >= 0, got -3"),
+    ("--pretrain-steps", "-2", "pretrain_steps must be >= 0, got -2"),
+    ("--noise-std", "nan", "noise_std must be finite and >= 0, got nan"),
+    ("--noise-std", "-1", "noise_std must be finite and >= 0, got -1.0"),
+])
+def test_compare_refuses_stage_settings_before_pretraining(flag, value, message,
+                                                           monkeypatch, capsys):
+    def train(*args, **kwargs):
+        raise AssertionError("train ran")
+
+    monkeypatch.setattr(tr, "train", train)
+    err = usage_error(capsys, ["compare", *TINY_COMPARE, flag, value])
+    assert err == f"normadapt compare: error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["budget", "--config", "{missing}"], "--config"),
     (["train", "--init-from", "{missing}", "--steps", "1"], "--init-from"),

@@ -274,6 +274,9 @@ def test_mixture_validation():
         spec(mixture=(0.5, 0.2, 0.2))
     with pytest.raises(ValueError, match="non-negative"):
         spec(mixture=(1.5, -0.5, 0.0))
+    for mixture in ((np.nan, 0.5, 0.5), (np.inf, 0.0, 0.0), (0.5, 0.5, -np.inf)):
+        with pytest.raises(ValueError, match="mixture needs 3 finite non-negative"):
+            spec(mixture=mixture)
     with pytest.raises(ValueError, match="n_samples"):
         spec(n_samples=0)
     with pytest.raises(ValueError, match="kind"):
@@ -432,3 +435,82 @@ def test_vision_stub_determinism_and_modes():
         a.features(batch[0], 17)  # one sample is a one-row batch
     with pytest.raises(ValueError, match="out of range"):
         a.features(np.array([[1, 2], [3, -1]]), [0, 1])
+
+
+_M64 = 2**64 - 1
+_PCG_M = int(dt._PCG_MULT_HI) << 64 | int(dt._PCG_MULT_LO)
+
+
+def pcg64_seed_words(first_state, stream):
+    """The seed words whose PCG64 steps to `first_state` for its first
+    output, on stream `stream`: numpy's set-seed and step run backwards."""
+    inc = (stream << 1 | 1) & (2**128 - 1)
+    m_inv = pow(_PCG_M, -1, 2**128)
+    seeded = (first_state - inc) * m_inv % 2**128
+    state = ((seeded - inc) * m_inv - inc) % 2**128
+    return [state >> 64, state & _M64, stream >> 64, stream & _M64]
+
+
+def assert_pcg64_words_match_numpy(states, n):
+    got = dt._pcg64_words(states, n)
+    assert got.dtype == np.uint64 and got.shape == (len(states), n)
+    for row, words in zip(got, states):
+        want = np.random.PCG64(dt._SeedState(words)).random_raw(n)
+        assert row.tobytes() == want.tobytes(), words
+
+
+def test_pcg64_words_match_numpy_on_crafted_words():
+    """A low state word near 2**64, so adding it to inc carries; a stream
+    whose top bit `<< 1` drops; outputs whose rotation is 0, and words of
+    all zeros and all ones."""
+    rows = [[5, _M64, 9, 3], [2**63, _M64 - 4, 2**63 | 7, _M64],
+            [0, 0, 0, 0], [_M64] * 4, [1, 2**63, _M64, 2**63]]
+    unrotated = [pcg64_seed_words(state, stream) for state, stream in (
+        (0x0123456789ABCDEF << 64 | 0xFEDCBA9876543210, 2**127 + 5),
+        (2**122 - 1, 0),
+        (0, _M64),
+        ((2**58 - 1) << 64 | _M64, (2**128 - 1) >> 1))]
+    for words in unrotated:  # numpy agrees the first output's rotation is 0
+        rng = np.random.PCG64(dt._SeedState(np.array(words, dtype=np.uint64)))
+        rng.random_raw(1)
+        assert rng.state["state"]["state"] >> 122 == 0
+    states = np.array(rows + unrotated, dtype=np.uint64)
+    assert_pcg64_words_match_numpy(states, 12)
+    assert_pcg64_words_match_numpy(states[:1], 0)
+
+
+def test_pcg64_words_match_numpy_in_bulk():
+    """12,000 sample seeds, half of them with ids past 2**32, and the words
+    a short row redraws are the first words a longer draw gives."""
+    ids = np.concatenate([np.arange(6000), 2**32 - 3000 + np.arange(6000)])
+    states = dt._sample_states(4242, ids)
+    assert_pcg64_words_match_numpy(states, 9)
+    np.testing.assert_array_equal(dt._pcg64_words(states[:50], 16)[:, :9],
+                                  dt._pcg64_words(states[:50], 9))
+
+
+def test_generate_makes_no_bit_generator_for_its_draws(monkeypatch):
+    """Text makes no PCG64 at all; mm-adapt makes one per sample, for its
+    visual noise, even with a single first word so every row redraws."""
+    made = []
+    pcg64 = np.random.PCG64
+
+    def counting(*args):
+        made.append(args)
+        return pcg64(*args)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    for first_words in (8, 1):
+        monkeypatch.setattr(dt, "_FIRST_WORDS", first_words)
+        text = dt.generate(spec(n_samples=300))
+        assert len(made) == 0 and len(text) == 300
+        dt.generate(spec(kind="mm-adapt", n_samples=300), STUB)
+        assert len(made) == 300
+        made.clear()
+
+
+def test_vision_stub_refuses_non_finite_or_negative_noise():
+    for noise in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match=f"noise_std must be finite and >= 0, "
+                                             f"got {noise}"):
+            dt.VisionStub(d_visual=4, n_slots=8, noise_std=noise)

@@ -13,6 +13,8 @@ from normadapt import model as md
 from normadapt import training as tr
 from normadapt.strategies import inject_lora
 
+from test_autograd import (assert_same_bits, ref_causal_attention, ref_cross_entropy,
+                           ref_layer_norm, ref_rms_norm, ref_silu)
 from test_data import assert_matches_reference
 from test_model import _loss_and_grads
 
@@ -147,3 +149,90 @@ def test_embed_lookup_scatter_matches_add_at(case):
     want = np.zeros_like(table)
     np.add.at(want, ids, g)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def ref_grouped_attention(arrays, attrs):
+    """`ref_causal_attention` on each (count, length) group's rows alone."""
+    n_heads, starts, parts = attrs["n_heads"], [0], []
+    for count, length in attrs["groups"]:
+        rows = slice(starts[-1], starts[-1] + count * length)
+        parts.append(ref_causal_attention(
+            [a[rows].reshape(count, length, -1) for a in arrays], {"n_heads": n_heads}))
+        starts.append(rows.stop)
+    d = arrays[0].shape[-1]
+
+    def backward(g):
+        grads = [part[1](g[lo:hi].reshape(part[0].shape))
+                 for part, lo, hi in zip(parts, starts, starts[1:])]
+        return tuple(np.concatenate([gr[i].reshape(-1, d) for gr in grads])
+                     for i in range(3))
+
+    return np.concatenate([out.reshape(-1, d) for out, _ in parts]), backward
+
+
+@st.composite
+def kernel_cases(draw):
+    """(kind, arrays, attrs, reference, dtype) for an in-place kernel: silu
+    and the norms on 0-3 leading axes of 1-6 and a last axis of 1-40, the
+    norms' input off centre; cross entropy on (batch, pos) logits of 1-30
+    classes with any share of the targets ignored but one; attention on
+    1-3 groups of equal-length samples, 1, 2 or 4 heads of width 1-6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    dtype = draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    kind = draw(st.sampled_from(["silu", "layer_norm", "rms_norm", "cross_entropy",
+                                 "causal_attention"]), label="kind")
+
+    def r(*shape, scale=1.0, offset=0.0):
+        return (offset + scale * rng.standard_normal(shape)).astype(dtype)
+
+    lead = tuple(draw(st.lists(st.integers(1, 6), max_size=3), label="leading axes"))
+    width = draw(st.integers(1, 40), label="width")
+    scale = draw(st.sampled_from([0.01, 1.0, 8.0]), label="scale")
+    offset = draw(st.sampled_from([0.0, 3.0]), label="offset")
+    eps = {"eps": draw(st.sampled_from([1e-5, 1e-8]), label="eps")}
+    if kind == "silu":
+        return kind, [r(*lead, width, scale=scale)], {}, ref_silu, dtype
+    if kind == "layer_norm":
+        return (kind, [r(*lead, width, scale=scale, offset=offset), r(width), r(width)],
+                eps, ref_layer_norm, dtype)
+    if kind == "rms_norm":
+        return (kind, [r(*lead, width, scale=scale, offset=offset), r(width)], eps,
+                ref_rms_norm, dtype)
+    if kind == "cross_entropy":
+        shape = (draw(st.integers(1, 5), label="batch"), draw(st.integers(1, 8), label="pos"))
+        classes = draw(st.integers(1, 30), label="classes")
+        targets = rng.integers(0, classes, shape)
+        targets[rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = ag.IGNORE
+        targets.flat[rng.integers(targets.size)] = rng.integers(classes)
+        return (kind, [r(*shape, classes, scale=scale)], {"targets": targets},
+                ref_cross_entropy, dtype)
+    n_heads = draw(st.sampled_from([1, 2, 4]), label="n_heads")
+    d = n_heads * draw(st.integers(1, 6), label="head width")
+    groups = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 8)),
+                           min_size=1, max_size=3), label="groups")
+    rows = sum(count * length for count, length in groups)
+    return (kind, [r(rows, d, scale=scale) for _ in range(3)],
+            {"n_heads": n_heads, "groups": groups}, ref_grouped_attention, dtype)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=kernel_cases())
+def test_in_place_kernels_match_reference_bitwise(case):
+    """Forward and every gradient are the reference expression's bytes, and
+    the kernel writes only into buffers it made: its inputs and the output
+    gradient are unchanged."""
+    kind, arrays, attrs, reference, dtype = case
+    inputs = [a.copy() for a in arrays]
+    out, backward = ag._OPS[kind](inputs, attrs)
+    want_out, want_backward = reference(arrays, attrs)
+    assert_same_bits(out, want_out, f"{kind} forward")
+    rng = np.random.default_rng(out.size)
+    g = (np.asarray(0.75, dtype=dtype) if out.ndim == 0
+         else rng.standard_normal(out.shape).astype(dtype))
+    g_before = g.copy()
+    grads = backward(g, [True] * len(arrays))
+    for i, (got, want) in enumerate(zip(grads, want_backward(g), strict=True)):
+        assert_same_bits(got, want, f"{kind} gradient {i}")
+    assert g.tobytes() == g_before.tobytes()
+    for a, b in zip(inputs, arrays):
+        assert a.tobytes() == b.tobytes()

@@ -83,6 +83,58 @@ def test_adam_decoupled_weight_decay():
     assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
 
+def old_adam_step(opt, lr):
+    """`Adam.step` as it was before it wrote in place: a new array per term."""
+    opt.t += 1
+    b1c = 1.0 - opt.beta1 ** opt.t
+    b2c = 1.0 - opt.beta2 ** opt.t
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        g = p.grad
+        if g is None:
+            continue
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        if lr == 0.0:
+            continue
+        if opt.weight_decay:
+            p.data = p.data - lr * opt.weight_decay * p.data
+        p.data = p.data - lr * ((m / b1c) / (np.sqrt(v / b2c) + opt.eps))
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_adam_in_place_matches_the_old_expression_bitwise(weight_decay):
+    """12 steps over every parameter of a micro model, float32 and float64,
+    with an lr-0 step, a parameter with no gradient on some steps and
+    gradients of very different scales: `p.data`, m and v keep their bytes,
+    and `p.data` is the array the tensor started with."""
+    rng = np.random.default_rng(3)
+    for dtype in (np.float32, np.float64):
+        models = [md.build(md.ModelConfig(**MICRO_MODEL), seed=1, dtype=dtype)
+                  for _ in range(2)]
+        opts = [tr.Adam([t for _, t in m.tree.items()], weight_decay=weight_decay)
+                for m in models]
+        arrays = [t.data for t in opts[0].params]
+        for step in range(12):
+            grads = [None if step % 3 == 1 and i % 4 == 0 else
+                     (rng.standard_normal(t.shape) * 10.0 ** rng.integers(-6, 3))
+                     .astype(dtype) for i, t in enumerate(opts[0].params)]
+            lr = 0.0 if step == 5 else 1e-3 * (step + 1)
+            for opt in opts:
+                for t, g in zip(opt.params, grads):
+                    t.grad = None if g is None else g.copy()
+            opts[0].step(lr)
+            old_adam_step(opts[1], lr)
+        for new, old in zip(opts[0].params, opts[1].params):
+            assert new.data.dtype == old.data.dtype == dtype
+            assert new.data.tobytes() == old.data.tobytes()
+        for state in ("m", "v"):
+            for new, old in zip(getattr(opts[0], state), getattr(opts[1], state)):
+                assert new.tobytes() == old.tobytes()
+        assert all(t.data is a for t, a in zip(opts[0].params, arrays))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError, match="warmup"):
         tr.TrainConfig(lr=1e-3, steps=10, warmup_ratio=1.0)
@@ -94,6 +146,17 @@ def test_train_config_validation():
         tr.TrainConfig(lr=1e-3, steps=10, eval_interval=-2)
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         tr.TrainConfig(lr=1e-3, steps=10, seed=-3)
+    for lr in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"lr must be finite and >= 0, got {lr}"):
+            tr.TrainConfig(lr=lr, steps=10)
+    for wd in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError,
+                           match=f"weight_decay must be finite and >= 0, got {wd}"):
+            tr.TrainConfig(lr=1e-3, steps=10, weight_decay=wd)
+    with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+        tr.TrainConfig(lr=1e-3, steps=-1)
+    with pytest.raises(ValueError, match="batch must be >= 1, got 0"):
+        tr.TrainConfig(lr=1e-3, steps=10, batch=0)
 
 
 def test_train_refuses_trace_every_below_one():
@@ -330,6 +393,32 @@ def test_compare_refuses_an_unknown_stub_mode_before_pretraining(monkeypatch):
     monkeypatch.setattr(tr, "pretrain", pretrain)
     with pytest.raises(ValueError, match="mode must be one of .* got 'conv'"):
         tr.compare_strategies(["finetune"], micro_protocol(stub_mode="conv"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pretrain_steps", -1, "pretrain_steps must be >= 0, got -1"),
+    ("connector_steps", -1, "connector_steps must be >= 0, got -1"),
+    ("adapt_steps", -2, "adapt_steps must be >= 0, got -2"),
+    ("batch", 0, "batch must be >= 1, got 0"),
+    ("pretrain_lr", math.nan, "pretrain_lr must be finite and >= 0, got nan"),
+    ("connector_lr", -1e-3, "connector_lr must be finite and >= 0, got -0.001"),
+    ("connector_lr", math.inf, "connector_lr must be finite and >= 0, got inf"),
+    ("adapt_lrs", {**tr.DEFAULT_ADAPT_LRS, "layernorm": -1e-2},
+     "adapt_lrs\\['layernorm'\\] must be finite and >= 0, got -0.01"),
+    ("noise_std", math.nan, "noise_std must be finite and >= 0, got nan"),
+    ("noise_std", -1.0, "noise_std must be finite and >= 0, got -1.0"),
+    ("mixture", (math.nan, 0.5, 0.5), "mixture needs 3 finite non-negative"),
+])
+def test_protocol_refuses_stage_settings_before_any_training(monkeypatch, field,
+                                                             value, message):
+    """Each field is refused, by name, when the protocol is built, so
+    `compare_strategies` never reaches stage 0's pretraining."""
+    calls = []
+    monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        tr.compare_strategies(["finetune"], micro_protocol(
+            **{"pretrain_steps": 3, field: value}))
+    assert calls == []
 
 
 def test_comparison_report_serialization():
