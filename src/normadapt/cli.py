@@ -200,9 +200,10 @@ def cmd_compare(args):
     protocol = _protocol(opts, model=base.config if base else _model_config(opts),
                          **given)
     strategies = args.strategies.split(",")
-    report = tr.compare_strategies(strategies, protocol, seeds=args.seeds, base=base)
+    tr.check_comparison(strategies, protocol, args.seeds)
     outdir = Path(opts["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)  # before training, after its refusals
+    report = tr.compare_strategies(strategies, protocol, seeds=args.seeds, base=base)
     with open(outdir / "compare.csv", "w", newline="") as f:
         report.to_csv(f)
     (outdir / "compare.json").write_text(report.to_json())
@@ -272,12 +273,14 @@ def cmd_grad_stats(args):
     from . import training as tr
     from .analysis import GradTrace
     opts, cfg, model, train_ds, eval_ds = _run_inputs(args)
-    trace = GradTrace()
-    tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
-             trace=trace, trace_every=args.trace_every)
-    if "outdir" in opts:
-        outdir = Path(opts["outdir"])
+    strategy, trace = _strategy_from_opts(opts), GradTrace()
+    tr.check_run(model, strategy, train_ds, trace=trace, trace_every=args.trace_every)
+    outdir = Path(opts["outdir"]) if "outdir" in opts else None
+    if outdir is not None:  # made before training, after its refusals
         outdir.mkdir(parents=True, exist_ok=True)
+    tr.train(model, strategy, train_ds, eval_ds, cfg, trace=trace,
+             trace_every=args.trace_every)
+    if outdir is not None:
         with open(outdir / "gradtrace.csv", "w", newline="") as f:
             trace.to_csv(f)
         print(str(outdir / "gradtrace.csv"))

@@ -13,9 +13,10 @@ reading the connector-projected prefix.  Three body categories:
 Targets are next-token ids with IGNORE (-1) everywhere loss is masked: text
 pretraining scores every non-pad transition, adaptation scores answers only.
 Sample i's draws come from the generator `np.random.default_rng((seed, i))`
-would make; `_sample_states` seeds and `_pcg64_words` steps every sample's
-PCG64 at once in numpy integer arithmetic.  Visual features come from
-`VisionStub`, whose noise generators `sample_rngs` makes.
+would make: `_sample_states` hashes every sample's seed words and
+`_pcg64_seed` seeds its PCG64 at once in numpy integer arithmetic, and
+`_pcg64_words` steps them all.  Visual features come from `VisionStub`,
+whose noise is drawn from those seeded states too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .autograd import IGNORE
 
@@ -163,18 +163,6 @@ def _seed_states(entropy):
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedState(ISeedSequence):
-    """Hands PCG64 the seed words `_seed_states` computed for it."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
-            raise ValueError(f"holds {self.words.size} {self.words.dtype} words")
-        return self.words
-
-
 def _sample_states(key, ids):
     """The PCG64 seed words `np.random.default_rng((key, id))` hashes for
     each of the int array `ids`, as (len(ids), 4) uint64 rows.
@@ -203,13 +191,6 @@ def _sample_states(key, ids):
     return states
 
 
-def sample_rngs(key, ids):
-    """One Generator for each of the int array `ids`, made only when asked
-    for, in the state `np.random.default_rng` gives the seed (key, id)."""
-    return (np.random.Generator(np.random.PCG64(_SeedState(words)))
-            for words in _sample_states(key, ids))
-
-
 # numpy's PCG64 (numpy/random/src/pcg64/pcg64.h): a 128-bit LCG with this
 # multiplier and an XSL-RR output, its 128-bit words held as (high, low) uint64
 _PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
@@ -230,23 +211,31 @@ def _pcg64_step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
-def _pcg64_words(states, n):
-    """`np.random.PCG64(_SeedState(words)).random_raw(n)` for every row of the
-    (rows, 4) uint64 seed words `states` (as `_sample_states` returns them),
-    as (rows, n) uint64, every row stepped at once.
+def _pcg64_seed(states):
+    """numpy's `pcg64_set_seed` for every row of the (rows, 4) uint64 seed
+    words `states` (as `_sample_states` returns them): the state before the
+    first output and the increment, as uint64 columns (hi, lo, inc_hi, inc_lo).
 
-    Seeding is numpy's `pcg64_set_seed`: the state is words 0 and 1 (high
-    first), the stream words 2 and 3, inc = stream << 1 | 1; one step from
-    state 0, the state added, one more step.  Each output is a step, then the
-    high word ^ the low word rotated right by the top 6 bits of the state.
+    The state is words 0 and 1 (high first), the stream words 2 and 3,
+    inc = stream << 1 | 1; one step from state 0, the state added, one more
+    step.
     """
     s_hi, s_lo, q_hi, q_lo = states.T
     inc_hi = (q_hi << 1) | (q_lo >> 63)
     inc_lo = (q_lo << 1) | 1
     lo = inc_lo + s_lo  # the first step from 0 leaves inc
     hi = inc_hi + s_hi + (lo < s_lo)
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-    out = np.empty((len(s_hi), n), dtype=np.uint64)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _pcg64_words(states, n):
+    """The first n raw outputs (`random_raw(n)`) of the PCG64 that
+    `_pcg64_seed` seeds from each row of `states`, as (rows, n) uint64, every
+    row stepped at once.  Each output is a step, then the high word ^ the low
+    word rotated right by the top 6 bits of the state.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg64_seed(states)
+    out = np.empty((len(hi), n), dtype=np.uint64)
     for j in range(n):
         hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> 58
@@ -282,9 +271,9 @@ class VisionStub:
 
     def features(self, slot_ids, sample_id) -> np.ndarray:
         """(n, n_tokens) slot ids and n sample ids -> (n, n_tokens, d_visual)
-        float64.  Each sample's noise is drawn from its own generator, in the
-        state numpy's `default_rng` gives the seed (seed, sample_id) (see
-        `sample_rngs`).
+        float64.  Each sample's noise is numpy's `standard_normal` from one
+        generator set, before each sample, to the PCG64 state numpy's
+        `default_rng` gives the seed (seed, sample_id) (see `_pcg64_seed`).
         """
         slots = np.asarray(slot_ids)
         ids = np.asarray(sample_id)
@@ -293,8 +282,15 @@ class VisionStub:
                              f"(n, n_tokens) slot_ids shape {slots.shape}")
         if slots.min() < 0 or slots.max() >= self.n_slots:
             raise ValueError(f"slot id out of range [0, {self.n_slots})")
+        seeded = [w.tolist() for w in _pcg64_seed(_sample_states(self.seed, ids))]
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        pcg = {"state": 0, "inc": 0}  # refilled for each sample; the setter copies it
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
         noise = np.empty(slots.shape + (self.d_visual,))
-        for rng, out in zip(sample_rngs(self.seed, ids), noise):
+        for out, hi, lo, inc_hi, inc_lo in zip(noise, *seeded):
+            pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
+            bits.state = state
             rng.standard_normal(out=out)
         noise *= self.noise_std
         noise += self._table[slots]
@@ -365,8 +361,9 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     computed at once (`_pcg64_words`), and so are the draws made from them
     (`_draws`); no bit generator is made.  Its visual noise depends only on
     (stub.seed, spec.seed * 1_000_003 + i) in the same way, that id taken
-    exactly, as a uint64; numpy's normal sampler draws it, one generator per
-    sample.  Tokens, masks and targets are written one category at a time.
+    exactly, as a uint64; numpy's normal sampler draws it from one generator
+    whose state is set per sample (`VisionStub.features`).  Tokens, masks and
+    targets are written one category at a time.
     """
     K, M = spec.n_attrs, spec.n_values
     n, T = spec.n_samples, spec.seq_len

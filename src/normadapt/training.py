@@ -17,6 +17,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -188,19 +189,10 @@ def clone_model(model: Model) -> Model:
     return Model(model.config, tree, model.dtype)
 
 
-def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
-          config: TrainConfig, outdir=None, trace: GradTrace = None,
-          trace_every: int = 10) -> RunRecord:
-    """Run one training stage.
-
-    A LoRA strategy on a model without adapters injects them and folds them
-    back into the base weights at the end; adapters the caller injected are
-    trained and left for the caller to merge, so with an outdir, whose
-    checkpoint cannot hold them, they are refused before the first step.
-    A trace records the selected norm parameters every `trace_every` steps;
-    a strategy that trains none is refused before anything runs.
-    Non-finite loss aborts the run and flags the record instead of raising.
-    """
+def check_run(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset,
+              outdir=None, trace: GradTrace = None, trace_every: int = 10):
+    """Raise the ValueError `train` refuses these inputs with, doing nothing
+    else."""
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
     if trace is not None and not norm_paths(strategy, model.tree.paths()):
@@ -212,6 +204,25 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
     if train_ds.vocab_required > model.config.vocab_size:
         raise ValueError(f"task needs vocab {train_ds.vocab_required}, "
                          f"model has {model.config.vocab_size}")
+
+
+def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
+          config: TrainConfig, outdir=None, trace: GradTrace = None,
+          trace_every: int = 10) -> RunRecord:
+    """Run one training stage.
+
+    A LoRA strategy on a model without adapters injects them and folds them
+    back into the base weights at the end; adapters the caller injected are
+    trained and left for the caller to merge, so with an outdir, whose
+    checkpoint cannot hold them, they are refused before the first step.
+    A trace records the selected norm parameters every `trace_every` steps;
+    a strategy that trains none is refused before anything runs.  The outdir
+    is made after those checks (`check_run`) and before the first step.
+    Non-finite loss aborts the run and flags the record instead of raising.
+    """
+    check_run(model, strategy, train_ds, outdir, trace, trace_every)
+    if outdir is not None:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
     injected = []
     if strategy.kind == "lora" and not lora_targets(model.tree):
         injected = inject_lora(model, rank=strategy.lora_rank, seed=config.seed)
@@ -263,9 +274,7 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
 
 
 def _write_artifacts(record: RunRecord, model: Model, outdir, trace):
-    from pathlib import Path
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     metrics = out / "metrics.csv"
     with open(metrics, "w", newline="") as f:
         w = csv.writer(f)
@@ -298,16 +307,16 @@ class SweepResult:
 
 def sweep_lr(grid, model_factory, strategy, train_ds, eval_ds,
              config: TrainConfig) -> SweepResult:
-    """One run per grid point, shared seed; ties break toward the smaller lr."""
-    grid = list(grid)
-    if not grid:
+    """One run per grid point, shared seed; ties break toward the smaller lr.
+    Every grid point's config is checked before the first run."""
+    configs = [replace(config, lr=lr) for lr in grid]
+    if not configs:
         raise ValueError("empty learning-rate grid")
     rows, records = [], []
-    for lr in grid:
-        model = model_factory()
-        rec = train(model, strategy, train_ds, eval_ds, replace(config, lr=lr))
+    for cfg in configs:
+        rec = train(model_factory(), strategy, train_ds, eval_ds, cfg)
         loss = rec.final_eval if rec.final_eval is not None else math.inf
-        rows.append((lr, loss))
+        rows.append((cfg.lr, loss))
         records.append(rec)
     best_lr, best_loss = min(rows, key=lambda r: (r[1], r[0]))
     return SweepResult(rows=rows, best_lr=best_lr, best_loss=best_loss,
@@ -357,6 +366,8 @@ class AdaptProtocol:
         # non-negative seed's splits, only mm-adapt's feature ids can fail
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_count("n_train", self.n_train, 1)
+        _check_count("n_eval", self.n_eval, 1)
         for n, offset in ((self.n_train, 2000), (self.n_eval, 3000)):
             self._spec("mm-adapt", n, 0)  # other refusals, in TaskSpec's words
             try:
@@ -448,15 +459,30 @@ class ComparisonReport:
                           indent=2, default=str)
 
 
+def check_comparison(strategy_names, protocol: AdaptProtocol, seeds=(0,)):
+    """Raise what `compare_strategies` refuses these inputs with, doing
+    nothing else: a repeated seed or name, an unknown name, a name without a
+    stage-2 lr (KeyError)."""
+    for what, items in (("seed", list(seeds)), ("strategy", list(strategy_names))):
+        if len(set(items)) < len(items):
+            raise ValueError(f"repeated {what} in {items}")
+    for name in strategy_names:
+        TuningStrategy(name)
+        if name not in protocol.adapt_lrs:
+            raise KeyError(name)
+
+
 def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
                        base: Model = None) -> ComparisonReport:
     """Stage 1 (connector only) + stage 2 per strategy, per seed.
 
     Emits a frozen baseline row per seed (the stage-1 model, gain 0 by
     definition).  Gains require a finetune run in the same seed; rows from
-    other strategies get gain=None when finetune is absent.  Every name and
-    its stage-2 lr are checked before any training.
+    other strategies get gain=None when finetune is absent.  The inputs are
+    checked (`check_comparison`) before any training.
     """
+    seeds, strategy_names = list(seeds), list(strategy_names)
+    check_comparison(strategy_names, protocol, seeds)
     stage2 = [(name, TuningStrategy(name), protocol.adapt_lrs[name])
               for name in strategy_names]
     if base is None:

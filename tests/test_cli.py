@@ -396,8 +396,13 @@ def test_config_key_the_command_does_not_read_is_refused(
      f"normadapt train: error: seed {2**45} too large: the mm-adapt split's seed "
      f"+ 2000 is refused (seed {2**45 + 2000} too large: mm-adapt feature ids "
      "seed * 1000003 + i must stay below 2**64)\n"),
+    (["train", "--steps", "1", "--n-samples", "0"],
+     "normadapt train: error: n_train must be >= 1, got 0\n"),
+    (["train", "--steps", "1", "--n-eval", "0"],
+     "normadapt train: error: n_eval must be >= 1, got 0\n"),
 ], ids=["grid", "strategy", "trace-every-0", "trace-every-negative",
-        "eval-interval-negative", "seed-negative", "seed-past-feature-ids"])
+        "eval-interval-negative", "seed-negative", "seed-past-feature-ids",
+        "n-samples-0", "n-eval-0"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     assert usage_error(capsys, argv) == message
 
@@ -437,6 +442,51 @@ def test_compare_refuses_stage_settings_before_pretraining(flag, value, message,
     monkeypatch.setattr(tr, "train", train)
     err = usage_error(capsys, ["compare", *TINY_COMPARE, flag, value])
     assert err == f"normadapt compare: error: {message}\n"
+
+
+def test_sweep_lr_checks_the_whole_grid_before_training(monkeypatch, capsys):
+    def train(*args, **kwargs):
+        raise AssertionError("train ran")
+
+    monkeypatch.setattr(tr, "train", train)
+    err = usage_error(capsys, ["sweep-lr", "--grid", "1e-3,2e-3,-1", *TINY])
+    assert err == "normadapt sweep-lr: error: lr must be finite and >= 0, got -1.0\n"
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["compare", *TINY_COMPARE], "pretrain"),
+    (["grad-stats", *TINY], "train"),
+], ids=["compare", "grad-stats"])
+def test_outdir_is_made_before_any_training(argv, stage, tmp_path, monkeypatch,
+                                            capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{stage} ran")
+
+    monkeypatch.setattr(tr, stage, fail)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outdir = str(blocker / "sub")
+    err = usage_error(capsys, [*argv, "--outdir", outdir])
+    assert err == f"normadapt {argv[0]}: error: --outdir {outdir}: Not a directory\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--strategies", "finetune,nope"], "unknown strategy 'nope'"),
+    (["--strategies", "finetune,finetune"],
+     "repeated strategy in ['finetune', 'finetune']"),
+    (["--seeds", "0,0,1"], "repeated seed in [0, 0, 1]"),
+], ids=["unknown-strategy", "repeated-strategy", "repeated-seed"])
+def test_refused_compare_leaves_no_outdir(flags, message, tmp_path, monkeypatch,
+                                          capsys):
+    def pretrain(protocol):
+        raise AssertionError("pretrain ran")
+
+    monkeypatch.setattr(tr, "pretrain", pretrain)
+    outdir = tmp_path / "cmp"
+    err = usage_error(capsys, ["compare", *TINY_COMPARE, *flags,
+                               "--outdir", str(outdir)])
+    assert err.startswith(f"normadapt compare: error: {message}")
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

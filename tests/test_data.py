@@ -2,6 +2,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from normadapt import data as dt
 from normadapt import training as tr
@@ -379,30 +380,43 @@ def test_mm_adapt_needs_a_stub():
         dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4, seq_len=12))
 
 
-@pytest.mark.parametrize("key", [0, 7, 2**32 - 1, 2**32 + 3, 2**64 + 5, 2**96 + 1],
-                         ids=["0", "7", "2^32-1", "2^32+3", "2^64+5", "2^96+1"])
-def test_sample_rngs_match_tuple_seeded_default_rng(key):
-    """Keys of 1 to 4 uint32 words, with ids of 1 and 2 words: a 3-word key
-    with a 2-word id runs the entropy past SeedSequence's 4-word pool."""
-    ids = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 5 * 10**12, 2**63 - 1])
-    rngs = dt.sample_rngs(key, ids)
-    assert iter(rngs) is rngs  # made one at a time, not as a list
-    for rng, i in zip(rngs, ids.tolist(), strict=True):
-        ref = np.random.default_rng((key, i))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random() == ref.random()
-        np.testing.assert_array_equal(rng.integers(0, 16, 4), ref.integers(0, 16, 4))
-        np.testing.assert_array_equal(rng.permutation(5), ref.permutation(5))
-        np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
+_KEYS = pytest.mark.parametrize(
+    "key", [0, 7, 2**32 - 1, 2**32 + 3, 2**64 + 5, 2**96 + 1],
+    ids=["0", "7", "2^32-1", "2^32+3", "2^64+5", "2^96+1"])
+# ids of 1 and 2 uint32 words: a 3-word key with a 2-word id runs the
+# entropy past SeedSequence's 4-word pool
+_IDS = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 5 * 10**12, 2**63 - 1, 2**64 - 1],
+                dtype=np.uint64)
 
 
-def test_sample_rngs_refuse_negative_keys_and_ids():
+@_KEYS
+def test_pcg64_words_match_tuple_seeded_default_rng(key):
+    """Keys of 1 to 4 uint32 words: every sample's raw outputs, from which
+    `generate` draws, are those of `default_rng((key, id))`."""
+    words = dt._pcg64_words(dt._sample_states(key, _IDS), 8)
+    for row, i in zip(words, _IDS.tolist(), strict=True):
+        want = np.random.default_rng((key, i)).bit_generator.random_raw(8)
+        assert row.tobytes() == want.tobytes(), i
+
+
+@_KEYS
+def test_vision_stub_noise_matches_tuple_seeded_default_rng(key):
+    stub = dt.VisionStub(d_visual=5, n_slots=12, seed=key)
+    slots = np.arange(len(_IDS) * 3).reshape(-1, 3) % 12
+    got = stub.features(slots, _IDS)
+    for row, s, i in zip(got, slots, _IDS.tolist(), strict=True):
+        noise = np.random.default_rng((key, i)).standard_normal((3, 5))
+        want = stub._table[s] + stub.noise_std * noise
+        assert row.tobytes() == want.tobytes(), i
+
+
+def test_sample_states_refuse_negative_keys_and_ids():
     with pytest.raises(ValueError, match="non-negative"):
-        dt.sample_rngs(-1, np.arange(3))
+        dt._sample_states(-1, np.arange(3))
     with pytest.raises(ValueError, match="non-negative"):
-        dt.sample_rngs(0, np.array([4, -2, 1]))
+        dt._sample_states(0, np.array([4, -2, 1]))
     with pytest.raises(TypeError, match="integers"):
-        dt.sample_rngs(0, np.array([0.5]))
+        dt._sample_states(0, np.array([0.5]))
 
 
 def test_vision_stub_determinism_and_modes():
@@ -451,11 +465,23 @@ def pcg64_seed_words(first_state, stream):
     return [state >> 64, state & _M64, stream >> 64, stream & _M64]
 
 
+class SeedWords(ISeedSequence):
+    """Hands numpy's PCG64 the given seed words, so numpy's own seeding is
+    the oracle for `_pcg64_seed`."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == self.words.size and np.dtype(dtype) == np.uint64
+        return self.words
+
+
 def assert_pcg64_words_match_numpy(states, n):
     got = dt._pcg64_words(states, n)
     assert got.dtype == np.uint64 and got.shape == (len(states), n)
     for row, words in zip(got, states):
-        want = np.random.PCG64(dt._SeedState(words)).random_raw(n)
+        want = np.random.PCG64(SeedWords(words)).random_raw(n)
         assert row.tobytes() == want.tobytes(), words
 
 
@@ -471,7 +497,7 @@ def test_pcg64_words_match_numpy_on_crafted_words():
         (0, _M64),
         ((2**58 - 1) << 64 | _M64, (2**128 - 1) >> 1))]
     for words in unrotated:  # numpy agrees the first output's rotation is 0
-        rng = np.random.PCG64(dt._SeedState(np.array(words, dtype=np.uint64)))
+        rng = np.random.PCG64(SeedWords(words))
         rng.random_raw(1)
         assert rng.state["state"]["state"] >> 122 == 0
     states = np.array(rows + unrotated, dtype=np.uint64)
@@ -490,8 +516,8 @@ def test_pcg64_words_match_numpy_in_bulk():
 
 
 def test_generate_makes_no_bit_generator_for_its_draws(monkeypatch):
-    """Text makes no PCG64 at all; mm-adapt makes one per sample, for its
-    visual noise, even with a single first word so every row redraws."""
+    """Text makes no PCG64 at all; mm-adapt makes one, for all its visual
+    noise, even with a single first word so every row redraws."""
     made = []
     pcg64 = np.random.PCG64
 
@@ -505,7 +531,7 @@ def test_generate_makes_no_bit_generator_for_its_draws(monkeypatch):
         text = dt.generate(spec(n_samples=300))
         assert len(made) == 0 and len(text) == 300
         dt.generate(spec(kind="mm-adapt", n_samples=300), STUB)
-        assert len(made) == 300
+        assert len(made) == 1
         made.clear()
 
 

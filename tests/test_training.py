@@ -307,6 +307,30 @@ def test_sweep_singleton_and_ties():
         tr.sweep_lr([], lambda: model, TuningStrategy("layernorm"), ds, ds, cfg)
 
 
+def test_sweep_checks_every_grid_point_before_the_first_run(monkeypatch):
+    model, ds = micro_setup(kind="mm-adapt", n=8)
+    calls = []
+    monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="lr must be finite and >= 0, got -1"):
+        tr.sweep_lr([1e-3, 2e-3, -1.0], lambda: model, TuningStrategy("layernorm"),
+                    ds, ds, tr.TrainConfig(lr=1.0, steps=2, batch=4))
+    assert calls == []
+
+
+def test_train_makes_its_outdir_before_the_first_step(tmp_path):
+    model, ds = micro_setup("mm-adapt", n=8)
+
+    def loss(*args):
+        raise AssertionError("a step ran")
+
+    model.loss = loss
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(NotADirectoryError):
+        tr.train(model, TuningStrategy("layernorm"), ds, None,
+                 tr.TrainConfig(lr=1e-3, steps=2, batch=4), outdir=blocker / "run")
+
+
 def test_lora_run_merges_adapters_and_isolates_bases():
     model, ds = micro_setup()
     attn_before = model.tree["blocks.0.attn.k_proj.weight"].data.copy()
@@ -395,6 +419,20 @@ def test_compare_refuses_an_unknown_stub_mode_before_pretraining(monkeypatch):
         tr.compare_strategies(["finetune"], micro_protocol(stub_mode="conv"))
 
 
+@pytest.mark.parametrize("names, seeds, message", [
+    (["finetune", "layernorm"], (0, 0, 1), "repeated seed in \\[0, 0, 1\\]"),
+    (["finetune", "finetune"], (0,), "repeated strategy in \\['finetune', 'finetune'\\]"),
+], ids=["seed", "strategy"])
+def test_compare_strategies_refuses_repeats_before_pretraining(monkeypatch, names,
+                                                                seeds, message):
+    def pretrain(protocol):
+        raise AssertionError("pretrain ran")
+
+    monkeypatch.setattr(tr, "pretrain", pretrain)
+    with pytest.raises(ValueError, match=message):
+        tr.compare_strategies(names, micro_protocol(), seeds=seeds)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("pretrain_steps", -1, "pretrain_steps must be >= 0, got -1"),
     ("connector_steps", -1, "connector_steps must be >= 0, got -1"),
@@ -408,6 +446,8 @@ def test_compare_refuses_an_unknown_stub_mode_before_pretraining(monkeypatch):
     ("noise_std", math.nan, "noise_std must be finite and >= 0, got nan"),
     ("noise_std", -1.0, "noise_std must be finite and >= 0, got -1.0"),
     ("mixture", (math.nan, 0.5, 0.5), "mixture needs 3 finite non-negative"),
+    ("n_train", 0, "^n_train must be >= 1, got 0$"),
+    ("n_eval", -4, "^n_eval must be >= 1, got -4$"),
 ])
 def test_protocol_refuses_stage_settings_before_any_training(monkeypatch, field,
                                                              value, message):
