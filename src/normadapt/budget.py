@@ -107,6 +107,8 @@ def count(preset: ArchPreset, strategy: TuningStrategy,
     The total is the base model plus the frozen vision encoder; LoRA adapter
     scalars count as trainable but do not enter the total.
     """
+    if bytes_per_param < 1:
+        raise ValueError(f"bytes_per_param must be >= 1, got {bytes_per_param}")
     entries = preset.inventory()
     total = sum(prod(s) for _, s in entries) + preset.vision_params
     if strategy.kind == "lora":

@@ -182,8 +182,8 @@ def cmd_sweep_lr(args):
                              f"({', '.join(tr.LR_GRIDS)}) nor comma-separated "
                              "learning rates") from None
     opts, cfg, base, train_ds, eval_ds = _run_inputs(args, lr=1.0)
-    result = tr.sweep_lr(grid, lambda: tr.clone_model(base),
-                         _strategy_from_opts(opts), train_ds, eval_ds, cfg)
+    result = tr.sweep_lr(grid, base, _strategy_from_opts(opts), train_ds, eval_ds,
+                         cfg)
     for lr, loss in result.rows:
         print(f"{lr:.1e}\t{loss:.6f}")
     print(json.dumps({"best_lr": result.best_lr, "best_loss": result.best_loss}))
@@ -200,16 +200,12 @@ def cmd_compare(args):
     protocol = _protocol(opts, model=base.config if base else _model_config(opts),
                          **given)
     strategies = args.strategies.split(",")
-    tr.check_comparison(strategies, protocol, args.seeds)
-    outdir = Path(opts["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)  # before training, after its refusals
-    report = tr.compare_strategies(strategies, protocol, seeds=args.seeds, base=base)
-    with open(outdir / "compare.csv", "w", newline="") as f:
-        report.to_csv(f)
-    (outdir / "compare.json").write_text(report.to_json())
+    report = tr.compare_strategies(strategies, protocol, seeds=args.seeds, base=base,
+                                   outdir=opts["outdir"])
     medians = {name: report.median_gain(name)
                for name in ["frozen"] + strategies}
-    print(json.dumps({"median_gain": medians, "outdir": str(outdir)}, indent=2))
+    print(json.dumps({"median_gain": medians, "outdir": str(Path(opts["outdir"]))},
+                     indent=2))
     return 0
 
 
@@ -273,17 +269,12 @@ def cmd_grad_stats(args):
     from . import training as tr
     from .analysis import GradTrace
     opts, cfg, model, train_ds, eval_ds = _run_inputs(args)
-    strategy, trace = _strategy_from_opts(opts), GradTrace()
-    tr.check_run(model, strategy, train_ds, trace=trace, trace_every=args.trace_every)
-    outdir = Path(opts["outdir"]) if "outdir" in opts else None
-    if outdir is not None:  # made before training, after its refusals
-        outdir.mkdir(parents=True, exist_ok=True)
-    tr.train(model, strategy, train_ds, eval_ds, cfg, trace=trace,
-             trace_every=args.trace_every)
-    if outdir is not None:
-        with open(outdir / "gradtrace.csv", "w", newline="") as f:
-            trace.to_csv(f)
-        print(str(outdir / "gradtrace.csv"))
+    trace = GradTrace()
+    record = tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
+                      outdir=opts.get("outdir"), trace=trace,
+                      trace_every=args.trace_every)
+    if "gradtrace" in record.artifacts:
+        print(record.artifacts["gradtrace"])
     else:
         trace.to_csv(sys.stdout)
     return 0
@@ -292,6 +283,9 @@ def cmd_grad_stats(args):
 def cmd_normcheck(args):
     import numpy as np
     from . import normmath as nm
+    grid = [int(x) for x in args.n_grid.split(",")]
+    study = nm.variance_scaling_study(grid, sampler=args.sampler,
+                                      trials=args.trials, seed=args.seed)
     rng = np.random.default_rng(args.seed)
 
     max_defect = 0.0
@@ -308,9 +302,6 @@ def cmd_normcheck(args):
                 violations += 1
             draws += 1
 
-    grid = [int(x) for x in args.n_grid.split(",")]
-    study = nm.variance_scaling_study(grid, sampler=args.sampler,
-                                      trials=args.trials, seed=args.seed)
     decreasing = all(b < a for a, b in
                      zip(study.median_var, study.median_var[1:]))
     payload = {

@@ -168,6 +168,11 @@ def variance_scaling_study(n_grid, sampler="softmax-xent", trials=200,
     variance_bound_check, so no decay exponent is asserted here.
     """
     n_grid = list(n_grid)
+    if trials < 1:
+        raise ValueError(f"variance_scaling_study: trials must be >= 1, got {trials}")
+    if len(n_grid) < 2:
+        raise ValueError("variance_scaling_study: n_grid needs at least 2 sizes "
+                         f"to fit a slope, got {n_grid}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("variance_scaling_study: n_grid must be strictly ascending")
     draw_b = SAMPLERS[sampler]

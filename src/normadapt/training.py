@@ -189,23 +189,6 @@ def clone_model(model: Model) -> Model:
     return Model(model.config, tree, model.dtype)
 
 
-def check_run(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset,
-              outdir=None, trace: GradTrace = None, trace_every: int = 10):
-    """Raise the ValueError `train` refuses these inputs with, doing nothing
-    else."""
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
-    if trace is not None and not norm_paths(strategy, model.tree.paths()):
-        raise ValueError(f"strategy {strategy.kind!r} trains no norm parameter, "
-                         "so there are no norm gradients to trace")
-    if outdir is not None and lora_targets(model.tree):
-        raise ValueError("model has unmerged adapters, which a checkpoint cannot "
-                         "hold; merge them or train without outdir")
-    if train_ds.vocab_required > model.config.vocab_size:
-        raise ValueError(f"task needs vocab {train_ds.vocab_required}, "
-                         f"model has {model.config.vocab_size}")
-
-
 def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
           config: TrainConfig, outdir=None, trace: GradTrace = None,
           trace_every: int = 10) -> RunRecord:
@@ -217,10 +200,20 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
     checkpoint cannot hold them, they are refused before the first step.
     A trace records the selected norm parameters every `trace_every` steps;
     a strategy that trains none is refused before anything runs.  The outdir
-    is made after those checks (`check_run`) and before the first step.
+    is made after those checks and before the first step.
     Non-finite loss aborts the run and flags the record instead of raising.
     """
-    check_run(model, strategy, train_ds, outdir, trace, trace_every)
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
+    if trace is not None and not norm_paths(strategy, model.tree.paths()):
+        raise ValueError(f"strategy {strategy.kind!r} trains no norm parameter, "
+                         "so there are no norm gradients to trace")
+    if outdir is not None and lora_targets(model.tree):
+        raise ValueError("model has unmerged adapters, which a checkpoint cannot "
+                         "hold; merge them or train without outdir")
+    if train_ds.vocab_required > model.config.vocab_size:
+        raise ValueError(f"task needs vocab {train_ds.vocab_required}, "
+                         f"model has {model.config.vocab_size}")
     if outdir is not None:
         Path(outdir).mkdir(parents=True, exist_ok=True)
     injected = []
@@ -287,7 +280,7 @@ def _write_artifacts(record: RunRecord, model: Model, outdir, trace):
     save_checkpoint(model, ckpt)
     record.artifacts["metrics"] = str(metrics)
     record.artifacts["checkpoint"] = str(ckpt)
-    if trace is not None and trace.entries:
+    if trace is not None:
         trace_path = out / "gradtrace.csv"
         with open(trace_path, "w", newline="") as f:
             trace.to_csv(f)
@@ -305,16 +298,20 @@ class SweepResult:
     records: list
 
 
-def sweep_lr(grid, model_factory, strategy, train_ds, eval_ds,
+def sweep_lr(grid, base: Model, strategy, train_ds, eval_ds,
              config: TrainConfig) -> SweepResult:
-    """One run per grid point, shared seed; ties break toward the smaller lr.
-    Every grid point's config is checked before the first run."""
-    configs = [replace(config, lr=lr) for lr in grid]
-    if not configs:
+    """One run per grid point, each on a clone of `base`, shared seed; ties
+    break toward the smaller lr.  Every grid point is checked before the
+    first run."""
+    grid = list(grid)
+    if not grid:
         raise ValueError("empty learning-rate grid")
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"repeated lr in {grid}")
+    configs = [replace(config, lr=lr) for lr in grid]
     rows, records = [], []
     for cfg in configs:
-        rec = train(model_factory(), strategy, train_ds, eval_ds, cfg)
+        rec = train(clone_model(base), strategy, train_ds, eval_ds, cfg)
         loss = rec.final_eval if rec.final_eval is not None else math.inf
         rows.append((cfg.lr, loss))
         records.append(rec)
@@ -459,32 +456,25 @@ class ComparisonReport:
                           indent=2, default=str)
 
 
-def check_comparison(strategy_names, protocol: AdaptProtocol, seeds=(0,)):
-    """Raise what `compare_strategies` refuses these inputs with, doing
-    nothing else: a repeated seed or name, an unknown name, a name without a
-    stage-2 lr (KeyError)."""
-    for what, items in (("seed", list(seeds)), ("strategy", list(strategy_names))):
-        if len(set(items)) < len(items):
-            raise ValueError(f"repeated {what} in {items}")
-    for name in strategy_names:
-        TuningStrategy(name)
-        if name not in protocol.adapt_lrs:
-            raise KeyError(name)
-
-
 def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
-                       base: Model = None) -> ComparisonReport:
+                       base: Model = None, outdir=None) -> ComparisonReport:
     """Stage 1 (connector only) + stage 2 per strategy, per seed.
 
     Emits a frozen baseline row per seed (the stage-1 model, gain 0 by
     definition).  Gains require a finetune run in the same seed; rows from
-    other strategies get gain=None when finetune is absent.  The inputs are
-    checked (`check_comparison`) before any training.
+    other strategies get gain=None when finetune is absent.  A repeated seed
+    or name, an unknown name and a name without a stage-2 lr (KeyError) are
+    refused before the outdir is made and before any training; the outdir
+    then gets `compare.csv` and `compare.json`.
     """
     seeds, strategy_names = list(seeds), list(strategy_names)
-    check_comparison(strategy_names, protocol, seeds)
+    for what, items in (("seed", seeds), ("strategy", strategy_names)):
+        if len(set(items)) < len(items):
+            raise ValueError(f"repeated {what} in {items}")
     stage2 = [(name, TuningStrategy(name), protocol.adapt_lrs[name])
               for name in strategy_names]
+    if outdir is not None:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
     if base is None:
         base, _ = pretrain(protocol)
     mm_train, mm_eval = protocol.mm_datasets()
@@ -521,4 +511,9 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
                                       final_eval=finals[name], gain=gain,
                                       fraction=fractions[name],
                                       wall_clock=clocks[name]))
-    return ComparisonReport(rows=rows, protocol=asdict(protocol))
+    report = ComparisonReport(rows=rows, protocol=asdict(protocol))
+    if outdir is not None:
+        with open(Path(outdir) / "compare.csv", "w", newline="") as f:
+            report.to_csv(f)
+        (Path(outdir) / "compare.json").write_text(report.to_json())
+    return report

@@ -92,6 +92,14 @@ def test_memory_estimate_linearity():
     assert rep8.memory_bytes == 2 * rep4.memory_bytes
 
 
+@pytest.mark.parametrize("bytes_per_param", [0, -4])
+def test_bytes_per_param_below_one_is_refused(bytes_per_param):
+    with pytest.raises(ValueError,
+                       match=f"^bytes_per_param must be >= 1, got {bytes_per_param}$"):
+        bg.count(bg.PRESETS["llama7b"], st.TuningStrategy("layernorm"),
+                 bytes_per_param)
+
+
 @pytest.mark.parametrize("kind", st.STRATEGY_KINDS)
 def test_toy_consistency_with_built_model(kind):
     cfg = md.ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16, vocab_size=11,

@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from normadapt import cli
 from normadapt import data as dt
 from normadapt import normmath as nm
 from normadapt import training as tr
-from normadapt.model import NORM_KINDS, ModelConfig, build, save_checkpoint
+from normadapt.model import NORM_KINDS, Model, ModelConfig, build, save_checkpoint
 
 
 def write_config(tmp_path, text):
@@ -85,6 +87,15 @@ def test_thread_cap_exports_blas_vars(monkeypatch):
     cli._cap_threads()
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_building_the_parser_does_not_import_numpy():
+    """NORMADAPT_THREADS reaches BLAS only if numpy loads after `_cap_threads`."""
+    code = ("import sys\nfrom normadapt import cli\ncli.build_parser()\n"
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # ----------------------------------------------------------------- budget
@@ -241,7 +252,7 @@ def test_compare_takes_unset_protocol_flags_from_the_protocol(tmp_path, monkeypa
 
     seen = []
 
-    def fake_compare(strategies, protocol, seeds, base):
+    def fake_compare(strategies, protocol, seeds, base, outdir):
         seen.append(protocol)
         return tr.ComparisonReport(rows=[], protocol=dataclasses.asdict(protocol))
 
@@ -400,9 +411,26 @@ def test_config_key_the_command_does_not_read_is_refused(
      "normadapt train: error: n_train must be >= 1, got 0\n"),
     (["train", "--steps", "1", "--n-eval", "0"],
      "normadapt train: error: n_eval must be >= 1, got 0\n"),
+    (["sweep-lr", "--grid", "1e-3,1e-3", *TINY],
+     "normadapt sweep-lr: error: repeated lr in [0.001, 0.001]\n"),
+    (["budget", "--bytes-per-param", "-4"],
+     "normadapt budget: error: bytes_per_param must be >= 1, got -4\n"),
+    (["budget", "--bytes-per-param", "0", "--reference-table"],
+     "normadapt budget: error: bytes_per_param must be >= 1, got 0\n"),
+    (["normcheck", "--trials", "0"],
+     "normadapt normcheck: error: variance_scaling_study: trials must be >= 1, "
+     "got 0\n"),
+    (["normcheck", "--trials", "-1"],
+     "normadapt normcheck: error: variance_scaling_study: trials must be >= 1, "
+     "got -1\n"),
+    (["normcheck", "--n-grid", "16"],
+     "normadapt normcheck: error: variance_scaling_study: n_grid needs at least "
+     "2 sizes to fit a slope, got [16]\n"),
 ], ids=["grid", "strategy", "trace-every-0", "trace-every-negative",
         "eval-interval-negative", "seed-negative", "seed-past-feature-ids",
-        "n-samples-0", "n-eval-0"])
+        "n-samples-0", "n-eval-0", "sweep-repeated-lr", "bytes-per-param-negative",
+        "bytes-per-param-0-table", "normcheck-trials-0", "normcheck-trials-negative",
+        "normcheck-one-size"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     assert usage_error(capsys, argv) == message
 
@@ -444,6 +472,17 @@ def test_compare_refuses_stage_settings_before_pretraining(flag, value, message,
     assert err == f"normadapt compare: error: {message}\n"
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--n-grid", "16"]],
+                         ids=["trials", "n-grid"])
+def test_normcheck_refuses_before_any_sampling(flags, monkeypatch, capsys):
+    def ln_stats(x):
+        raise AssertionError("sampling ran")
+
+    monkeypatch.setattr(nm, "ln_stats", ln_stats)
+    assert usage_error(capsys, ["normcheck", *flags]).startswith(
+        "normadapt normcheck: error: variance_scaling_study: ")
+
+
 def test_sweep_lr_checks_the_whole_grid_before_training(monkeypatch, capsys):
     def train(*args, **kwargs):
         raise AssertionError("train ran")
@@ -453,16 +492,16 @@ def test_sweep_lr_checks_the_whole_grid_before_training(monkeypatch, capsys):
     assert err == "normadapt sweep-lr: error: lr must be finite and >= 0, got -1.0\n"
 
 
-@pytest.mark.parametrize("argv, stage", [
-    (["compare", *TINY_COMPARE], "pretrain"),
-    (["grad-stats", *TINY], "train"),
+@pytest.mark.parametrize("argv, owner, stage", [
+    (["compare", *TINY_COMPARE], tr, "pretrain"),
+    (["grad-stats", *TINY], Model, "loss"),
 ], ids=["compare", "grad-stats"])
-def test_outdir_is_made_before_any_training(argv, stage, tmp_path, monkeypatch,
-                                            capsys):
+def test_outdir_is_made_before_any_training(argv, owner, stage, tmp_path,
+                                            monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError(f"{stage} ran")
 
-    monkeypatch.setattr(tr, stage, fail)
+    monkeypatch.setattr(owner, stage, fail)
     blocker = tmp_path / "file"
     blocker.write_text("")
     outdir = str(blocker / "sub")
@@ -526,6 +565,25 @@ def test_grad_stats_reads_outdir_from_config(tmp_path, capsys):
                    "layernorm-simple", "--trace-every", "1", *TINY])
     assert rc == 0
     assert (outdir / "gradtrace.csv").read_text().startswith("step,path,")
+    assert capsys.readouterr().out.strip() == str(outdir / "gradtrace.csv")
+
+
+def test_grad_stats_outdir_holds_the_run(tmp_path, capsys):
+    outdir = tmp_path / "gs"
+    assert cli.main(["grad-stats", "--strategy", "layernorm-simple",
+                     "--outdir", str(outdir), *TINY]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "gradtrace.csv", "metrics.csv", "model.ckpt", "run.json"]
+    run = json.loads((outdir / "run.json").read_text())
+    assert run["artifacts"]["gradtrace"] == str(outdir / "gradtrace.csv")
+
+
+def test_grad_stats_with_no_steps_writes_a_header_only_trace(tmp_path, capsys):
+    outdir = tmp_path / "gs"
+    assert cli.main(["grad-stats", "--steps", "0", "--outdir", str(outdir),
+                     *TINY[2:]]) == 0
+    (header,) = (outdir / "gradtrace.csv").read_text().splitlines()
+    assert header.startswith("step,path,mean,variance,")
     assert capsys.readouterr().out.strip() == str(outdir / "gradtrace.csv")
 
 

@@ -143,3 +143,14 @@ def test_scaling_study_in_kernel_sampler_is_zero():
 def test_scaling_study_rejects_unsorted_grid():
     with pytest.raises(ValueError):
         nm.variance_scaling_study([64, 16], trials=5)
+
+
+@pytest.mark.parametrize("grid, trials, message", [
+    ([16, 64], 0, "trials must be >= 1, got 0"),
+    ([16, 64], -1, "trials must be >= 1, got -1"),
+    ([16], 5, "n_grid needs at least 2 sizes"),
+    ([], 5, "n_grid needs at least 2 sizes"),
+], ids=["trials-0", "trials-negative", "one-size", "no-size"])
+def test_scaling_study_refuses_too_few_trials_or_sizes(grid, trials, message):
+    with pytest.raises(ValueError, match=message):
+        nm.variance_scaling_study(grid, trials=trials)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -289,22 +290,20 @@ def test_sweep_singleton_and_ties():
     model, ds = micro_setup(kind="mm-adapt", n=32)
     cfg = tr.TrainConfig(lr=1.0, steps=0, batch=8)
 
-    single = tr.sweep_lr([3e-4], lambda: tr.clone_model(model),
-                         TuningStrategy("layernorm"), ds, ds, cfg)
+    single = tr.sweep_lr([3e-4], model, TuningStrategy("layernorm"), ds, ds, cfg)
     assert single.best_lr == 3e-4
 
     # zero steps: every lr evaluates identically, so the tie rule decides
-    tied = tr.sweep_lr([3e-4, 1e-4], lambda: tr.clone_model(model),
-                       TuningStrategy("layernorm"), ds, ds, cfg)
+    tied = tr.sweep_lr([3e-4, 1e-4], model, TuningStrategy("layernorm"), ds, ds, cfg)
     assert tied.rows[0][1] == tied.rows[1][1]
     assert tied.best_lr == 1e-4
 
-    named = tr.sweep_lr(tr.LR_GRIDS["paper-grid"], lambda: tr.clone_model(model),
-                        TuningStrategy("layernorm"), ds, ds, cfg)
+    named = tr.sweep_lr(tr.LR_GRIDS["paper-grid"], model, TuningStrategy("layernorm"),
+                        ds, ds, cfg)
     assert [lr for lr, _ in named.rows] == list(tr.LR_GRIDS["paper-grid"])
 
     with pytest.raises(ValueError, match="empty"):
-        tr.sweep_lr([], lambda: model, TuningStrategy("layernorm"), ds, ds, cfg)
+        tr.sweep_lr([], model, TuningStrategy("layernorm"), ds, ds, cfg)
 
 
 def test_sweep_checks_every_grid_point_before_the_first_run(monkeypatch):
@@ -312,7 +311,17 @@ def test_sweep_checks_every_grid_point_before_the_first_run(monkeypatch):
     calls = []
     monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match="lr must be finite and >= 0, got -1"):
-        tr.sweep_lr([1e-3, 2e-3, -1.0], lambda: model, TuningStrategy("layernorm"),
+        tr.sweep_lr([1e-3, 2e-3, -1.0], model, TuningStrategy("layernorm"),
+                    ds, ds, tr.TrainConfig(lr=1.0, steps=2, batch=4))
+    assert calls == []
+
+
+def test_sweep_refuses_a_repeated_grid_point_before_the_first_run(monkeypatch):
+    model, ds = micro_setup(kind="mm-adapt", n=8)
+    calls = []
+    monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=r"repeated lr in \[0.001, 0.002, 0.001\]"):
+        tr.sweep_lr([1e-3, 2e-3, 1e-3], model, TuningStrategy("layernorm"),
                     ds, ds, tr.TrainConfig(lr=1.0, steps=2, batch=4))
     assert calls == []
 
@@ -394,8 +403,8 @@ def test_compare_strategies_micro_run():
     (["finetune", "layernrom"], dict(tr.DEFAULT_ADAPT_LRS), ValueError),
     (["finetune", "lora"], {"finetune": 6e-4}, KeyError),
 ])
-def test_compare_strategies_checks_names_before_training(monkeypatch, names,
-                                                         lrs, error):
+def test_compare_strategies_checks_names_before_training(monkeypatch, tmp_path,
+                                                         names, lrs, error):
     calls = []
 
     def counting_train(*args, **kwargs):
@@ -405,9 +414,11 @@ def test_compare_strategies_checks_names_before_training(monkeypatch, names,
                             wall_clock=0.0)
 
     monkeypatch.setattr(tr, "train", counting_train)
+    outdir = tmp_path / "cmp"
     with pytest.raises(error, match=names[-1]):
-        tr.compare_strategies(names, micro_protocol(adapt_lrs=lrs))
+        tr.compare_strategies(names, micro_protocol(adapt_lrs=lrs), outdir=outdir)
     assert calls == []
+    assert not outdir.exists()
 
 
 def test_compare_refuses_an_unknown_stub_mode_before_pretraining(monkeypatch):
@@ -423,14 +434,27 @@ def test_compare_refuses_an_unknown_stub_mode_before_pretraining(monkeypatch):
     (["finetune", "layernorm"], (0, 0, 1), "repeated seed in \\[0, 0, 1\\]"),
     (["finetune", "finetune"], (0,), "repeated strategy in \\['finetune', 'finetune'\\]"),
 ], ids=["seed", "strategy"])
-def test_compare_strategies_refuses_repeats_before_pretraining(monkeypatch, names,
-                                                                seeds, message):
+def test_compare_strategies_refuses_repeats_before_pretraining(monkeypatch, tmp_path,
+                                                                names, seeds, message):
     def pretrain(protocol):
         raise AssertionError("pretrain ran")
 
     monkeypatch.setattr(tr, "pretrain", pretrain)
+    outdir = tmp_path / "cmp"
     with pytest.raises(ValueError, match=message):
-        tr.compare_strategies(names, micro_protocol(), seeds=seeds)
+        tr.compare_strategies(names, micro_protocol(), seeds=seeds, outdir=outdir)
+    assert not outdir.exists()
+
+
+def test_compare_strategies_writes_both_tables(tmp_path):
+    proto = micro_protocol(pretrain_steps=2, connector_steps=2, adapt_steps=2)
+    outdir = tmp_path / "cmp"
+    report = tr.compare_strategies(["finetune"], proto, outdir=outdir)
+    buf = io.StringIO()
+    report.to_csv(buf)
+    with open(outdir / "compare.csv", newline="") as f:
+        assert f.read() == buf.getvalue()
+    assert (outdir / "compare.json").read_text() == report.to_json()
 
 
 @pytest.mark.parametrize("field, value, message", [
