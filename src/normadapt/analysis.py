@@ -80,20 +80,49 @@ class GradTrace:
         return np.linspace(HIST_LO, HIST_HI, HIST_BINS + 1)
 
     def record(self, step, tree, paths):
-        """Append stats per path; call after backward, before the optimizer."""
+        """Append stats per path; call after backward, before the optimizer.
+
+        One pass over every path's gradient, each entry bitwise what
+        `np.histogram`, `mean` and `var` of that gradient alone give:
+        gradients of one size are reduced as the rows of one array (numpy
+        sums a row as it sums a 1-d array), and all values are binned by one
+        search over the lower edges (a NaN, which `np.histogram` drops, is
+        counted nowhere).
+        """
         if self.entries and step <= self.entries[-1].step:
             raise ValueError(
                 f"step {step} not greater than last recorded {self.entries[-1].step}")
-        edges = self.edges
+        names, grads = [], []
         for p in paths:
             g = tree[p].grad
             if g is None:
                 raise ValueError(f"no gradient materialized for {p!r}")
-            flat = np.asarray(g, dtype=np.float64).ravel()
-            hist, _ = np.histogram(np.clip(flat, HIST_LO, HIST_HI), bins=edges)
-            self.entries.append(GradEntry(
-                step=int(step), path=p, mean=float(flat.mean()),
-                variance=float(flat.var()), hist=hist))
+            names.append(p)
+            grads.append(np.asarray(g, dtype=np.float64).ravel())
+        if not grads:
+            return
+        means, variances = np.empty(len(grads)), np.empty(len(grads))
+        by_size = {}
+        for i, g in enumerate(grads):
+            by_size.setdefault(g.size, []).append(i)
+        for rows in by_size.values():
+            stacked = np.stack([grads[i] for i in rows])
+            means[rows] = mean = stacked.mean(axis=1)
+            stacked -= mean[:, None]
+            stacked *= stacked
+            variances[rows] = stacked.mean(axis=1)
+
+        flat = np.concatenate(grads)
+        # bin i holds [edge i, edge i + 1); the last bin also its upper edge
+        index = np.searchsorted(self.edges[:-1], np.clip(flat, HIST_LO, HIST_HI),
+                                side="right") - 1
+        index += np.repeat(np.arange(0, len(grads) * HIST_BINS, HIST_BINS),
+                           [g.size for g in grads])
+        hists = np.bincount(index[~np.isnan(flat)], minlength=len(grads) * HIST_BINS)
+        for p, mean, var, hist in zip(names, means.tolist(), variances.tolist(),
+                                      hists.reshape(len(grads), HIST_BINS)):
+            self.entries.append(GradEntry(step=int(step), path=p, mean=mean,
+                                          variance=var, hist=hist))
 
     def to_csv(self, fileobj):
         """One row per entry; the histogram takes one column per bin, headed

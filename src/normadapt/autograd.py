@@ -1,10 +1,13 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
 Every operation goes through a registry keyed by op kind, so the whole op
-surface can be enumerated for gradient checking. The tape is the implicit
-graph of parent links; `backward` linearizes it topologically, visits
-each node exactly once and frees the graph behind it. Single-threaded per
-training step by contract.
+surface can be enumerated for gradient checking. The tape is the graph of
+each tensor's `_Node` and its parent nodes. Nodes hold no arrays: an op's
+backward closure keeps only what the gradients of the inputs that need one
+read, and an op none of whose inputs needs a gradient records nothing.
+`backward` linearizes the graph topologically, visits each node exactly once
+and frees the graph behind it. Single-threaded per training step by
+contract.
 """
 
 from __future__ import annotations
@@ -77,25 +80,65 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """A tensor's place on the tape: its gradient, flags, backward closure
+    and parent nodes.  A node holds no array of its own, so what a walked
+    graph keeps alive is exactly what its closures captured."""
+
+    __slots__ = ("requires_grad", "grad", "parents", "needs", "backward", "op",
+                 "backward_done")
+
+    def __init__(self, requires_grad):
+        self.requires_grad = requires_grad
+        self.grad = None
+        self.parents = ()
+        self.needs = ()
+        self.backward = None
+        self.op = None
+        self.backward_done = False
+
+
 class Tensor:
-    """Dense n-d array plus autodiff bookkeeping.
+    """Dense n-d array plus its node on the tape.
 
     `data` is a row-major numpy buffer (float32 or float64). `grad` is
     materialized lazily and only for tensors with requires_grad set; after
-    `backward` only the leaves and the loss keep theirs.
+    `backward` only the leaves and the loss keep theirs.  The gradient, the
+    flag and the backward closure live on `_node`, which never refers back
+    to `data`: dropping a tensor frees its array unless a closure kept it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
-                 "_backward_done")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
-        self._op = None
-        self._backward_done = False
+        self._node = _Node(bool(requires_grad))
+
+    @property
+    def requires_grad(self):
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        self._node.requires_grad = bool(value)
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
+    @property
+    def _backward(self):
+        """The op's backward closure, called as closure(g, needs); None when
+        the op was not recorded."""
+        return self._node.backward
+
+    @_backward.setter
+    def _backward(self, closure):
+        self._node.backward = closure
 
     @property
     def shape(self):
@@ -111,7 +154,8 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag}, op={self._op})"
+        return (f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag}, "
+                f"op={self._node.op})")
 
 
 def tensor(data, requires_grad=False) -> Tensor:
@@ -128,8 +172,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-# Each kernel maps (arrays, attrs) -> (out, backward) where
-# backward(g, needs) returns one gradient per input (None where not needed).
+# Each kernel maps (arrays, attrs, needs) -> (out, backward).  `needs` flags
+# the inputs that want a gradient (every input by default); the kernel keeps
+# for its backward only the arrays those gradients read, and returns backward
+# None when no input needs one.  backward(g, needs), called with the same
+# needs, returns one gradient per input (None where not needed).
 _OPS = {}
 
 
@@ -145,12 +192,12 @@ def op_kinds():
 
 
 @register_op("matmul")
-def _matmul(arrays, attrs):
+def _matmul(arrays, attrs, needs=(True, True)):
     """x @ W.T: x (..., in) through a 2-d (out, in) weight.
 
     The leading axes of x fold into rows, so the product is one GEMM and the
     weight gradient a single (out, in) product, not a stack of partial ones
-    summed afterwards.
+    summed afterwards.  x is kept only for W's gradient, W only for x's.
     """
     x, w = arrays
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
@@ -158,34 +205,42 @@ def _matmul(arrays, attrs):
                          "need x (..., in) and a 2-d (out, in) weight")
     x2 = x.reshape(-1, x.shape[-1])
     out = (x2 @ w.T).reshape(x.shape[:-1] + (len(w),))
+    if not any(needs):
+        return out, None
+    x_shape = x.shape
+    w_kept = w if needs[0] else None
+    x2_kept = x2 if needs[1] else None
 
     def backward(g, needs):
         g2 = g.reshape(-1, g.shape[-1])
-        gx = (g2 @ w).reshape(x.shape) if needs[0] else None
-        gw = g2.T @ x2 if needs[1] else None
+        gx = (g2 @ w_kept).reshape(x_shape) if needs[0] else None
+        gw = g2.T @ x2_kept if needs[1] else None
         return gx, gw
 
     return out, backward
 
 
 @register_op("add")
-def _add(arrays, attrs):
+def _add(arrays, attrs, needs=(True, True)):
     a, b = arrays
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError("add", [a.shape, b.shape]) from None
     out = a + b
+    if not any(needs):
+        return out, None
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g, needs):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(g, b.shape) if needs[1] else None)
+        return (_unbroadcast(g, a_shape) if needs[0] else None,
+                _unbroadcast(g, b_shape) if needs[1] else None)
 
     return out, backward
 
 
 @register_op("embed_lookup")
-def _embed_lookup(arrays, attrs):
+def _embed_lookup(arrays, attrs, needs=(True,)):
     """Rows of `w` at `ids`, an int array into the first axis of `w`.  The
     backward scatter-adds, so repeated rows accumulate their gradients; when
     no row repeats, a plain assignment does the same far faster.  The scatter
@@ -194,12 +249,13 @@ def _embed_lookup(arrays, attrs):
     (w,) = arrays
     ids = np.asarray(attrs["ids"])
     out = w[ids]
+    if not needs[0]:
+        return out, None
     distinct = np.bincount(ids.reshape(-1), minlength=len(w)).max(initial=0) < 2
+    w_shape, w_dtype = w.shape, w.dtype
 
     def backward(g, needs):
-        if not needs[0]:
-            return (None,)
-        gw = np.zeros_like(w)
+        gw = np.zeros(w_shape, dtype=w_dtype)
         if distinct:
             gw[ids] = g
         else:
@@ -212,7 +268,7 @@ def _embed_lookup(arrays, attrs):
 
 
 @register_op("causal_attention")
-def _causal_attention(arrays, attrs):
+def _causal_attention(arrays, attrs, needs=(True, True, True)):
     """softmax(q k^T / sqrt(hd) + causal mask) v per head, sample by sample.
 
     q, k and v are equal (..., d) arrays, read as their (N, d) rows, in
@@ -225,7 +281,8 @@ def _causal_attention(arrays, attrs):
     Future positions are set to -inf before the softmax, so their weights are
     exactly 0.0 and no output row depends on a later position.  Exact and
     un-tiled: each group's (count, H, length, length) weights are kept for
-    the backward.
+    the backward when any input needs a gradient, with v for q's and k's
+    gradients, k for q's and q for k's.
     """
     q, k, v = arrays
     n_heads, groups = int(attrs["n_heads"]), attrs["groups"]
@@ -268,6 +325,12 @@ def _causal_attention(arrays, attrs):
         att /= att.sum(axis=-1, keepdims=True)
         heads(out, span)[...] = att @ heads(v2, span)
         weights.append(att)
+    if not any(needs):
+        return out.reshape(q.shape), None
+    shape = q.shape
+    q_kept = q2 if needs[1] else None
+    k_kept = k2 if needs[0] else None
+    v_kept = v2 if needs[0] or needs[1] else None
 
     def backward(g, needs):
         g2 = g.reshape(-1, d)
@@ -278,31 +341,31 @@ def _causal_attention(arrays, attrs):
             if needs[2]:
                 heads(gv, span)[...] = att.swapaxes(-1, -2) @ gh
             if needs[0] or needs[1]:
-                gs = gh @ heads(v2, span).swapaxes(-1, -2)
+                gs = gh @ heads(v_kept, span).swapaxes(-1, -2)
                 gs -= (gs * att).sum(axis=-1, keepdims=True)
                 gs *= att
                 gs *= scale
                 if needs[0]:
-                    heads(gq, span)[...] = gs @ heads(k2, span)
+                    heads(gq, span)[...] = gs @ heads(k_kept, span)
                 if needs[1]:
-                    heads(gk, span)[...] = gs.swapaxes(-1, -2) @ heads(q2, span)
-        return tuple(None if t is None else t.reshape(q.shape) for t in grads)
+                    heads(gk, span)[...] = gs.swapaxes(-1, -2) @ heads(q_kept, span)
+        return tuple(None if t is None else t.reshape(shape) for t in grads)
 
     return out.reshape(q.shape), backward
 
 
 @register_op("silu")
-def _silu(arrays, attrs):
+def _silu(arrays, attrs, needs=(True,)):
     (x,) = arrays
     sig = np.negative(x)  # 1 / (1 + exp(-x)), built in one buffer
     np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
     out = x * sig
+    if not needs[0]:
+        return out, None
 
     def backward(g, needs):
-        if not needs[0]:
-            return (None,)
         gx = g * sig
         slope = np.subtract(1.0, sig)
         slope *= x
@@ -327,7 +390,7 @@ def _norm_backward_core(gy, y, inv_scale, subtract_mean):
 
 
 @register_op("layer_norm")
-def _layer_norm(arrays, attrs):
+def _layer_norm(arrays, attrs, needs=(True, True, True)):
     x, gain, bias = arrays
     eps = float(attrs.get("eps", 1e-5))
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
@@ -342,22 +405,28 @@ def _layer_norm(arrays, attrs):
     y /= sigma
     out = y * gain
     out += bias
+    if not any(needs):
+        return out, None
+    param_shape = gain.shape
+    y_kept = y if needs[0] or needs[1] else None
+    gain_kept, sigma_kept = (gain, sigma) if needs[0] else (None, None)
 
     def backward(g, needs):
         gx = ggain = gbias = None
         if needs[2]:
-            gbias = _unbroadcast(g, bias.shape)
+            gbias = _unbroadcast(g, param_shape)
         if needs[1]:
-            ggain = _unbroadcast(g * y, gain.shape)
+            ggain = _unbroadcast(g * y_kept, param_shape)
         if needs[0]:
-            gx = _norm_backward_core(g * gain, y, 1.0 / sigma, subtract_mean=True)
+            gx = _norm_backward_core(g * gain_kept, y_kept, 1.0 / sigma_kept,
+                                     subtract_mean=True)
         return gx, ggain, gbias
 
     return out, backward
 
 
 @register_op("rms_norm")
-def _rms_norm(arrays, attrs):
+def _rms_norm(arrays, attrs, needs=(True, True)):
     x, gain = arrays
     eps = float(attrs.get("eps", 1e-5))
     if gain.shape != x.shape[-1:]:
@@ -369,13 +438,18 @@ def _rms_norm(arrays, attrs):
     scale = np.sqrt(ms + eps)
     np.divide(x, scale, out=y)
     out = y * gain
+    if not any(needs):
+        return out, None
+    param_shape = gain.shape
+    gain_kept, scale_kept = (gain, scale) if needs[0] else (None, None)
 
     def backward(g, needs):
         gx = ggain = None
         if needs[1]:
-            ggain = _unbroadcast(g * y, gain.shape)
+            ggain = _unbroadcast(g * y, param_shape)
         if needs[0]:
-            gx = _norm_backward_core(g * gain, y, 1.0 / scale, subtract_mean=False)
+            gx = _norm_backward_core(g * gain_kept, y, 1.0 / scale_kept,
+                                     subtract_mean=False)
         return gx, ggain
 
     return out, backward
@@ -385,7 +459,7 @@ IGNORE = -1  # the target value cross_entropy does not score
 
 
 @register_op("cross_entropy")
-def _cross_entropy(arrays, attrs):
+def _cross_entropy(arrays, attrs, needs=(True,)):
     (logits,) = arrays
     targets = np.asarray(attrs["targets"])
     if targets.shape != logits.shape[:-1]:
@@ -412,26 +486,29 @@ def _cross_entropy(arrays, attrs):
     nll = np.zeros(flat.shape[0], dtype=scored_nll.dtype)
     nll[rows] = scored_nll
     out = np.asarray(nll.sum() / count, dtype=logits.dtype)
+    if not needs[0]:
+        return out, None
+    shape, flat_shape, dtype = logits.shape, flat.shape, logits.dtype
 
     def backward(g, needs):
-        if not needs[0]:
-            return (None,)
         p = shifted - logz[:, None]
         np.exp(p, out=p)
         p[np.arange(count), tgt] -= 1.0
-        gl = np.zeros_like(flat)
+        gl = np.zeros(flat_shape, dtype=dtype)
         gl[rows] = p * (np.asarray(g).reshape(()) / count)
-        return (gl.reshape(logits.shape),)
+        return (gl.reshape(shape),)
 
     return out, backward
 
 
 @register_op("concat")
-def _concat(arrays, attrs):
+def _concat(arrays, attrs, needs=None):
     """(n_i, d) arrays joined along their rows."""
     if any(a.ndim != 2 or a.shape[1] != arrays[0].shape[1] for a in arrays):
         raise ShapeError("concat", [a.shape for a in arrays], "need (n_i, d) rows")
     out = np.concatenate(arrays)
+    if needs is not None and not any(needs):
+        return out, None
     offsets = np.cumsum([len(a) for a in arrays])[:-1]
 
     def backward(g, needs):
@@ -441,19 +518,23 @@ def _concat(arrays, attrs):
 
 
 def op_forward(kind: str, inputs: list[Tensor], attrs: dict | None = None) -> Tensor:
-    """Run a registered op, recording it on the tape when grads are enabled."""
+    """Run a registered op, recording it on the tape when an input needs a
+    gradient and grads are enabled."""
     if kind not in _OPS:
         raise KeyError(f"unknown op kind {kind!r}; known: {op_kinds()}")
     dtypes = {t.data.dtype for t in inputs}
     if len(dtypes) > 1:
         raise ValueError(f"{kind}: mixed dtypes in one graph: {sorted(map(str, dtypes))}")
-    out_array, backward_fn = _OPS[kind]([t.data for t in inputs], attrs or {})
-    needs = _grad_enabled and any(t.requires_grad for t in inputs)
-    out = Tensor(out_array, requires_grad=needs)
-    out._op = kind
-    if needs:
-        out._parents = tuple(inputs)
-        out._backward = backward_fn
+    needs = tuple(_grad_enabled and t._node.requires_grad for t in inputs)
+    out_array, backward_fn = _OPS[kind]([t.data for t in inputs], attrs or {}, needs)
+    out = Tensor(out_array)
+    node = out._node
+    node.op = kind
+    if backward_fn is not None:
+        node.requires_grad = True
+        node.parents = tuple(t._node for t in inputs)
+        node.needs = needs
+        node.backward = backward_fn
     return out
 
 
@@ -495,7 +576,7 @@ def concat(tensors):
     return op_forward("concat", list(tensors))
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def _toposort(root: _Node) -> list[_Node]:
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -506,8 +587,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+        for parent, need in zip(node.parents, node.needs):
+            if need and id(parent) not in visited:
                 stack.append((parent, False))
     return order  # parents before consumers
 
@@ -522,32 +603,32 @@ def backward(loss: Tensor) -> None:
     """Accumulate gradients of `loss` into every requires_grad leaf below it.
 
     Grads add across calls from distinct losses.  The graph is freed as it is
-    walked: once a node has passed its gradient on, its closure, saved arrays,
-    parent links and (below the loss) its own gradient are dropped.  A second
-    backward from the same loss, or from a new loss built on a node of a
-    walked graph, raises; rebuild the graph instead.
+    walked: once a node has passed its gradient on, its closure (and so the
+    arrays it saved), parent links and (below the loss) its own gradient are
+    dropped.  A second backward from the same loss, or from a new loss built
+    on a node of a walked graph, raises; rebuild the graph instead.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._backward_done:
+    root = loss._node
+    if root.backward_done:
         raise RuntimeError("backward: already ran for this loss; rebuild the graph")
-    loss._backward_done = True
-    if not loss.requires_grad:
+    root.backward_done = True
+    if not root.requires_grad:
         return
-    order = _toposort(loss)
-    if any(node._backward is _freed_graph for node in order):
+    order = _toposort(root)
+    if any(node.backward is _freed_graph for node in order):
         _freed_graph()  # raises before any gradient is accumulated
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while order:
         node = order.pop()  # consumers before parents; drops the list's reference
-        if node._backward is None:
+        if node.backward is None:
             continue  # a leaf keeps its gradient
-        needs = [p.requires_grad for p in node._parents]
-        grads = node._backward(node.grad, needs)
-        for parent, g in zip(node._parents, grads):
+        grads = node.backward(node.grad, node.needs)
+        for parent, g in zip(node.parents, grads):
             if g is None:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
-        node._backward, node._parents = _freed_graph, ()
-        if node is not loss:
+        node.backward, node.parents = _freed_graph, ()
+        if node is not root:
             node.grad = None

@@ -20,7 +20,9 @@ def _parse_mixture(value):
     return tuple(parts)
 
 
-def _parse_seeds(value):
+def _parse_int_list(value):
+    """argparse type of `--seeds` and `--n-grid`: comma-separated
+    non-negative integers, as a tuple."""
     if not all(s.strip().isdecimal() for s in value.split(",")):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated non-negative integers, got {value!r}")
@@ -277,13 +279,13 @@ def cmd_grad_stats(args):
         print(record.artifacts["gradtrace"])
     else:
         trace.to_csv(sys.stdout)
-    return 0
+    return 1 if record.aborted else 0
 
 
 def cmd_normcheck(args):
     import numpy as np
     from . import normmath as nm
-    grid = [int(x) for x in args.n_grid.split(",")]
+    grid = list(args.n_grid)
     study = nm.variance_scaling_study(grid, sampler=args.sampler,
                                       trials=args.trials, seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -358,7 +360,7 @@ def build_parser():
                  outdir="runs/compare")
     p.add_argument("--strategies",
                    default="finetune,layernorm,layernorm-simple")
-    p.add_argument("--seeds", type=_parse_seeds, default="0,1,2")
+    p.add_argument("--seeds", type=_parse_int_list, default="0,1,2")
     # unset, each of these takes AdaptProtocol's default
     p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int)
     p.add_argument("--connector-steps", dest="connector_steps", type=int)
@@ -396,7 +398,8 @@ def build_parser():
     p = sub.add_parser("normcheck", help="verify normalization backward math")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--n-grid", dest="n_grid", default="16,64,256,1024")
+    p.add_argument("--n-grid", dest="n_grid", type=_parse_int_list,
+                   default="16,64,256,1024")
     p.add_argument("--sampler", default="softmax-xent",
                    choices=("softmax-xent", "gaussian", "in-kernel"))
     p.set_defaults(func=cmd_normcheck)

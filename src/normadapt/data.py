@@ -106,7 +106,7 @@ class Dataset:
     answer_mask: np.ndarray   # (n, seq_len) bool over text positions
     categories: np.ndarray    # (n,) int index into CATEGORIES
     values: np.ndarray        # (n, n_attrs) latent attribute values
-    features: np.ndarray = None  # (n, n_attrs, d_visual) for mm-adapt
+    features: np.ndarray = None  # (n, n_attrs, d_visual) float32 for mm-adapt
 
     def __len__(self):
         return self.tokens.shape[0]
@@ -243,6 +243,9 @@ def _pcg64_words(states, n):
     return out
 
 
+_FEATURE_CHUNK = 256  # samples of float64 noise `VisionStub.features` holds at once
+
+
 class VisionStub:
     """Deterministic stand-in for a frozen vision encoder.
 
@@ -271,9 +274,12 @@ class VisionStub:
 
     def features(self, slot_ids, sample_id) -> np.ndarray:
         """(n, n_tokens) slot ids and n sample ids -> (n, n_tokens, d_visual)
-        float64.  Each sample's noise is numpy's `standard_normal` from one
+        float32.  Each sample's noise is numpy's `standard_normal` from one
         generator set, before each sample, to the PCG64 state numpy's
         `default_rng` gives the seed (seed, sample_id) (see `_pcg64_seed`).
+        Every value is computed in float64, `table[slot] + noise_std * noise`,
+        and rounded to float32 once; samples go through float64 in chunks of
+        `_FEATURE_CHUNK`, so no full-size float64 array is made.
         """
         slots = np.asarray(slot_ids)
         ids = np.asarray(sample_id)
@@ -287,14 +293,19 @@ class VisionStub:
         rng = np.random.Generator(bits)
         pcg = {"state": 0, "inc": 0}  # refilled for each sample; the setter copies it
         state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-        noise = np.empty(slots.shape + (self.d_visual,))
-        for out, hi, lo, inc_hi, inc_lo in zip(noise, *seeded):
-            pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
-            bits.state = state
-            rng.standard_normal(out=out)
-        noise *= self.noise_std
-        noise += self._table[slots]
-        return noise
+        features = np.empty(slots.shape + (self.d_visual,), dtype=np.float32)
+        noise = np.empty((min(len(slots), _FEATURE_CHUNK),) + features.shape[1:])
+        for start in range(0, len(slots), _FEATURE_CHUNK):
+            chunk = noise[:len(slots) - start]
+            for out, hi, lo, inc_hi, inc_lo in zip(
+                    chunk, *(w[start:start + _FEATURE_CHUNK] for w in seeded)):
+                pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
+                bits.state = state
+                rng.standard_normal(out=out)
+            chunk *= self.noise_std
+            chunk += self._table[slots[start:start + _FEATURE_CHUNK]]
+            features[start:start + len(chunk)] = chunk
+        return features
 
 
 _FIRST_WORDS = 8  # PCG64 outputs a sample draws at first; 4 attributes use about 5

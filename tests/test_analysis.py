@@ -151,6 +151,41 @@ def test_grad_trace_variance_matches_float64_shadow():
         assert entry.hist.sum() == g.size
 
 
+def test_grad_trace_matches_each_path_alone_bitwise():
+    """One pass over all paths gives each entry exactly what np.histogram,
+    mean and var of that path's gradient alone give."""
+    rng = np.random.default_rng(12)
+    edges = an.GradTrace().edges
+    grads = {
+        "edges": edges.copy(),                          # every bin edge, both ends
+        "edges-reversed": edges[::-1].astype(np.float32),
+        "outside": np.array([-5.0, -0.0100001, 0.0100001, 12.0, -np.inf, np.inf]),
+        "gaussian": rng.normal(0.0, 0.01, (3, 5)).astype(np.float32),
+        "same-size": rng.normal(0.001, 0.004, 15),      # a second row of size 15
+        "large": rng.normal(0.0, 0.02, 70_001),         # past numpy's pairwise blocks
+        "one": np.array([0.003]),
+        "nan": np.array([0.001, np.nan, -0.02]),
+    }
+    tree = {p: ag.tensor(np.zeros_like(g)) for p, g in grads.items()}
+    for p, g in grads.items():
+        tree[p].grad = g
+    trace = an.GradTrace()
+    with np.errstate(invalid="ignore"):  # inf - inf in "outside"
+        trace.record(0, tree, list(grads))
+    assert [e.path for e in trace.entries] == list(grads)
+    for entry in trace.entries:
+        flat = np.asarray(grads[entry.path], dtype=np.float64).ravel()
+        hist, _ = np.histogram(np.clip(flat, an.HIST_LO, an.HIST_HI), bins=edges)
+        with np.errstate(invalid="ignore"):
+            mean, var = flat.mean(), flat.var()
+        assert np.float64(entry.mean).tobytes() == mean.tobytes(), entry.path
+        assert np.float64(entry.variance).tobytes() == var.tobytes(), entry.path
+        assert entry.hist.dtype == hist.dtype, entry.path
+        np.testing.assert_array_equal(entry.hist, hist, err_msg=entry.path)
+    assert trace.entries[0].hist.tolist() == [1] * 63 + [2]
+    assert trace.entries[2].hist.tolist() == [3] + [0] * 62 + [3]
+
+
 def test_grad_trace_csv_long_format():
     m = build_tiny(n_layers=1)
     m.tree["final_norm.weight"].grad = np.zeros(8)

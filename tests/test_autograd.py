@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import math
 import os
@@ -5,6 +6,8 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +193,7 @@ def test_backward_frees_the_graph_and_keeps_leaf_grads():
     h = ag.silu(ag.add(w, w))
     loss = ag.cross_entropy(h, TARGET)
     ag.backward(loss)
-    assert h.grad is None and h._parents == ()
+    assert h.grad is None and h._node.parents == ()
     assert w.grad is not None and loss.grad is not None
 
 
@@ -228,7 +231,60 @@ def test_no_grad_suppresses_recording():
     with ag.no_grad():
         out = ag.add(w, w)
     assert not out.requires_grad
-    assert out._parents == ()
+    assert out._node.parents == () and out._backward is None
+
+
+# --- retention: the tape keeps only what a backward reads ---------------------
+
+@pytest.mark.parametrize("kind", ag.op_kinds())
+def test_partial_needs_give_the_same_gradients(kind):
+    """A kernel told that only some inputs need a gradient returns exactly
+    those, bitwise as when every input needs one, and None for the rest."""
+    rng = np.random.default_rng(3)
+    for seed in range(4):
+        arrays, attrs = _case_for(kind, rng, seed)
+        out, backward = ag._OPS[kind](arrays, attrs)
+        g = rng.standard_normal(out.shape)
+        full = backward(g, (True,) * len(arrays))
+        for needs in product((False, True), repeat=len(arrays)):
+            got_out, got_backward = ag._OPS[kind](arrays, attrs, needs)
+            assert got_out.tobytes() == out.tobytes()
+            if not any(needs):
+                assert got_backward is None
+                continue
+            for need, got, want in zip(needs, got_backward(g, needs), full, strict=True):
+                assert (got is None) if not need else got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frozen", ["requires_grad", "no_grad"])
+@pytest.mark.parametrize("kind", ag.op_kinds())
+def test_an_op_no_input_needs_a_gradient_for_keeps_nothing(kind, frozen):
+    arrays, attrs = _case_for(kind, np.random.default_rng(0), 0)
+    inputs = [ag.tensor(a, requires_grad=frozen == "no_grad") for a in arrays]
+    refs = [weakref.ref(a) for a in arrays]
+    del arrays
+    with ag.no_grad() if frozen == "no_grad" else contextlib.nullcontext():
+        out = ag.op_forward(kind, inputs, attrs)
+    assert out._backward is None and out._node.parents == ()
+    assert not out.requires_grad
+    del inputs
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+@pytest.mark.parametrize("frozen", ["weight", "x"])
+def test_matmul_with_one_side_frozen_drops_the_other(frozen):
+    """x is kept only for the weight's gradient and the weight only for
+    x's, so the operand that trains is not kept for its own."""
+    rng = np.random.default_rng(1)
+    x = ag.tensor(rng.standard_normal((4, 3)), requires_grad=frozen == "weight")
+    w = ag.tensor(rng.standard_normal((2, 3)), requires_grad=frozen == "x")
+    trained = x if frozen == "weight" else w
+    node, dropped = trained._node, weakref.ref(trained.data)
+    out = ag.matmul(x, w)
+    del x, w, trained
+    assert dropped() is None
+    ag.backward(ag.cross_entropy(out, np.array([0, 1, 1, 0])))
+    assert node.grad.shape == ((4, 3) if frozen == "weight" else (2, 3))
 
 
 # --- errors -------------------------------------------------------------------
@@ -436,6 +492,15 @@ def _default_step_peaks(kind):
     finally:
         tracemalloc.stop()
     return forward_peak, step_peak
+
+
+def test_norm_tuning_step_peak_below_finetune():
+    """With every weight frozen, no matmul keeps its input, so a
+    layernorm-simple step holds far less than a finetune step of the same
+    batch."""
+    _, norm_only = _default_step_peaks("layernorm-simple")
+    _, finetune = _default_step_peaks("finetune")
+    assert norm_only <= 0.8 * finetune, (norm_only, finetune)
 
 
 @pytest.mark.parametrize("kind", ["finetune", "lora"])

@@ -445,6 +445,13 @@ def test_compare_refuses_negative_seeds_before_pretraining(monkeypatch, capsys):
                         "comma-separated non-negative integers, got '0,-1'\n")
 
 
+@pytest.mark.parametrize("grid", ["16,abc", "16,-64", "16,,64"])
+def test_normcheck_n_grid_names_its_flag(grid, capsys):
+    err = usage_error(capsys, ["normcheck", "--n-grid", grid])
+    assert err.endswith("normadapt normcheck: error: argument --n-grid: expected "
+                        f"comma-separated non-negative integers, got '{grid}'\n")
+
+
 def test_compare_refuses_a_seed_past_feature_ids_before_pretraining(
         monkeypatch, capsys):
     def pretrain(protocol):
@@ -576,6 +583,19 @@ def test_grad_stats_outdir_holds_the_run(tmp_path, capsys):
         "gradtrace.csv", "metrics.csv", "model.ckpt", "run.json"]
     run = json.loads((outdir / "run.json").read_text())
     assert run["artifacts"]["gradtrace"] == str(outdir / "gradtrace.csv")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["train", "grad-stats"])
+def test_an_aborted_run_exits_1(command, tmp_path, capsys):
+    """A non-finite loss aborts the run; the command says so in its status."""
+    outdir = tmp_path / "run"
+    rc = cli.main([command, "--lr", "1e30", "--strategy", "layernorm-simple",
+                   "--outdir", str(outdir), "--steps", "4", "--batch", "2",
+                   "--n-samples", "4", "--n-eval", "4"])
+    assert rc == 1
+    assert json.loads((outdir / "run.json").read_text())["aborted"]
 
 
 def test_grad_stats_with_no_steps_writes_a_header_only_trace(tmp_path, capsys):

@@ -60,6 +60,8 @@ def reference_generate(spec, stub=None):
             score = mask[j + 1] if visual else toks[j + 1] != dt.PAD
             if score:
                 targets[i, prefix + j] = toks[j + 1]
+    if visual:  # computed in float64, rounded once
+        features = features.astype(np.float32)
     return dict(tokens=tokens, targets=targets, answer_mask=answer_mask,
                 categories=categories, values=values, features=features)
 
@@ -350,7 +352,8 @@ def test_features_follow_latent_slots():
     ds = dt.generate(spec(kind="mm-adapt", n_samples=10, seed=4), stub=st)
     for i in range(10):
         slots = np.arange(4) * 16 + ds.values[i]
-        np.testing.assert_array_equal(ds.features[i], st._table[slots])
+        assert ds.features.dtype == np.float32
+        np.testing.assert_array_equal(ds.features[i], st._table[slots].astype(np.float32))
 
 
 def test_vocab_requirement_arithmetic():
@@ -406,8 +409,22 @@ def test_vision_stub_noise_matches_tuple_seeded_default_rng(key):
     got = stub.features(slots, _IDS)
     for row, s, i in zip(got, slots, _IDS.tolist(), strict=True):
         noise = np.random.default_rng((key, i)).standard_normal((3, 5))
-        want = stub._table[s] + stub.noise_std * noise
+        want = (stub._table[s] + stub.noise_std * noise).astype(np.float32)
         assert row.tobytes() == want.tobytes(), i
+
+
+def test_vision_stub_features_across_chunks():
+    """Samples past the first float64 chunk are drawn and rounded to float32
+    as the first ones are."""
+    stub = dt.VisionStub(d_visual=3, n_slots=7, seed=9)
+    n = 2 * dt._FEATURE_CHUNK + 5
+    slots = np.arange(2 * n).reshape(n, 2) % 7
+    got = stub.features(slots, np.arange(40, 40 + n, dtype=np.uint64))
+    assert got.dtype == np.float32 and got.shape == (n, 2, 3)
+    for i in (0, dt._FEATURE_CHUNK - 1, dt._FEATURE_CHUNK, 2 * dt._FEATURE_CHUNK, n - 1):
+        noise = np.random.default_rng((9, 40 + i)).standard_normal((2, 3))
+        want = (stub._table[slots[i]] + stub.noise_std * noise).astype(np.float32)
+        assert got[i].tobytes() == want.tobytes(), i
 
 
 def test_sample_states_refuse_negative_keys_and_ids():

@@ -303,7 +303,8 @@ def test_mm_loss_looks_up_block0_input_from_one_table():
     m = md.build(md.ModelConfig())
     ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4, seq_len=12),
                      tr.AdaptProtocol().stub())
-    ops = [node._op for node in ag._toposort(m.loss(ds.tokens, ds.features, ds.targets))]
+    loss = m.loss(ds.tokens, ds.features, ds.targets)
+    ops = [node.op for node in ag._toposort(loss._node)]
     assert ops.count("embed_lookup") == 4 and ops.count("concat") == 1
 
 
