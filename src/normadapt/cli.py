@@ -1,8 +1,8 @@
 """Command-line surface: train, sweep-lr, compare, budget, similarity,
 grad-stats, normcheck.
 
-Only stdlib imports happen at module level; NORMADAPT_THREADS must take
-effect before numpy loads its BLAS backend.
+Only stdlib imports happen at module level, so the package's NORMADAPT_THREADS
+cap takes effect before numpy loads its BLAS backend.
 """
 
 from __future__ import annotations
@@ -71,15 +71,6 @@ def parse_config_file(path, keys=tuple(OPTIONS)):
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
     return opts
-
-
-def _cap_threads():
-    cap = os.environ.get("NORMADAPT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = cap
 
 
 def _add_options(p, names, **defaults):
@@ -423,7 +414,6 @@ def main(argv=None):
     """Run one subcommand; a ValueError from its inputs, or an OSError on a
     path it was given, is a usage error (message on stderr, exit status 2),
     as argparse reports a bad flag."""
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -12,6 +12,7 @@ on held-out visual-task loss, where "frozen" is the stage-1 model untouched.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -52,13 +53,18 @@ class Adam:
     """Decoupled-weight-decay Adam over a list of tensors.
 
     `step` updates each `p.data` in place, so an array a caller kept of a
-    parameter changes with it; copy it to keep a snapshot.
+    parameter changes with it; copy it to keep a snapshot.  A read-only
+    `p.data` (a `clone_model` view) is replaced by its own copy when the
+    optimizer is built, so the clone's source is never written.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params, weight_decay=0.0):
         self.params = list(params)
+        for p in self.params:
+            if not p.data.flags.writeable:  # a clone's view of its source
+                p.data = p.data.copy()
         self.weight_decay = weight_decay
         self.m = [np.zeros_like(t.data) for t in self.params]
         self.v = [np.zeros_like(t.data) for t in self.params]
@@ -181,11 +187,19 @@ def evaluate(model: Model, ds: dt.Dataset, batch=64) -> float:
 
 
 def clone_model(model: Model) -> Model:
-    """Fresh tensors holding copies of every parameter (adapters included),
-    flags and dtype kept."""
+    """Fresh tensors over read-only views of every parameter array (adapters
+    included), flags and dtype kept.
+
+    Nothing is copied: an in-place write to a clone's array raises, and
+    `Adam` gives each parameter it updates its own copy first, so training
+    the clone never touches the source.  A later in-place write to the
+    source shows through the clone, so clone after the source's last write.
+    """
     tree = ParamTree()
     for p, t in model.tree.items():
-        tree.add(p, ag.tensor(t.data.copy(), requires_grad=t.requires_grad))
+        view = t.data.view()
+        view.flags.writeable = False
+        tree.add(p, ag.tensor(view, requires_grad=t.requires_grad))
     return Model(model.config, tree, model.dtype)
 
 
@@ -202,6 +216,9 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
     a strategy that trains none is refused before anything runs.  The outdir
     is made after those checks and before the first step.
     Non-finite loss aborts the run and flags the record instead of raising.
+    A step after the schedule's last nonzero lr (a run's last step, or every
+    step at lr 0) can change no parameter, so it runs its forward under
+    `no_grad` and records the loss only, unless the trace records that step.
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
@@ -230,13 +247,20 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
                    "trainable": report.trainable, "total": report.total,
                    "fraction": report.fraction},
         train_curve=[], eval_curve=[], final_eval=None, wall_clock=0.0)
+    lrs = [lr_schedule(step + 1, config.steps, config.warmup_ratio, config.lr)
+           for step in range(config.steps)]
+    # steps before `live` update (a zero lr inside the warm-up, from a
+    # subnormal base lr, still feeds the moments that later updates read)
+    live = max((step + 1 for step, lr in enumerate(lrs) if lr != 0.0), default=0)
     started = time.perf_counter()
 
-    for step in range(config.steps):
-        lr = lr_schedule(step + 1, config.steps, config.warmup_ratio, config.lr)
+    for step, lr in enumerate(lrs):
         idx = rng.integers(0, len(train_ds), size=config.batch)
         tokens, feats, targets = _batches(train_ds, idx)
-        loss = model.loss(tokens, feats, targets)
+        traced_step = trace is not None and step % trace_every == 0
+        backprop = step < live or traced_step
+        with contextlib.nullcontext() if backprop else ag.no_grad():
+            loss = model.loss(tokens, feats, targets)
         loss_val = float(loss.data)
         record.train_curve.append((step, loss_val, lr))
         if not math.isfinite(loss_val):
@@ -244,11 +268,12 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
             record.diagnostic = {"step": step, "loss": repr(loss_val),
                                  "reason": "non-finite training loss"}
             break
-        ag.backward(loss)
-        if trace is not None and step % trace_every == 0:
-            trace.record(step, model.tree, traced)
-        opt.step(lr)
-        opt.zero_grad()
+        if backprop:
+            ag.backward(loss)
+            if traced_step:
+                trace.record(step, model.tree, traced)
+            opt.step(lr)
+            opt.zero_grad()
         if (config.eval_interval and eval_ds is not None
                 and (step + 1) % config.eval_interval == 0
                 and step + 1 < config.steps):

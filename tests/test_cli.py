@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import normadapt
 from normadapt import cli
 from normadapt import data as dt
 from normadapt import normmath as nm
@@ -83,10 +84,25 @@ def test_cli_flags_override_config(tmp_path, capsys):
 
 def test_thread_cap_exports_blas_vars(monkeypatch):
     monkeypatch.setenv("NORMADAPT_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._cap_threads()
+    for var in normadapt._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    with pytest.warns(RuntimeWarning, match="numpy was imported before normadapt"):
+        normadapt._cap_threads()  # this process loaded numpy first
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_thread_cap_holds_from_a_library_import():
+    """A script that imports the library, not the CLI, gets the cap too."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["NORMADAPT_THREADS"] = "1"
+    code = ("import os, warnings\nwarnings.simplefilter('error')\n"
+            "from normadapt import training\n"
+            f"print(*map(os.environ.get, {blas_vars!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1", "1"]
 
 
 def test_building_the_parser_does_not_import_numpy():

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from normadapt import data as dt
 from normadapt import model as md
 from normadapt import training as tr
 from normadapt.analysis import GradTrace
-from normadapt.strategies import TuningStrategy, inject_lora
+from normadapt.strategies import STRATEGY_KINDS, TuningStrategy, inject_lora
 
 MICRO_MODEL = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, vocab_size=96,
                    max_seq=32, norm_kind="standard", n_visual_tokens=4,
@@ -191,6 +194,66 @@ def test_lr_zero_is_a_bitwise_null_update():
     tr.train(model, TuningStrategy("finetune"), ds, None, cfg)
     for p, old in before.items():
         np.testing.assert_array_equal(model.tree[p].data, old)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the `ag.backward` and `Adam.step` calls made from here on."""
+    counts = {"backward": 0, "step": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ag, "backward", counting("backward", ag.backward))
+    monkeypatch.setattr(tr.Adam, "step", counting("step", tr.Adam.step))
+    return counts
+
+
+@pytest.mark.parametrize("steps, lr, updates", [(1, 1e-3, 0), (5, 1e-3, 4),
+                                                (5, 0.0, 0)])
+def test_steps_after_the_last_nonzero_lr_run_forward_only(calls, steps, lr, updates):
+    model, ds = micro_setup()
+    before = {p: t.data.copy() for p, t in model.tree.items()}
+    cfg = tr.TrainConfig(lr=lr, steps=steps, batch=8, seed=1)
+    rec = tr.train(model, TuningStrategy("finetune"), ds, None, cfg)
+    assert calls == {"backward": updates, "step": updates}
+    assert [s for s, _, _ in rec.train_curve] == list(range(steps))
+    assert rec.train_curve[-1][2] == 0.0
+    assert all(math.isfinite(loss) for _, loss, _ in rec.train_curve)
+    if updates == 0:
+        for p, old in before.items():
+            np.testing.assert_array_equal(model.tree[p].data, old)
+
+
+def test_a_traced_null_step_runs_backward_and_changes_no_bits(calls):
+    """The last step's forward-only loss is the loss its backward would read."""
+    runs = []
+    for trace in (GradTrace(), None):
+        model, ds = micro_setup(seed=2)
+        cfg = tr.TrainConfig(lr=1e-2, steps=5, batch=8, seed=2)
+        rec = tr.train(model, TuningStrategy("layernorm-simple"), ds, None, cfg,
+                       trace=trace, trace_every=1)
+        runs.append((rec.train_curve, model))
+        if trace is not None:
+            assert calls["backward"] == 5
+            assert trace.steps == [0, 1, 2, 3, 4]
+    assert calls["backward"] == 5 + 4
+    (traced_curve, traced), (plain_curve, plain) = runs
+    assert traced_curve == plain_curve
+    for p, t in plain.tree.items():
+        np.testing.assert_array_equal(traced.tree[p].data, t.data)
+
+
+def test_a_non_finite_loss_on_a_null_step_still_aborts(calls):
+    model, ds = micro_setup()
+    model.tree["embed.weight"].data[:] = np.nan
+    cfg = tr.TrainConfig(lr=1e-3, steps=1, batch=8)
+    rec = tr.train(model, TuningStrategy("finetune"), ds, None, cfg)
+    assert rec.aborted and rec.diagnostic["step"] == 0
+    assert calls == {"backward": 0, "step": 0}
 
 
 def test_frozen_paths_are_bitwise_unchanged():
@@ -379,11 +442,22 @@ def test_clone_of_an_injected_model_is_equal_and_independent():
     assert twin.tree.paths() == model.tree.paths()
     for p, t in model.tree.items():
         assert twin.tree[p].requires_grad == t.requires_grad
-        assert not np.shares_memory(twin.tree[p].data, t.data), p
+        assert not twin.tree[p].data.flags.writeable, p
+        with pytest.raises(ValueError, match="read-only"):
+            twin.tree[p].data += 1
     with ag.no_grad():
         want = model.forward(ds.tokens, ds.features).data
         got = twin.forward(ds.tokens, ds.features).data
     np.testing.assert_array_equal(got, want)
+    before = {p: t.data.copy() for p, t in model.tree.items()}
+    cfg = tr.TrainConfig(lr=1e-2, steps=3, batch=4)
+    for kind in STRATEGY_KINDS:
+        rec = tr.train(tr.clone_model(model), TuningStrategy(kind, lora_rank=2),
+                       ds, None, cfg)
+        assert not rec.aborted, kind
+        for p, old in before.items():
+            np.testing.assert_array_equal(model.tree[p].data, old, err_msg=kind)
+            assert model.tree[p].data.flags.writeable, (kind, p)
 
 
 def test_compare_strategies_micro_run():
@@ -397,6 +471,34 @@ def test_compare_strategies_micro_run():
         assert 0.0 < by_name["layernorm"].fraction < 1.0
     assert report.median_gain("finetune") == pytest.approx(1.0)
     assert report.median_gain("frozen") == 0.0
+
+
+# a MICRO pretrain and comparison; prints one SHA-256 of the comparison rows
+# (wall clocks left out) and the pretrained parameters
+REPRO_SCRIPT = f"""
+import hashlib
+from normadapt import model as md, training as tr
+proto = tr.AdaptProtocol(model=md.ModelConfig(**{MICRO_MODEL!r}), n_train=64,
+                         n_eval=32, pretrain_steps=8, connector_steps=3,
+                         adapt_steps=4, batch=8)
+base, _ = tr.pretrain(proto)
+report = tr.compare_strategies(["finetune", "layernorm-simple"], proto, base=base)
+h = hashlib.sha256()
+for r in report.rows:
+    h.update(repr((r.seed, r.strategy, r.final_eval, r.gain, r.fraction)).encode())
+for p, t in base.tree.items():
+    h.update(p.encode() + t.data.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_a_comparison_is_bitwise_equal_in_two_fresh_processes():
+    env = dict(os.environ, NORMADAPT_THREADS="1")
+    digests = [subprocess.run([sys.executable, "-c", REPRO_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True).stdout
+               for _ in range(2)]
+    assert len(digests[0].strip()) == 64
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("names, lrs, error", [
