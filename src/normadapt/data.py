@@ -12,16 +12,14 @@ reading the connector-projected prefix.  Three body categories:
 
 Targets are next-token ids with IGNORE (-1) everywhere loss is masked: text
 pretraining scores every non-pad transition, adaptation scores answers only.
-Sample i's draws come from the generator `np.random.default_rng((seed, i))`
-would make: `_sample_states` hashes every sample's seed words and
-`_pcg64_seed` seeds its PCG64 at once in numpy integer arithmetic, and
-`_pcg64_words` steps them all.  Visual features come from `VisionStub`,
-whose noise is drawn from those seeded states too.
+Sample i depends only on (seed, i): its draws and its visual noise are read
+from uint64 words of a SplitMix64 counter hash of the seed, i and the word's
+index (`_words`), so no random generator is seeded per sample.  The slot
+table of `VisionStub` is numpy's `Generator` draw from the stub's seed.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +33,6 @@ N_ROUNDS = 3  # conversation rounds per sample
 CATEGORIES = ("conversation", "description", "reasoning")
 TASK_KINDS = ("text-pretrain", "mm-adapt")
 VISION_MODES = ("aligned", "unaligned")
-_FEATURE_ID_STRIDE = 1_000_003  # sample i's feature id is seed * stride + i
 
 
 def attr_token(k):
@@ -67,14 +64,13 @@ class TaskSpec:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**64:  # the hash takes it as one uint64
+            raise ValueError(f"seed must be below 2**64, got {self.seed}")
         if self.n_attrs < 1:
             raise ValueError(f"n_attrs must be positive, got {self.n_attrs}")
-        if not 1 <= self.n_values <= 2**32:  # generate's draws are 32-bit
+        # a value is a uint64 word mod n_values, biased by under 2**-32
+        if not 1 <= self.n_values <= 2**32:
             raise ValueError(f"n_values must be in [1, 2**32], got {self.n_values}")
-        if (self.kind == "mm-adapt"
-                and self.seed > (2**64 - self.n_samples) // _FEATURE_ID_STRIDE):
-            raise ValueError(f"seed {self.seed} too large: mm-adapt feature ids "
-                             f"seed * {_FEATURE_ID_STRIDE} + i must stay below 2**64")
         mix = tuple(float(w) for w in self.mixture)
         if len(mix) != len(CATEGORIES) or not all(0 <= w < np.inf for w in mix):
             raise ValueError(f"mixture needs {len(CATEGORIES)} finite non-negative "
@@ -116,131 +112,31 @@ class Dataset:
         return vocab_required(self.spec.n_attrs, self.spec.n_values)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
-# uint32 words and its multipliers.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
-_MASK32 = 0xFFFFFFFF
+# SplitMix64 (Steele, Lea & Flood 2014): its Weyl increment and the two
+# multipliers of its output mix
+_G = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _seed_states(entropy):
-    """`SeedSequence(entropy).generate_state(4, np.uint64)` for many rows at
-    once: `entropy` is a list of uint32 columns, one per entropy word, and
-    the result is (rows, 4) uint64.  The hash constants depend only on the
-    word position, so every row runs the same uint32 operations."""
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = h * _MULT_A & _MASK32
-        value = value * np.uint32(h)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = x * _MIX_L - y * _MIX_R
-        return out ^ (out >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:  # entropy longer than the pool
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    h = _INIT_B
-    state = np.empty((len(zero), 2 * _POOL), dtype=np.uint32)
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ np.uint32(h)
-        h = h * _MULT_B & _MASK32
-        value = value * np.uint32(h)
-        state[:, i] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+def _mix(z):
+    """SplitMix64's output function of a uint64 array, mod 2**64."""
+    z = z ^ (z >> 30)
+    z *= _MIX_A
+    z ^= z >> 27
+    z *= _MIX_B
+    z ^= z >> 31
+    return z
 
 
-def _sample_states(key, ids):
-    """The PCG64 seed words `np.random.default_rng((key, id))` hashes for
-    each of the int array `ids`, as (len(ids), 4) uint64 rows.
-
-    The seeding hash runs for all ids at once.  A key or id is one uint32 word
-    per 32 bits, so an id from 2**32 up makes its row's entropy one word
-    longer: every row is hashed with a one-word id, and those rows again with
-    a two-word one.
-    """
-    key = operator.index(key)
-    ids = np.asarray(ids).reshape(-1)
-    if ids.dtype.kind not in "iu":
-        raise TypeError(f"ids must be integers, got {ids.dtype}")
-    if key < 0 or (ids.size and ids.min() < 0):
-        raise ValueError("key and ids must be non-negative")
-    ids = ids.astype(np.uint64)
-    low = (ids & _MASK32).astype(np.uint32)
-    high = (ids >> 32).astype(np.uint32)
-    # the key's uint32 words, low first, as SeedSequence splits an int
-    head = [np.full(ids.size, key >> shift & _MASK32, dtype=np.uint32)
-            for shift in range(0, max(key.bit_length(), 1), 32)]
-    states = _seed_states(head + [low])
-    long = high != 0
-    if long.any():
-        states[long] = _seed_states([w[long] for w in head] + [low[long], high[long]])
-    return states
-
-
-# numpy's PCG64 (numpy/random/src/pcg64/pcg64.h): a 128-bit LCG with this
-# multiplier and an XSL-RR output, its 128-bit words held as (high, low) uint64
-_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
-_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
-
-
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """state * multiplier + inc, mod 2**128.  The high word of the low words'
-    product is built from 32-bit halves, whose products fit in 64 bits."""
-    l0, l1 = lo & _MASK32, lo >> 32
-    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    t = l0 * m0
-    mid = l1 * m0 + (t >> 32)
-    carry = l1 * m1 + (mid >> 32) + ((l0 * m1 + (mid & _MASK32)) >> 32)
-    new_lo = lo * _PCG_MULT_LO + inc_lo
-    new_hi = (hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi
-              + (new_lo < inc_lo))
-    return new_hi, new_lo
-
-
-def _pcg64_seed(states):
-    """numpy's `pcg64_set_seed` for every row of the (rows, 4) uint64 seed
-    words `states` (as `_sample_states` returns them): the state before the
-    first output and the increment, as uint64 columns (hi, lo, inc_hi, inc_lo).
-
-    The state is words 0 and 1 (high first), the stream words 2 and 3,
-    inc = stream << 1 | 1; one step from state 0, the state added, one more
-    step.
-    """
-    s_hi, s_lo, q_hi, q_lo = states.T
-    inc_hi = (q_hi << 1) | (q_lo >> 63)
-    inc_lo = (q_lo << 1) | 1
-    lo = inc_lo + s_lo  # the first step from 0 leaves inc
-    hi = inc_hi + s_hi + (lo < s_lo)
-    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
-
-
-def _pcg64_words(states, n):
-    """The first n raw outputs (`random_raw(n)`) of the PCG64 that
-    `_pcg64_seed` seeds from each row of `states`, as (rows, n) uint64, every
-    row stepped at once.  Each output is a step, then the high word ^ the low
-    word rotated right by the top 6 bits of the state.
-    """
-    hi, lo, inc_hi, inc_lo = _pcg64_seed(states)
-    out = np.empty((len(hi), n), dtype=np.uint64)
-    for j in range(n):
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))  # rot 0 shifts by 0, not 64
-    return out
+def _words(key, ids, width):
+    """(len(ids), width) uint64 words, a counter hash: word j of row r mixes
+    the int tuple `key`, ids[r] and j, so a row depends on nothing else.  The
+    key is hashed as an array, as numpy warns when a uint64 scalar wraps."""
+    h = np.zeros(1, dtype=np.uint64)
+    for k in key:
+        h = _mix((h ^ np.uint64(k)) + _G)
+    rows = _mix(h ^ np.asarray(ids, dtype=np.uint64))
+    return _mix(rows[:, None] + _G * np.arange(1, width + 1, dtype=np.uint64))
 
 
 _FEATURE_CHUNK = 256  # samples of float64 noise `VisionStub.features` holds at once
@@ -250,9 +146,9 @@ class VisionStub:
     """Deterministic stand-in for a frozen vision encoder.
 
     A fixed table of per-slot feature vectors (drawn once from `seed`) plus
-    per-sample noise keyed by (seed, sample_id).  `unaligned` warps the table
-    through a fixed random tanh layer so no linear connector can match the
-    aligned geometry.  Never trainable.
+    per-sample noise keyed by (seed, the split's seed, sample_id).
+    `unaligned` warps the table through a fixed random tanh layer so no
+    linear connector can match the aligned geometry.  Never trainable.
     """
 
     def __init__(self, d_visual, n_slots, mode="aligned", seed=0, noise_std=0.05):
@@ -262,6 +158,8 @@ class VisionStub:
         self.n_slots = int(n_slots)
         self.mode = mode
         self.seed = int(seed)
+        if not 0 <= self.seed < 2**64:  # the hash takes it as one uint64
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         self.noise_std = float(noise_std)
         if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
@@ -272,109 +170,52 @@ class VisionStub:
             table = np.tanh(table @ (warp / np.sqrt(self.d_visual))) * 1.5
         self._table = table
 
-    def features(self, slot_ids, sample_id) -> np.ndarray:
+    def features(self, slot_ids, sample_id, seed=0) -> np.ndarray:
         """(n, n_tokens) slot ids and n sample ids -> (n, n_tokens, d_visual)
-        float32.  Each sample's noise is numpy's `standard_normal` from one
-        generator set, before each sample, to the PCG64 state numpy's
-        `default_rng` gives the seed (seed, sample_id) (see `_pcg64_seed`).
-        Every value is computed in float64, `table[slot] + noise_std * noise`,
-        and rounded to float32 once; samples go through float64 in chunks of
-        `_FEATURE_CHUNK`, so no full-size float64 array is made.
+        float32, each value `table[slot] + noise_std * noise` computed in
+        float64 and rounded once.
+
+        A sample's noise is Box-Muller over its ceil(n_tokens * d_visual / 2)
+        words `_words((self.seed, seed), [sample_id], .)`: a word's high half
+        gives the radius, its low half the angle, and every cosine comes before
+        every sine.  Samples go through float64 `_FEATURE_CHUNK` at a time, so
+        no full-size float64 array is made.
         """
         slots = np.asarray(slot_ids)
         ids = np.asarray(sample_id)
         if slots.ndim != 2 or ids.shape != slots.shape[:1]:
             raise ValueError(f"sample_id shape {ids.shape} does not match "
                              f"(n, n_tokens) slot_ids shape {slots.shape}")
+        if ids.dtype.kind not in "iu" or ids.min() < 0:
+            raise ValueError("sample ids must be non-negative integers")
         if slots.min() < 0 or slots.max() >= self.n_slots:
             raise ValueError(f"slot id out of range [0, {self.n_slots})")
-        seeded = [w.tolist() for w in _pcg64_seed(_sample_states(self.seed, ids))]
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
-        pcg = {"state": 0, "inc": 0}  # refilled for each sample; the setter copies it
-        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
         features = np.empty(slots.shape + (self.d_visual,), dtype=np.float32)
-        noise = np.empty((min(len(slots), _FEATURE_CHUNK),) + features.shape[1:])
+        size = features[0].size
         for start in range(0, len(slots), _FEATURE_CHUNK):
-            chunk = noise[:len(slots) - start]
-            for out, hi, lo, inc_hi, inc_lo in zip(
-                    chunk, *(w[start:start + _FEATURE_CHUNK] for w in seeded)):
-                pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
-                bits.state = state
-                rng.standard_normal(out=out)
-            chunk *= self.noise_std
-            chunk += self._table[slots[start:start + _FEATURE_CHUNK]]
-            features[start:start + len(chunk)] = chunk
+            chunk = slice(start, start + _FEATURE_CHUNK)
+            w = _words((self.seed, seed), ids[chunk], -(-size // 2))
+            radius = np.sqrt(-2.0 * np.log(((w >> 32) + 0.5) * 2.0**-32))
+            angle = (w & 0xFFFFFFFF) * (2 * np.pi * 2.0**-32)
+            noise = np.concatenate([radius * np.cos(angle),
+                                    radius * np.sin(angle)], axis=1)[:, :size]
+            features[chunk] = (self._table[slots[chunk]]
+                               + self.noise_std * noise.reshape(-1, *features.shape[1:]))
         return features
-
-
-_FIRST_WORDS = 8  # PCG64 outputs a sample draws at first; 4 attributes use about 5
-
-
-def _draws(words, cdf, K, M, rounds):
-    """What a Generator whose PCG64 outputs the rows of `words` draws for
-    `generate`, by numpy's own algorithms, for all rows at once: the category
-    (`random()` against the mixture `cdf`), the latent z (`integers(0, M,
-    size=K)`) and, unless the category is description, the first `rounds`
-    of `permutation(K)`.  Returns those and the rows whose words ran out.
-    """
-    n = len(words)
-    categories = np.searchsorted(cdf, (words[:, 0] >> 11) * 2.0**-53, side="right")
-    # next_uint32 takes a word's low half, then its high half; reads past
-    # the last half land on a zero pad and mark the row short
-    width = 2 * words.shape[1] - 2
-    halves = np.zeros((n, width + 1), dtype=np.uint64)
-    halves[:, :width:2] = words[:, 1:] & _MASK32
-    halves[:, 1:width:2] = words[:, 1:] >> 32
-    at = np.zeros(n, dtype=np.int64)  # each row's next half
-
-    def draw(rows, take):  # take: halves -> (values, accepted); rejected rows read on
-        out = np.empty(rows.size, dtype=np.uint64)
-        need = np.arange(rows.size)
-        while need.size:
-            r = rows[need]
-            out[need], ok = take(halves[r, np.minimum(at[r], width)])
-            at[r] += 1
-            need = need[~ok & (at[r] <= width)]
-        return out
-
-    def lemire(h):  # bounded_lemire_uint32
-        m = h * np.uint64(M)
-        return m >> 32, (m & _MASK32) >= (2**32 - M) % M
-
-    values = np.zeros((n, K), dtype=np.int64)
-    if M > 1:  # a range of one value draws nothing
-        for k in range(K):
-            values[:, k] = draw(np.arange(n), lemire)
-    # Fisher-Yates with random_interval's masked rejection, as shuffle does
-    rows = np.flatnonzero(categories != 1)
-    perm = np.tile(np.arange(K), (rows.size, 1))
-    index = np.arange(rows.size)
-    for i in range(K - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        # a short row may stop on a rejected draw; clip it to stay in range
-        j = np.minimum(draw(rows, lambda h: (h & mask, (h & mask) <= i)), i)
-        perm[index, i], perm[index, j] = perm[index, j], perm[index, i]
-    picks = np.zeros((n, rounds), dtype=np.int64)
-    picks[rows] = perm[:, :rounds]
-    return categories, values, picks, at > width
 
 
 def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     """Build the dataset of `spec`; an mm-adapt spec's visual features come
     from `stub`, which it requires.
 
-    Sample i depends only on (spec.seed, i): one generator, in the state
-    `np.random.default_rng` gives that pair, draws in order the category (one
-    uniform against the mixture CDF, as Generator.choice does), the latent z
-    (integers(0, n_values, n_attrs)) and, for conversation and reasoning, a
-    permutation of the attributes.  Every sample's raw PCG64 outputs are
-    computed at once (`_pcg64_words`), and so are the draws made from them
-    (`_draws`); no bit generator is made.  Its visual noise depends only on
-    (stub.seed, spec.seed * 1_000_003 + i) in the same way, that id taken
-    exactly, as a uint64; numpy's normal sampler draws it from one generator
-    whose state is set per sample (`VisionStub.features`).  Tokens, masks and
-    targets are written one category at a time.
+    Sample i depends only on (spec.seed, i).  Its 1 + 2 * n_attrs words
+    `_words((spec.seed,), [i], .)` give, in order, the category (the top 53
+    bits as a uniform against the mixture CDF), the latent z (each word mod
+    n_values) and the attribute order (a stable argsort of the last n_attrs
+    words), which conversation and reasoning read.  Its visual noise is keyed
+    by (stub.seed, spec.seed) and i (`VisionStub.features`).  Every sample is
+    drawn at once, and tokens, masks and targets are written one category at
+    a time.
     """
     K, M = spec.n_attrs, spec.n_values
     n, T = spec.n_samples, spec.seq_len
@@ -386,15 +227,10 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     rounds = min(N_ROUNDS, K)
     cdf = np.cumsum(spec.mixture)
     cdf /= cdf[-1]
-    states = _sample_states(spec.seed, np.arange(n))
-    categories = np.empty(n, dtype=np.int64)
-    values = np.empty((n, K), dtype=np.int64)
-    picks = np.empty((n, rounds), dtype=np.int64)  # leading attribute permutation
-    todo, n_words = np.arange(n), _FIRST_WORDS
-    while todo.size:  # rows whose words ran out redraw twice as many
-        categories[todo], values[todo], picks[todo], short = _draws(
-            _pcg64_words(states[todo], n_words), cdf, K, M, rounds)
-        todo, n_words = todo[short], 2 * n_words
+    w = _words((spec.seed,), np.arange(n), 1 + 2 * K)
+    categories = np.searchsorted(cdf, (w[:, 0] >> 11) * 2.0**-53, side="right")
+    values = (w[:, 1:1 + K] % np.uint64(M)).astype(np.int64)
+    picks = np.argsort(w[:, 1 + K:], axis=1, kind="stable")[:, :rounds]
 
     attrs = np.arange(K)
     value_tokens = value_token(attrs, values, K, M)  # (n, K)
@@ -439,9 +275,7 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
 
     features = None
     if visual:
-        features = stub.features(attrs * M + values,
-                                 np.uint64(spec.seed * _FEATURE_ID_STRIDE)
-                                 + np.arange(n, dtype=np.uint64))
+        features = stub.features(attrs * M + values, np.arange(n), spec.seed)
     return Dataset(spec=spec, tokens=tokens, targets=targets,
                    answer_mask=answer_mask, categories=categories,
                    values=values, features=features)

@@ -390,6 +390,9 @@ def _parse_header(header):
         key = min(got - known) if got - known else min(known - got)
         state = "unknown" if key in got else "missing"
         raise ValueError(f"checkpoint config: {state} key {key!r}")
+    if header["dtype"] not in ("float32", "float64"):
+        raise ValueError(f"checkpoint dtype must be float32 or float64, "
+                         f"got {header['dtype']!r}")
     return ModelConfig(**header["config"]), np.dtype(header["dtype"])
 
 
@@ -411,6 +414,7 @@ def load_checkpoint(path) -> Model:
     with io.BytesIO(body[len(CHECKPOINT_MAGIC):]) as f:
         (hlen,) = struct.unpack("<I", _read_exact(f, 4))
         config, dtype = _parse_header(json.loads(_read_exact(f, hlen)))
+        stored = dtype.newbyteorder("<")
         shapes = dict(_inventory(config))
         arrays = {}
         (n_records,) = struct.unpack("<I", _read_exact(f, 4))
@@ -418,15 +422,18 @@ def load_checkpoint(path) -> Model:
             (plen,) = struct.unpack("<H", _read_exact(f, 2))
             p = _read_exact(f, plen).decode()
             (dlen,) = struct.unpack("<H", _read_exact(f, 2))
-            dt = np.dtype(_read_exact(f, dlen).decode())
+            dstr = _read_exact(f, dlen).decode(errors="replace")
+            if dstr != stored.str:  # as save_checkpoint writes it
+                raise ValueError(f"checkpoint record {p!r}: dtype {dstr!r} is not "
+                                 f"the header's {dtype.name} ({stored.str!r})")
             (ndim,) = struct.unpack("<B", _read_exact(f, 1))
             shape = struct.unpack(f"<{ndim}q", _read_exact(f, 8 * ndim))
-            raw = _read_exact(f, dt.itemsize * int(np.prod(shape, dtype=np.int64)))
+            raw = _read_exact(f, stored.itemsize * int(np.prod(shape, dtype=np.int64)))
             if p not in shapes:
                 raise ValueError(f"checkpoint record {p!r} not in model tree")
             if shape != shapes[p]:
                 raise ValueError(f"{p}: shape {shape} != expected {shapes[p]}")
-            arrays[p] = np.array(np.frombuffer(raw, dtype=dt).reshape(shape),
+            arrays[p] = np.array(np.frombuffer(raw, dtype=stored).reshape(shape),
                                  dtype=dtype)
         if len(arrays) != len(shapes):
             missing = sorted(set(shapes) - set(arrays))

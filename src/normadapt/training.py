@@ -384,19 +384,19 @@ class AdaptProtocol:
     seed: int = 0
 
     def __post_init__(self):
-        # refuse before any work a seed whose split TaskSpec refuses; of the
-        # non-negative seed's splits, only mm-adapt's feature ids can fail
+        # refuse before any work a seed whose split TaskSpec refuses; the
+        # held-out split's seed + 3000 is the largest
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_count("n_train", self.n_train, 1)
         _check_count("n_eval", self.n_eval, 1)
-        for n, offset in ((self.n_train, 2000), (self.n_eval, 3000)):
+        for n in (self.n_train, self.n_eval):
             self._spec("mm-adapt", n, 0)  # other refusals, in TaskSpec's words
-            try:
-                self._spec("mm-adapt", n, self.seed + offset)
-            except ValueError as err:
-                raise ValueError(f"seed {self.seed} too large: the mm-adapt split's "
-                                 f"seed + {offset} is refused ({err})") from None
+        try:
+            self._spec("mm-adapt", self.n_eval, self.seed + 3000)
+        except ValueError as err:
+            raise ValueError(f"seed {self.seed} too large: the held-out split's "
+                             f"seed + 3000 is refused ({err})") from None
         # each stage's TrainConfig fields, by TrainConfig's rules and by name
         _check_count("batch", self.batch, 1)
         for stage in ("pretrain", "connector", "adapt"):

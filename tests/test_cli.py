@@ -17,6 +17,8 @@ from normadapt import normmath as nm
 from normadapt import training as tr
 from normadapt.model import NORM_KINDS, Model, ModelConfig, build, save_checkpoint
 
+from test_model import rewrite_header
+
 
 def write_config(tmp_path, text):
     p = tmp_path / "run.cfg"
@@ -195,6 +197,18 @@ def test_train_init_from_checkpoint(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["final_eval"] > 0
 
 
+@pytest.mark.parametrize("dtype", ["foo", "int64"])
+def test_train_refuses_a_checkpoint_dtype_not_float(dtype, tmp_path, capsys):
+    ckpt = tmp_path / "base.ckpt"
+    save_checkpoint(build(ModelConfig(), seed=5), ckpt)
+    rewrite_header(ckpt, lambda header: header.update(dtype=dtype))
+    err = usage_error(capsys, ["train", "--init-from", str(ckpt),
+                               "--outdir", str(tmp_path / "run"), *TINY])
+    assert err == ("normadapt train: error: checkpoint dtype must be float32 or "
+                   f"float64, got '{dtype}'\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_scores_on_the_protocol_splits(tmp_path, monkeypatch, capsys):
     seen = []
 
@@ -217,10 +231,10 @@ def test_train_scores_on_the_protocol_splits(tmp_path, monkeypatch, capsys):
         np.testing.assert_array_equal(g.features, w.features)
 
 
-def test_train_takes_a_seed_whose_feature_ids_pass_int64(tmp_path, capsys):
-    # the mm-adapt feature ids (seed + 2000) * 1_000_003 + i pass 2**63
+def test_train_takes_the_largest_seed(tmp_path, capsys):
+    # its held-out split's seed + 3000 is 2**64 - 1
     assert cli.main(["train", "--steps", "1", "--batch", "2", "--n-samples", "4",
-                     "--n-eval", "4", "--seed", str(10**13),
+                     "--n-eval", "4", "--seed", str(2**64 - 3001),
                      "--outdir", str(tmp_path / "run")]) == 0
 
 
@@ -419,10 +433,9 @@ def test_config_key_the_command_does_not_read_is_refused(
       "--seed", "-3"],
      "normadapt train: error: seed must be >= 0, got -3\n"),
     (["train", "--steps", "1", "--batch", "2", "--n-samples", "4", "--n-eval", "4",
-      "--seed", str(2**45)],
-     f"normadapt train: error: seed {2**45} too large: the mm-adapt split's seed "
-     f"+ 2000 is refused (seed {2**45 + 2000} too large: mm-adapt feature ids "
-     "seed * 1000003 + i must stay below 2**64)\n"),
+      "--seed", str(2**64 - 3000)],
+     f"normadapt train: error: seed {2**64 - 3000} too large: the held-out split's "
+     f"seed + 3000 is refused (seed must be below 2**64, got {2**64})\n"),
     (["train", "--steps", "1", "--n-samples", "0"],
      "normadapt train: error: n_train must be >= 1, got 0\n"),
     (["train", "--steps", "1", "--n-eval", "0"],
@@ -443,7 +456,7 @@ def test_config_key_the_command_does_not_read_is_refused(
      "normadapt normcheck: error: variance_scaling_study: n_grid needs at least "
      "2 sizes to fit a slope, got [16]\n"),
 ], ids=["grid", "strategy", "trace-every-0", "trace-every-negative",
-        "eval-interval-negative", "seed-negative", "seed-past-feature-ids",
+        "eval-interval-negative", "seed-negative", "seed-split-past-2-64",
         "n-samples-0", "n-eval-0", "sweep-repeated-lr", "bytes-per-param-negative",
         "bytes-per-param-0-table", "normcheck-trials-0", "normcheck-trials-negative",
         "normcheck-one-size"])
@@ -468,14 +481,14 @@ def test_normcheck_n_grid_names_its_flag(grid, capsys):
                         f"comma-separated non-negative integers, got '{grid}'\n")
 
 
-def test_compare_refuses_a_seed_past_feature_ids_before_pretraining(
+def test_compare_refuses_a_seed_whose_split_passes_2_64_before_pretraining(
         monkeypatch, capsys):
     def pretrain(protocol):
         raise AssertionError("pretrain ran")
 
     monkeypatch.setattr(tr, "pretrain", pretrain)
-    err = usage_error(capsys, ["compare", *TINY_COMPARE, "--seed", str(2**45)])
-    assert err.startswith(f"normadapt compare: error: seed {2**45} too large: ")
+    err = usage_error(capsys, ["compare", *TINY_COMPARE, "--seed", str(2**64 - 3000)])
+    assert err.startswith(f"normadapt compare: error: seed {2**64 - 3000} too large: ")
 
 
 @pytest.mark.parametrize("flag, value, message", [

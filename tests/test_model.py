@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import zlib
 
@@ -406,15 +407,46 @@ def test_checkpoint_rejects_truncation(tmp_path):
 def test_checkpoint_rejects_malformed_config(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     md.save_checkpoint(md.build(tiny_config()), path)
+    rewrite_header(path, lambda header: edit(header["config"]))
+    with pytest.raises(ValueError, match=message):
+        md.load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of the checkpoint at `path`; the file
+    keeps a valid checksum trailer."""
     blob = path.read_bytes()
     start = len(md.CHECKPOINT_MAGIC)
     (hlen,) = struct.unpack("<I", blob[start:start + 4])
     header = json.loads(blob[start + 4:start + 4 + hlen])
-    edit(header["config"])
+    edit(header)
     new = json.dumps(header).encode()
     body = blob[:start] + struct.pack("<I", len(new)) + new + blob[start + 4 + hlen:-4]
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid trailer
-    with pytest.raises(ValueError, match=message):
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.mark.parametrize("dtype", ["foo", "int64", "float16", None])
+def test_checkpoint_refuses_a_header_dtype_not_float(tmp_path, dtype):
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(md.build(tiny_config()), path)
+    rewrite_header(path, lambda header: header.update(dtype=dtype))
+    with pytest.raises(ValueError, match=re.escape(
+            f"checkpoint dtype must be float32 or float64, got {dtype!r}")):
+        md.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_a_record_dtype_not_the_headers(tmp_path):
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(md.build(tiny_config()), path)  # float32 records
+    rewrite_header(path, lambda header: header.update(dtype="float64"))
+    with pytest.raises(ValueError, match=re.escape(
+            "dtype '<f4' is not the header's float64 ('<f8')")):
+        md.load_checkpoint(path)
+    md.save_checkpoint(md.build(tiny_config()), path)
+    body = path.read_bytes()[:-4].replace(b"<f4", b"<zz", 1)  # does not parse
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(ValueError, match=re.escape(
+            "dtype '<zz' is not the header's float32 ('<f4')")):
         md.load_checkpoint(path)
 
 
