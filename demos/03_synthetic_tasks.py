@@ -7,8 +7,8 @@ import numpy as np
 from normadapt import data as dt
 from normadapt import training as tr
 
-spec = dt.TaskSpec(kind="text-pretrain", n_samples=6, seq_len=20,
-                   mixture=(0.4, 0.3, 0.3), seed=42)
+spec = dt.TaskSpec(kind="text-pretrain", n_samples=6, mixture=(0.4, 0.3, 0.3),
+                   seed=42)
 ds = dt.generate(spec)
 print("vocab required:", ds.vocab_required)
 for i in range(3):
@@ -18,8 +18,8 @@ for i in range(3):
 # same latent recipe, but declarations replaced by visual features, here
 # from the protocol's vision stub: the model sees K projected vectors in
 # front of BOS instead of token pairs
-mm = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=6, seq_len=12,
-                             mixture=(0.4, 0.3, 0.3), seed=42),
+mm = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=6, mixture=(0.4, 0.3, 0.3),
+                             seed=42),
                  tr.AdaptProtocol().stub())
 print("\nmm-adapt tokens (no declarations, features carry the attributes):")
 print(mm.tokens[0], " features", mm.features.shape)
@@ -41,6 +41,6 @@ print("oracle-decoded samples:", ok, "/", len(mm))
 
 # mixture bookkeeping: counts follow the weights
 big = dt.generate(dt.TaskSpec(kind="text-pretrain", n_samples=3000,
-                              seq_len=20, mixture=(0.5, 0.25, 0.25), seed=7))
+                              mixture=(0.5, 0.25, 0.25), seed=7))
 counts = np.bincount(big.categories, minlength=3)
 print("\nmixture (0.5, 0.25, 0.25) over 3000 samples ->", counts)

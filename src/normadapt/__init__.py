@@ -21,9 +21,13 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def _cap_threads():
-    """Export NORMADAPT_THREADS as each of `_THREAD_VARS`; warn when numpy,
-    and so its BLAS with the thread count it started with, is already loaded."""
+    """Export NORMADAPT_THREADS as each of `_THREAD_VARS`, refusing a value
+    BLAS would quietly replace by its default; warn when numpy, and so its
+    BLAS with the thread count it started with, is already loaded."""
     cap = os.environ.get("NORMADAPT_THREADS")
+    if cap and not (cap.isascii() and cap.isdecimal() and int(cap) > 0):
+        raise ValueError("NORMADAPT_THREADS must be a positive decimal integer, "
+                         f"got {cap!r}")
     if not cap or all(os.environ.get(var) == cap for var in _THREAD_VARS):
         return
     for var in _THREAD_VARS:

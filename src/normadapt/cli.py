@@ -14,10 +14,12 @@ import sys
 from pathlib import Path
 
 def _parse_mixture(value):
-    parts = [float(w) for w in value.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"mixture needs 3 comma-separated weights, got {value!r}")
-    return tuple(parts)
+    try:  # a count other than 3 fails the unpacking
+        w0, w1, w2 = map(float, value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"mixture needs 3 comma-separated weights, got {value!r}") from None
+    return w0, w1, w2
 
 
 def _parse_int_list(value):
@@ -68,7 +70,7 @@ def parse_config_file(path, keys=tuple(OPTIONS)):
         seen[key] = lineno
         try:
             opts[key] = OPTIONS[key].get("type", str)(value)
-        except ValueError as err:
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
     return opts
 
@@ -237,8 +239,11 @@ def cmd_similarity(args):
                                           "samples": args.probe_samples})
 
     reports = [probe_report(args.ckpt, Path(args.ckpt).stem)]
+    payload = {}
     if args.ckpt_b:
         reports.append(probe_report(args.ckpt_b, Path(args.ckpt_b).stem))
+        # a pair compare_similarity refuses is refused before anything is written
+        payload["relative_diff"] = an.compare_similarity(reports)[0].relative_diff
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -250,11 +255,7 @@ def cmd_similarity(args):
                 f.write(",".join(repr(float(x)) for x in row) + "\n")
         summary.append({"label": rep.probe["label"], "average": rep.average,
                         "n_layers": rep.n_layers, "matrix_csv": str(csv_path)})
-    payload = {"reports": summary}
-    if len(reports) == 2:
-        diff = an.compare_similarity(reports)[0]
-        payload["relative_diff"] = diff.relative_diff
-    print(json.dumps(payload, indent=2))
+    print(json.dumps({"reports": summary, **payload}, indent=2))
     return 0
 
 

@@ -51,7 +51,7 @@ def vocab_required(n_attrs, n_values):
 class TaskSpec:
     kind: str
     n_samples: int
-    seq_len: int = 24
+    seq_len: int = None  # None: max_body_len() + 1, so every sample ends in PAD
     mixture: tuple = (1 / 3, 1 / 3, 1 / 3)
     n_attrs: int = 4
     n_values: int = 16
@@ -81,6 +81,8 @@ class TaskSpec:
         if mix[2] > 0 and self.n_attrs < 2:
             raise ValueError("reasoning compares two attributes: it needs "
                              f"n_attrs >= 2, got {self.n_attrs}")
+        if self.seq_len is None:
+            object.__setattr__(self, "seq_len", self.max_body_len() + 1)
         if self.seq_len < self.max_body_len():
             raise ValueError(
                 f"seq_len {self.seq_len} below worst-case sample length "

@@ -320,7 +320,6 @@ class SweepResult:
     rows: list              # (lr, final_eval)
     best_lr: float
     best_loss: float
-    records: list
 
 
 def sweep_lr(grid, base: Model, strategy, train_ds, eval_ds,
@@ -334,15 +333,13 @@ def sweep_lr(grid, base: Model, strategy, train_ds, eval_ds,
     if len(set(grid)) < len(grid):
         raise ValueError(f"repeated lr in {grid}")
     configs = [replace(config, lr=lr) for lr in grid]
-    rows, records = [], []
+    rows = []
     for cfg in configs:
         rec = train(clone_model(base), strategy, train_ds, eval_ds, cfg)
         loss = rec.final_eval if rec.final_eval is not None else math.inf
         rows.append((cfg.lr, loss))
-        records.append(rec)
     best_lr, best_loss = min(rows, key=lambda r: (r[1], r[0]))
-    return SweepResult(rows=rows, best_lr=best_lr, best_loss=best_loss,
-                       records=records)
+    return SweepResult(rows=rows, best_lr=best_lr, best_loss=best_loss)
 
 
 # Per-strategy stage-2 learning rates, picked by sweep at the toy scale.
@@ -363,14 +360,12 @@ _STUB_SEED = 7  # AdaptProtocol.stub(): every mm-adapt split shares its slot tab
 
 @dataclass
 class AdaptProtocol:
-    """Everything the two-stage comparison experiment needs, in one place."""
+    """Everything the two-stage comparison experiment needs, in one place;
+    the task has one attribute per visual token of `model`."""
     model: ModelConfig = field(default_factory=ModelConfig)
     n_train: int = 4096
     n_eval: int = 512
-    pretrain_seq_len: int = 20
-    adapt_seq_len: int = 12
     mixture: tuple = (1 / 3, 1 / 3, 1 / 3)
-    n_attrs: int = 4
     n_values: int = 16
     stub_mode: str = "aligned"
     noise_std: float = 0.05
@@ -390,8 +385,8 @@ class AdaptProtocol:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_count("n_train", self.n_train, 1)
         _check_count("n_eval", self.n_eval, 1)
-        for n in (self.n_train, self.n_eval):
-            self._spec("mm-adapt", n, 0)  # other refusals, in TaskSpec's words
+        for kind in dt.TASK_KINDS:
+            self._spec(kind, self.n_eval, 0)  # other refusals, in TaskSpec's words
         try:
             self._spec("mm-adapt", self.n_eval, self.seed + 3000)
         except ValueError as err:
@@ -409,14 +404,13 @@ class AdaptProtocol:
 
     def stub(self) -> dt.VisionStub:
         return dt.VisionStub(d_visual=self.model.d_visual,
-                             n_slots=self.n_attrs * self.n_values,
+                             n_slots=self.model.n_visual_tokens * self.n_values,
                              mode=self.stub_mode, seed=_STUB_SEED,
                              noise_std=self.noise_std)
 
     def _spec(self, kind, n, seed) -> dt.TaskSpec:
-        seq_len = self.pretrain_seq_len if kind == "text-pretrain" else self.adapt_seq_len
-        return dt.TaskSpec(kind=kind, n_samples=n, seq_len=seq_len,
-                           mixture=self.mixture, n_attrs=self.n_attrs,
+        return dt.TaskSpec(kind=kind, n_samples=n, mixture=self.mixture,
+                           n_attrs=self.model.n_visual_tokens,
                            n_values=self.n_values, seed=seed)
 
     def dataset(self, kind, n, seed) -> dt.Dataset:
@@ -511,31 +505,26 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
         rec1 = train(stage1, TuningStrategy("connector-only"), mm_train, mm_eval, cfg1)
         loss_frozen = rec1.final_eval
 
-        finals = {}
-        clocks = {}
-        fractions = {}
+        records = {}
         for name, strategy, lr in stage2:
-            model = clone_model(stage1)
             cfg2 = TrainConfig(lr=lr, steps=protocol.adapt_steps,
                                batch=protocol.batch, seed=1000 * seed + 2)
-            rec = train(model, strategy, mm_train, mm_eval, cfg2)
-            finals[name] = rec.final_eval
-            clocks[name] = rec.wall_clock
-            fractions[name] = rec.selection["fraction"]
+            records[name] = train(clone_model(stage1), strategy, mm_train,
+                                  mm_eval, cfg2)
 
-        loss_ft = finals.get("finetune")
+        loss_ft = records["finetune"].final_eval if "finetune" in records else None
         denom = None if loss_ft is None else loss_frozen - loss_ft
         rows.append(ComparisonRow(seed=seed, strategy="frozen",
                                   final_eval=loss_frozen, gain=0.0,
                                   fraction=0.0, wall_clock=rec1.wall_clock))
-        for name in strategy_names:
+        for name, rec in records.items():
             gain = None
             if denom is not None and denom != 0:
-                gain = (loss_frozen - finals[name]) / denom
+                gain = (loss_frozen - rec.final_eval) / denom
             rows.append(ComparisonRow(seed=seed, strategy=name,
-                                      final_eval=finals[name], gain=gain,
-                                      fraction=fractions[name],
-                                      wall_clock=clocks[name]))
+                                      final_eval=rec.final_eval, gain=gain,
+                                      fraction=rec.selection["fraction"],
+                                      wall_clock=rec.wall_clock))
     report = ComparisonReport(rows=rows, protocol=asdict(protocol))
     if outdir is not None:
         with open(Path(outdir) / "compare.csv", "w", newline="") as f:

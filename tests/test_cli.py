@@ -107,6 +107,20 @@ def test_thread_cap_holds_from_a_library_import():
     assert out.split() == ["1", "1"]
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "1"])
+def test_thread_cap_takes_only_a_positive_integer(value):
+    """Anything else would leave BLAS at its own default thread count."""
+    env = dict(os.environ, NORMADAPT_THREADS=value)
+    out = subprocess.run([sys.executable, "-c", "import normadapt"], env=env,
+                         capture_output=True, text=True)
+    if value == "1":
+        assert (out.returncode, out.stderr) == (0, "")
+    else:
+        assert out.returncode == 1
+        assert out.stderr.endswith("ValueError: NORMADAPT_THREADS must be a positive "
+                                   f"decimal integer, got {value!r}\n")
+
+
 def test_building_the_parser_does_not_import_numpy():
     """NORMADAPT_THREADS reaches BLAS only if numpy loads after `_cap_threads`."""
     code = ("import sys\nfrom normadapt import cli\ncli.build_parser()\n"
@@ -143,6 +157,13 @@ def usage_error(capsys, argv):
         cli.main(argv)
     assert exit_.value.code == 2
     return capsys.readouterr().err
+
+
+def subcommands():
+    """Each subcommand's argparse parser, by name."""
+    (commands,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return commands
 
 
 def test_budget_unknown_preset(capsys):
@@ -327,6 +348,19 @@ def test_compare_init_from_takes_the_checkpoint_config(tmp_path, capsys):
     assert "'rms'" in err
 
 
+@pytest.mark.parametrize("argv", [["train", "--task", "mm-adapt", *TINY],
+                                  ["compare", *TINY_COMPARE]], ids=["train", "compare"])
+def test_init_from_a_three_token_checkpoint(argv, tmp_path, capsys):
+    """The protocol gives the task one attribute per visual token of the
+    checkpoint's model."""
+    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32, vocab_size=80,
+                      max_seq=20, n_visual_tokens=3, d_visual=8)
+    ckpt = tmp_path / "three.ckpt"
+    save_checkpoint(build(cfg, seed=2), ckpt)
+    assert cli.main([*argv, "--init-from", str(ckpt),
+                     "--outdir", str(tmp_path / "out")]) == 0
+
+
 def test_similarity_single_and_pair(tmp_path, capsys):
     model = build(ModelConfig(), seed=1)
     a = tmp_path / "a.ckpt"
@@ -345,6 +379,17 @@ def test_similarity_single_and_pair(tmp_path, capsys):
     matrix = np.loadtxt(out["reports"][0]["matrix_csv"], delimiter=",")
     assert matrix.shape == (4, 4)
     assert np.allclose(np.diag(matrix), 1.0)
+
+
+def test_a_refused_similarity_pair_writes_nothing(tmp_path, capsys):
+    ckpts = [str(tmp_path / f"{n}.ckpt") for n in (2, 3)]
+    for n, path in zip((2, 3), ckpts):
+        save_checkpoint(build(ModelConfig(n_layers=n), seed=1), path)
+    outdir = tmp_path / "sim"
+    err = usage_error(capsys, ["similarity", "--ckpt", ckpts[0], "--ckpt-b", ckpts[1],
+                               "--probe-samples", "4", "--outdir", str(outdir)])
+    assert err == "normadapt similarity: error: mismatched layer counts: [2, 3]\n"
+    assert not outdir.exists()
 
 
 def test_grad_stats_csv(tmp_path, capsys):
@@ -455,13 +500,21 @@ def test_config_key_the_command_does_not_read_is_refused(
     (["normcheck", "--n-grid", "16"],
      "normadapt normcheck: error: variance_scaling_study: n_grid needs at least "
      "2 sizes to fit a slope, got [16]\n"),
+    (["compare", "--mixture", "1,2"],
+     "normadapt compare: error: argument --mixture: mixture needs 3 "
+     "comma-separated weights, got '1,2'\n"),
+    (["train", "--mixture", "a,b,c"],
+     "normadapt train: error: argument --mixture: mixture needs 3 "
+     "comma-separated weights, got 'a,b,c'\n"),
 ], ids=["grid", "strategy", "trace-every-0", "trace-every-negative",
         "eval-interval-negative", "seed-negative", "seed-split-past-2-64",
         "n-samples-0", "n-eval-0", "sweep-repeated-lr", "bytes-per-param-negative",
         "bytes-per-param-0-table", "normcheck-trials-0", "normcheck-trials-negative",
-        "normcheck-one-size"])
+        "normcheck-one-size", "mixture-two-weights", "mixture-not-numbers"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
-    assert usage_error(capsys, argv) == message
+    # argparse leads the report of a bad flag value with the command's usage
+    usage = subcommands()[argv[0]].format_usage() if ": argument --" in message else ""
+    assert usage_error(capsys, argv) == usage + message
 
 
 def test_compare_refuses_negative_seeds_before_pretraining(monkeypatch, capsys):
@@ -581,7 +634,7 @@ def test_named_grid_resolves_in_the_cli(monkeypatch, capsys):
 
     def fake_sweep(grid, *args):
         seen.append(grid)
-        return tr.SweepResult(rows=[], best_lr=grid[0], best_loss=1.0, records=[])
+        return tr.SweepResult(rows=[], best_lr=grid[0], best_loss=1.0)
 
     monkeypatch.setattr(tr, "sweep_lr", fake_sweep)
     assert cli.main(["sweep-lr", "--grid", "paper-grid", *TINY]) == 0
@@ -648,9 +701,6 @@ def test_sweep_lr_has_no_outdir(tmp_path, capsys):
 def test_flag_choices_copy_the_library(flag, library):
     """cli.py imports only the stdlib at module level, so it repeats these
     choices; every subcommand's copy must equal the library's."""
-    parser = cli.build_parser()
-    (commands,) = [a.choices for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    copies = {name: tuple(a.choices) for name, sub in commands.items()
+    copies = {name: tuple(a.choices) for name, sub in subcommands().items()
               for a in sub._actions if flag in a.option_strings}
     assert copies and set(copies.values()) == {library}, copies

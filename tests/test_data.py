@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from normadapt import data as dt
+from normadapt import model as md
 from normadapt import training as tr
 
 _M32, _M64 = 2**32 - 1, 2**64 - 1
@@ -166,7 +167,8 @@ def test_generate_matches_per_sample_reference(kind, stub, mixture,
         sp = spec(kind=kind, n_samples=40, mixture=mixture, n_attrs=K,
                   n_values=M, seq_len=tight + slack, seed=seed)
         if stub == "default":
-            st = tr.AdaptProtocol(n_attrs=K, n_values=M).stub()
+            st = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K),
+                                  n_values=M).stub()
         else:
             st = dt.VisionStub(d_visual=6, n_slots=K * M, **ORACLE_STUBS[stub])
         assert_matches_reference(sp, st)
@@ -175,7 +177,8 @@ def test_generate_matches_per_sample_reference(kind, stub, mixture,
 @pytest.mark.parametrize("kind", dt.TASK_KINDS)
 def test_generate_single_attribute_without_reasoning(kind):
     for mixture in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0)):
-        stub = tr.AdaptProtocol(n_attrs=1, n_values=3, mixture=mixture).stub()
+        stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=1), n_values=3,
+                                mixture=mixture).stub()
         assert_matches_reference(spec(kind=kind, n_samples=20, n_attrs=1,
                                       n_values=3, mixture=mixture), stub)
 

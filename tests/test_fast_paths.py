@@ -107,7 +107,8 @@ def task_cases(draw):
                              n_slots=K * M, mode=draw(st.sampled_from(dt.VISION_MODES)),
                              seed=draw(seed, label="stub seed"))
     elif kind == "mm-adapt":
-        stub = tr.AdaptProtocol(n_attrs=K, n_values=M).stub()
+        stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K),
+                                n_values=M).stub()
     return spec, stub
 
 

@@ -473,6 +473,30 @@ def test_compare_strategies_micro_run():
     assert report.median_gain("frozen") == 0.0
 
 
+def test_a_micro_protocol_with_three_visual_tokens_compares():
+    """Every split has one attribute per visual token of the protocol's
+    model, so stage 1 reads features of the model's shape."""
+    model = md.ModelConfig(**{**MICRO_MODEL, "n_visual_tokens": 3})
+    proto = micro_protocol(model=model, pretrain_steps=2, connector_steps=2,
+                           adapt_steps=2)
+    report = tr.compare_strategies(["finetune", "layernorm"], proto)
+    assert [r.strategy for r in report.rows] == ["frozen", "finetune", "layernorm"]
+    assert all(math.isfinite(r.final_eval) for r in report.rows)
+
+
+@pytest.mark.parametrize("tokens, text_len, mm_len", [(4, 20, 12), (5, 22, 12)])
+def test_protocol_splits_take_their_shape_from_the_model(tokens, text_len, mm_len):
+    proto = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=tokens),
+                             n_train=8, n_eval=8)
+    text, (mm, _) = proto.text_dataset(), proto.mm_datasets()
+    assert (text.spec.n_attrs, text.spec.seq_len) == (tokens, text_len)
+    assert (mm.spec.n_attrs, mm.spec.seq_len) == (tokens, mm_len)
+    assert mm.features.shape == (8, tokens, proto.model.d_visual)
+    assert proto.stub().n_slots == tokens * proto.n_values
+    for ds in (text, mm):  # one PAD past the longest sample
+        assert (ds.tokens[:, -1] == dt.PAD).all()
+
+
 # a MICRO pretrain and comparison; prints one SHA-256 of the comparison rows
 # (wall clocks left out) and the pretrained parameters
 REPRO_SCRIPT = f"""
