@@ -1,7 +1,7 @@
 """Synthetic attribute-retrieval tasks, text-only and visual-prefix variants.
 
 Every sample hides a latent attribute vector z (n_attrs values, each in
-[0, n_values)).  Text pretraining declares the attributes in-context as
+[0, N_VALUES)).  Text pretraining declares the attributes in-context as
 (marker, value-token) pairs; the multimodal variant drops the declarations
 and supplies one visual feature per attribute instead, so answering requires
 reading the connector-projected prefix.  Three body categories:
@@ -29,6 +29,7 @@ from .autograd import IGNORE
 PAD, BOS, SEP, Q, DESC, CMP, GT, LT, EQ = range(9)
 _N_SPECIALS = 9
 N_ROUNDS = 3  # conversation rounds per sample
+N_VALUES = 16  # values per attribute; a power of two, so a word mod it is uniform
 
 CATEGORIES = ("conversation", "description", "reasoning")
 TASK_KINDS = ("text-pretrain", "mm-adapt")
@@ -39,22 +40,20 @@ def attr_token(k):
     return _N_SPECIALS + k
 
 
-def value_token(k, v, n_attrs, n_values):
-    return _N_SPECIALS + n_attrs + k * n_values + v
+def value_token(k, v, n_attrs):
+    return _N_SPECIALS + n_attrs + k * N_VALUES + v
 
 
-def vocab_required(n_attrs, n_values):
-    return _N_SPECIALS + n_attrs + n_attrs * n_values
+def vocab_required(n_attrs):
+    return _N_SPECIALS + n_attrs + n_attrs * N_VALUES
 
 
 @dataclass(frozen=True)
 class TaskSpec:
     kind: str
     n_samples: int
-    seq_len: int = None  # None: max_body_len() + 1, so every sample ends in PAD
     mixture: tuple = (1 / 3, 1 / 3, 1 / 3)
     n_attrs: int = 4
-    n_values: int = 16
     seed: int = 0
 
     def __post_init__(self):
@@ -68,9 +67,6 @@ class TaskSpec:
             raise ValueError(f"seed must be below 2**64, got {self.seed}")
         if self.n_attrs < 1:
             raise ValueError(f"n_attrs must be positive, got {self.n_attrs}")
-        # a value is a uint64 word mod n_values, biased by under 2**-32
-        if not 1 <= self.n_values <= 2**32:
-            raise ValueError(f"n_values must be in [1, 2**32], got {self.n_values}")
         mix = tuple(float(w) for w in self.mixture)
         if len(mix) != len(CATEGORIES) or not all(0 <= w < np.inf for w in mix):
             raise ValueError(f"mixture needs {len(CATEGORIES)} finite non-negative "
@@ -81,12 +77,10 @@ class TaskSpec:
         if mix[2] > 0 and self.n_attrs < 2:
             raise ValueError("reasoning compares two attributes: it needs "
                              f"n_attrs >= 2, got {self.n_attrs}")
-        if self.seq_len is None:
-            object.__setattr__(self, "seq_len", self.max_body_len() + 1)
-        if self.seq_len < self.max_body_len():
-            raise ValueError(
-                f"seq_len {self.seq_len} below worst-case sample length "
-                f"{self.max_body_len()} for kind {self.kind}")
+
+    @property
+    def seq_len(self) -> int:  # the longest sample of its kind plus one PAD
+        return self.max_body_len() + 1
 
     def max_body_len(self) -> int:
         head = 2  # BOS, SEP
@@ -111,7 +105,7 @@ class Dataset:
 
     @property
     def vocab_required(self):
-        return vocab_required(self.spec.n_attrs, self.spec.n_values)
+        return vocab_required(self.spec.n_attrs)
 
 
 # SplitMix64 (Steele, Lea & Flood 2014): its Weyl increment and the two
@@ -213,13 +207,13 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     Sample i depends only on (spec.seed, i).  Its 1 + 2 * n_attrs words
     `_words((spec.seed,), [i], .)` give, in order, the category (the top 53
     bits as a uniform against the mixture CDF), the latent z (each word mod
-    n_values) and the attribute order (a stable argsort of the last n_attrs
+    N_VALUES) and the attribute order (a stable argsort of the last n_attrs
     words), which conversation and reasoning read.  Its visual noise is keyed
     by (stub.seed, spec.seed) and i (`VisionStub.features`).  Every sample is
     drawn at once, and tokens, masks and targets are written one category at
     a time.
     """
-    K, M = spec.n_attrs, spec.n_values
+    K = spec.n_attrs
     n, T = spec.n_samples, spec.seq_len
     visual = spec.kind == "mm-adapt"
     if visual and stub is None:
@@ -231,11 +225,11 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     cdf /= cdf[-1]
     w = _words((spec.seed,), np.arange(n), 1 + 2 * K)
     categories = np.searchsorted(cdf, (w[:, 0] >> 11) * 2.0**-53, side="right")
-    values = (w[:, 1:1 + K] % np.uint64(M)).astype(np.int64)
+    values = (w[:, 1:1 + K] % np.uint64(N_VALUES)).astype(np.int64)
     picks = np.argsort(w[:, 1 + K:], axis=1, kind="stable")[:, :rounds]
 
     attrs = np.arange(K)
-    value_tokens = value_token(attrs, values, K, M)  # (n, K)
+    value_tokens = value_token(attrs, values, K)  # (n, K)
     tokens = np.full((n, T), PAD, dtype=np.int64)
     answer_mask = np.zeros((n, T), dtype=bool)
     tokens[:, 0] = BOS
@@ -277,7 +271,7 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
 
     features = None
     if visual:
-        features = stub.features(attrs * M + values, np.arange(n), spec.seed)
+        features = stub.features(attrs * N_VALUES + values, np.arange(n), spec.seed)
     return Dataset(spec=spec, tokens=tokens, targets=targets,
                    answer_mask=answer_mask, categories=categories,
                    values=values, features=features)
@@ -288,18 +282,18 @@ def expected_answers(sample_tokens, z, spec: TaskSpec):
 
     Returns (position, token) pairs over the text sequence.
     """
-    K, M = spec.n_attrs, spec.n_values
+    K = spec.n_attrs
     toks = list(sample_tokens)
     out = []
     i = toks.index(SEP) + 1
     while i < len(toks) and toks[i] != PAD:
         if toks[i] == Q:
             k = toks[i + 1] - _N_SPECIALS
-            out.append((i + 2, value_token(k, z[k], K, M)))
+            out.append((i + 2, value_token(k, z[k], K)))
             i += 3
         elif toks[i] == DESC:
             for k in range(K):
-                out.append((i + 1 + k, value_token(k, z[k], K, M)))
+                out.append((i + 1 + k, value_token(k, z[k], K)))
             i += 1 + K
         elif toks[i] == CMP:
             a = toks[i + 1] - _N_SPECIALS

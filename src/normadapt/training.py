@@ -353,6 +353,8 @@ DEFAULT_ADAPT_LRS = {
     "layernorm-simple": 1e-2,
     "connector-only": 2e-3,
 }
+PRETRAIN_LR = 1e-3  # stage 0
+CONNECTOR_LR = 2e-3  # stage 1
 
 
 _STUB_SEED = 7  # AdaptProtocol.stub(): every mm-adapt split shares its slot table
@@ -361,32 +363,38 @@ _STUB_SEED = 7  # AdaptProtocol.stub(): every mm-adapt split shares its slot tab
 @dataclass
 class AdaptProtocol:
     """Everything the two-stage comparison experiment needs, in one place;
-    the task has one attribute per visual token of `model`."""
+    the task has one attribute per visual token of `model`, and each stage's
+    lr is a module constant."""
     model: ModelConfig = field(default_factory=ModelConfig)
     n_train: int = 4096
     n_eval: int = 512
     mixture: tuple = (1 / 3, 1 / 3, 1 / 3)
-    n_values: int = 16
     stub_mode: str = "aligned"
     noise_std: float = 0.05
     pretrain_steps: int = 2000
-    pretrain_lr: float = 1e-3
     connector_steps: int = 200
-    connector_lr: float = 2e-3  # stage-1 default
     adapt_steps: int = 400
-    adapt_lrs: dict = field(default_factory=lambda: dict(DEFAULT_ADAPT_LRS))
     batch: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        # refuse before any work a seed whose split TaskSpec refuses; the
-        # held-out split's seed + 3000 is the largest
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_count("n_train", self.n_train, 1)
         _check_count("n_eval", self.n_eval, 1)
-        for kind in dt.TASK_KINDS:
-            self._spec(kind, self.n_eval, 0)  # other refusals, in TaskSpec's words
+        vocab = dt.vocab_required(self.model.n_visual_tokens)
+        if self.model.vocab_size < vocab:
+            raise ValueError(f"model vocab_size {self.model.vocab_size} is below "
+                             f"the task's vocab {vocab}")
+        specs = [self._spec(kind, self.n_eval, 0)  # refusals in TaskSpec's words
+                 for kind in dt.TASK_KINDS]
+        # the model reads an mm-adapt sample's visual prefix and text as one sequence
+        length = max(s.seq_len + (s.kind == "mm-adapt") * s.n_attrs for s in specs)
+        if self.model.max_seq < length:
+            raise ValueError(f"model max_seq {self.model.max_seq} is below the "
+                             f"task's sequence length {length}")
+        # refuse before any work a seed whose split TaskSpec refuses; the
+        # held-out split's seed + 3000 is the largest
         try:
             self._spec("mm-adapt", self.n_eval, self.seed + 3000)
         except ValueError as err:
@@ -396,22 +404,17 @@ class AdaptProtocol:
         _check_count("batch", self.batch, 1)
         for stage in ("pretrain", "connector", "adapt"):
             _check_count(f"{stage}_steps", getattr(self, f"{stage}_steps"))
-        _check_rate("pretrain_lr", self.pretrain_lr)
-        _check_rate("connector_lr", self.connector_lr)
-        for name, lr in self.adapt_lrs.items():
-            _check_rate(f"adapt_lrs[{name!r}]", lr)
         self.stub()  # refuses a stub_mode or noise_std VisionStub refuses
 
     def stub(self) -> dt.VisionStub:
         return dt.VisionStub(d_visual=self.model.d_visual,
-                             n_slots=self.model.n_visual_tokens * self.n_values,
+                             n_slots=self.model.n_visual_tokens * dt.N_VALUES,
                              mode=self.stub_mode, seed=_STUB_SEED,
                              noise_std=self.noise_std)
 
     def _spec(self, kind, n, seed) -> dt.TaskSpec:
         return dt.TaskSpec(kind=kind, n_samples=n, mixture=self.mixture,
-                           n_attrs=self.model.n_visual_tokens,
-                           n_values=self.n_values, seed=seed)
+                           n_attrs=self.model.n_visual_tokens, seed=seed)
 
     def dataset(self, kind, n, seed) -> dt.Dataset:
         """n samples of task `kind`; the one place that knows the data recipe."""
@@ -432,7 +435,7 @@ class AdaptProtocol:
 
 def pretrain(protocol: AdaptProtocol):
     """Stage 0: teach the base model the retrieval task from text declarations."""
-    cfg = TrainConfig(lr=protocol.pretrain_lr, steps=protocol.pretrain_steps,
+    cfg = TrainConfig(lr=PRETRAIN_LR, steps=protocol.pretrain_steps,
                       batch=protocol.batch, seed=protocol.seed)
     model = build(protocol.model, seed=protocol.seed)
     ds = protocol.text_dataset()
@@ -464,10 +467,10 @@ class ComparisonReport:
         w = csv.writer(fileobj)
         w.writerow(["seed", "strategy", "final_eval", "gain", "fraction",
                     "wall_clock"])
-        for r in self.rows:
-            w.writerow([r.seed, r.strategy, repr(r.final_eval),
-                        "" if r.gain is None else repr(r.gain),
-                        repr(r.fraction), f"{r.wall_clock:.2f}"])
+        for r in self.rows:  # an empty cell for a missing loss or gain
+            loss, gain = ("" if x is None else repr(x) for x in (r.final_eval, r.gain))
+            w.writerow([r.seed, r.strategy, loss, gain, repr(r.fraction),
+                        f"{r.wall_clock:.2f}"])
 
     def to_json(self) -> str:
         return json.dumps({"protocol": self.protocol,
@@ -480,18 +483,17 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
     """Stage 1 (connector only) + stage 2 per strategy, per seed.
 
     Emits a frozen baseline row per seed (the stage-1 model, gain 0 by
-    definition).  Gains require a finetune run in the same seed; rows from
-    other strategies get gain=None when finetune is absent.  A repeated seed
-    or name, an unknown name and a name without a stage-2 lr (KeyError) are
-    refused before the outdir is made and before any training; the outdir
+    definition, None if stage 1 aborted).  A strategy's gain needs the seed's
+    stage 1 and finetune: it is None when finetune is absent, or when its run,
+    stage 1 or finetune aborted.  A repeated seed or name and an unknown name
+    are refused before the outdir is made and before any training; the outdir
     then gets `compare.csv` and `compare.json`.
     """
     seeds, strategy_names = list(seeds), list(strategy_names)
     for what, items in (("seed", seeds), ("strategy", strategy_names)):
         if len(set(items)) < len(items):
             raise ValueError(f"repeated {what} in {items}")
-    stage2 = [(name, TuningStrategy(name), protocol.adapt_lrs[name])
-              for name in strategy_names]
+    stage2 = [(name, TuningStrategy(name)) for name in strategy_names]
     if outdir is not None:
         Path(outdir).mkdir(parents=True, exist_ok=True)
     if base is None:
@@ -500,32 +502,34 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
     rows = []
     for seed in seeds:
         stage1 = clone_model(base)
-        cfg1 = TrainConfig(lr=protocol.connector_lr, steps=protocol.connector_steps,
+        cfg1 = TrainConfig(lr=CONNECTOR_LR, steps=protocol.connector_steps,
                            batch=protocol.batch, seed=1000 * seed + 1)
         rec1 = train(stage1, TuningStrategy("connector-only"), mm_train, mm_eval, cfg1)
         loss_frozen = rec1.final_eval
 
         records = {}
-        for name, strategy, lr in stage2:
-            cfg2 = TrainConfig(lr=lr, steps=protocol.adapt_steps,
+        for name, strategy in stage2:
+            cfg2 = TrainConfig(lr=DEFAULT_ADAPT_LRS[name], steps=protocol.adapt_steps,
                                batch=protocol.batch, seed=1000 * seed + 2)
             records[name] = train(clone_model(stage1), strategy, mm_train,
                                   mm_eval, cfg2)
 
         loss_ft = records["finetune"].final_eval if "finetune" in records else None
-        denom = None if loss_ft is None else loss_frozen - loss_ft
-        rows.append(ComparisonRow(seed=seed, strategy="frozen",
-                                  final_eval=loss_frozen, gain=0.0,
+        denom = None if None in (loss_frozen, loss_ft) else loss_frozen - loss_ft
+        rows.append(ComparisonRow(seed=seed, strategy="frozen", final_eval=loss_frozen,
+                                  gain=None if loss_frozen is None else 0.0,
                                   fraction=0.0, wall_clock=rec1.wall_clock))
         for name, rec in records.items():
             gain = None
-            if denom is not None and denom != 0:
+            if denom and rec.final_eval is not None:
                 gain = (loss_frozen - rec.final_eval) / denom
             rows.append(ComparisonRow(seed=seed, strategy=name,
                                       final_eval=rec.final_eval, gain=gain,
                                       fraction=rec.selection["fraction"],
                                       wall_clock=rec.wall_clock))
-    report = ComparisonReport(rows=rows, protocol=asdict(protocol))
+    report = ComparisonReport(rows=rows, protocol={  # its fields and constants
+        **asdict(protocol), "n_values": dt.N_VALUES, "pretrain_lr": PRETRAIN_LR,
+        "connector_lr": CONNECTOR_LR, "adapt_lrs": dict(DEFAULT_ADAPT_LRS)})
     if outdir is not None:
         with open(Path(outdir) / "compare.csv", "w", newline="") as f:
             report.to_csv(f)

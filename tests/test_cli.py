@@ -4,8 +4,10 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,40 @@ def test_thread_cap_takes_only_a_positive_integer(value):
         assert out.returncode == 1
         assert out.stderr.endswith("ValueError: NORMADAPT_THREADS must be a positive "
                                    f"decimal integer, got {value!r}\n")
+
+
+# a pytest plugin that prints the thread count of the loaded OpenBLAS
+BLAS_PROBE = """
+import ctypes
+
+def pytest_sessionfinish(session):
+    with open("/proc/self/maps") as f:
+        libs = {line.split()[-1] for line in f if "openblas" in line and ".so" in line}
+    for lib in map(ctypes.CDLL, sorted(libs)):
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                print("blas threads", get())
+                break
+"""
+
+
+def test_a_pytest_run_caps_blas_threads(tmp_path):
+    """conftest.py imports normadapt before a test module that imports numpy
+    first, so a pytest run under NORMADAPT_THREADS=1 runs BLAS on one thread."""
+    (tmp_path / "blas_probe.py").write_text(BLAS_PROBE)
+    repo = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in normadapt._THREAD_VARS}
+    env.update(NORMADAPT_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(tmp_path), str(repo / "src"), env.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "blas_probe",
+         "-p", "no:cacheprovider", "tests/test_autograd.py::test_backward_quadratic"],
+        cwd=repo, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert re.findall(r"blas threads (\d+)", out.stdout) == ["1"]
 
 
 def test_building_the_parser_does_not_import_numpy():
@@ -359,6 +395,21 @@ def test_init_from_a_three_token_checkpoint(argv, tmp_path, capsys):
     save_checkpoint(build(cfg, seed=2), ckpt)
     assert cli.main([*argv, "--init-from", str(ckpt),
                      "--outdir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("argv", [["train", "--task", "mm-adapt", *TINY],
+                                  ["compare", *TINY_COMPARE]], ids=["train", "compare"])
+def test_init_from_a_checkpoint_the_task_does_not_fit(argv, tmp_path, capsys):
+    """A vocabulary too small for the task is refused before the outdir is made."""
+    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32, vocab_size=60,
+                      max_seq=20, d_visual=8)
+    ckpt = tmp_path / "small.ckpt"
+    save_checkpoint(build(cfg, seed=2), ckpt)
+    outdir = tmp_path / "out"
+    err = usage_error(capsys, [*argv, "--init-from", str(ckpt), "--outdir", str(outdir)])
+    assert err == (f"normadapt {argv[0]}: error: model vocab_size 60 is below the "
+                   "task's vocab 77\n")
+    assert not outdir.exists()
 
 
 def test_similarity_single_and_pair(tmp_path, capsys):

@@ -44,7 +44,7 @@ def ref_noise(key, i, size):
 
 def reference_generate(spec, stub=None):
     """The recipe `generate` computes in bulk, one sample at a time."""
-    K, M = spec.n_attrs, spec.n_values
+    K, M = spec.n_attrs, dt.N_VALUES
     n, T = spec.n_samples, spec.seq_len
     visual = spec.kind == "mm-adapt"
     cdf = list(accumulate(spec.mixture))
@@ -64,19 +64,19 @@ def reference_generate(spec, stub=None):
         toks, mask = [dt.BOS], [False]
         if not visual:
             for k in range(K):
-                toks += [dt.attr_token(k), dt.value_token(k, z[k], K, M)]
+                toks += [dt.attr_token(k), dt.value_token(k, z[k], K)]
                 mask += [False, False]
         toks.append(dt.SEP)
         mask.append(False)
         if cat == 0:
             for k in order[:dt.N_ROUNDS]:
-                toks += [dt.Q, dt.attr_token(k), dt.value_token(k, z[k], K, M)]
+                toks += [dt.Q, dt.attr_token(k), dt.value_token(k, z[k], K)]
                 mask += [False, False, True]
         elif cat == 1:
             toks.append(dt.DESC)
             mask.append(False)
             for k in range(K):
-                toks.append(dt.value_token(k, z[k], K, M))
+                toks.append(dt.value_token(k, z[k], K))
                 mask.append(True)
         else:
             a, b = order[:2]
@@ -124,7 +124,7 @@ def assert_matches_reference(sp, stub=None):
 
 
 def spec(**overrides):
-    base = dict(kind="text-pretrain", n_samples=50, seq_len=24, seed=0)
+    base = dict(kind="text-pretrain", n_samples=50, seed=0)
     base.update(overrides)
     return dt.TaskSpec(**base)
 
@@ -156,19 +156,17 @@ ORACLE_STUBS = {
 @pytest.mark.parametrize("mixture", [
     (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
     (0.6, 0.2, 0.2)], ids=["uniform", "conv", "desc", "reason", "skewed"])
-def test_generate_matches_per_sample_reference(kind, stub, mixture,
+def test_generate_matches_per_sample_reference(monkeypatch, kind, stub, mixture,
                                                attrs_values):
+    """K attributes, and M values each: the recipe's arithmetic holds at any
+    value count `data.N_VALUES` is set to, not only at its 16."""
     K, M = attrs_values
-    head = 2 + (2 * K if kind == "text-pretrain" else 0)
-    tight = head + max(3 * dt.N_ROUNDS, 1 + K)
+    monkeypatch.setattr(dt, "N_VALUES", M)
     # seeds past 2**63 reach the hash as uint64, up to the largest
-    for seed, slack in ((0, 0), (3, 5), (11, 1), (2**32 + 5, 2), (2**63 + 7, 0),
-                        (2**64 - 1, 0)):
-        sp = spec(kind=kind, n_samples=40, mixture=mixture, n_attrs=K,
-                  n_values=M, seq_len=tight + slack, seed=seed)
+    for seed in (0, 3, 11, 2**32 + 5, 2**63 + 7, 2**64 - 1):
+        sp = spec(kind=kind, n_samples=40, mixture=mixture, n_attrs=K, seed=seed)
         if stub == "default":
-            st = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K),
-                                  n_values=M).stub()
+            st = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K)).stub()
         else:
             st = dt.VisionStub(d_visual=6, n_slots=K * M, **ORACLE_STUBS[stub])
         assert_matches_reference(sp, st)
@@ -177,10 +175,10 @@ def test_generate_matches_per_sample_reference(kind, stub, mixture,
 @pytest.mark.parametrize("kind", dt.TASK_KINDS)
 def test_generate_single_attribute_without_reasoning(kind):
     for mixture in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0)):
-        stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=1), n_values=3,
+        stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=1),
                                 mixture=mixture).stub()
         assert_matches_reference(spec(kind=kind, n_samples=20, n_attrs=1,
-                                      n_values=3, mixture=mixture), stub)
+                                      mixture=mixture), stub)
 
 
 @pytest.mark.parametrize("split", ["text_dataset", "mm_datasets"])
@@ -214,23 +212,12 @@ def test_mixture_validation():
         spec(n_samples=0)
     with pytest.raises(ValueError, match="kind"):
         spec(kind="video")
-    with pytest.raises(ValueError, match="seq_len"):
-        spec(seq_len=10)
     with pytest.raises(ValueError, match="n_attrs >= 2"):
         spec(n_attrs=1, mixture=(0.5, 0.0, 0.5))
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         spec(seed=-3)
     with pytest.raises(ValueError, match="n_attrs must be positive, got 0"):
         spec(n_attrs=0, mixture=(0.5, 0.5, 0.0))
-    with pytest.raises(ValueError, match=r"n_values must be in \[1, 2\*\*32\], got 0"):
-        spec(n_values=0)
-    with pytest.raises(ValueError, match=f"n_values must be .* got {2**32 + 1}"):
-        spec(n_values=2**32 + 1)
-
-
-def test_generate_takes_the_widest_32_bit_range():
-    """n_values = 2**32, the widest range TaskSpec takes."""
-    assert_matches_reference(spec(n_samples=30, n_values=2**32, seed=7))
 
 
 def test_category_counts_track_mixture():
@@ -309,7 +296,7 @@ def test_reasoning_relation_tokens():
 
 def test_mm_adapt_needs_a_stub():
     with pytest.raises(ValueError, match="VisionStub"):
-        dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4, seq_len=12))
+        dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4))
 
 
 def test_vision_stub_features_across_chunks():
@@ -394,7 +381,7 @@ def test_text_split_hash_is_committed():
     digest = hashlib.sha256()
     for a in (ds.tokens, ds.targets, ds.answer_mask, ds.categories, ds.values):
         digest.update(a.astype("<i8").tobytes())
-    assert digest.hexdigest() == "87d2efbd64e3503c724ffa7be329313353d12d3299e8a6bf071bd8d21ec879d4"
+    assert digest.hexdigest() == "ea468f6b542cb697ab9abf6c476be1da1285c198e78db730927a29a6d23c98df"
 
 
 def test_seeds_from_2_64_up_are_refused_by_name():

@@ -83,32 +83,28 @@ def test_loss_matches_cross_entropy_of_forward(case):
 
 @st.composite
 def task_cases(draw):
-    """(TaskSpec, VisionStub or None for text): any kind, 2-5 attributes of
-    1-17 values, any mixture (categories may be missing), a seq_len up to 3
-    past the tightest, and seeds small, near 2**32 or near the largest,
-    2**64 - 1.  An mm-adapt spec takes the protocol's stub or one of its own,
-    whose seed ranges as widely."""
+    """(TaskSpec, VisionStub or None for text): any kind, 2-5 attributes,
+    any mixture (categories may be missing), and seeds small, near 2**32 or
+    near the largest, 2**64 - 1.  An mm-adapt spec takes the protocol's stub
+    or one of its own, whose seed ranges as widely."""
     kind = draw(st.sampled_from(dt.TASK_KINDS), label="kind")
     K = draw(st.integers(2, 5), label="n_attrs")
-    M = draw(st.integers(1, 17), label="n_values")
     weights = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)
                    .filter(any), label="mixture weights")
     seed = st.one_of(st.integers(0, 2**16), st.integers(2**32 - 40, 2**34),
                      st.integers(2**64 - 40, 2**64 - 1))
-    probe = dt.TaskSpec(kind=kind, n_samples=1, n_attrs=K, n_values=M)
     spec = dt.TaskSpec(
         kind=kind, n_samples=draw(st.integers(1, 40), label="n_samples"),
-        seq_len=probe.max_body_len() + draw(st.integers(0, 3), label="slack"),
-        mixture=tuple(w / sum(weights) for w in weights), n_attrs=K, n_values=M,
+        mixture=tuple(w / sum(weights) for w in weights), n_attrs=K,
         seed=draw(seed, label="seed"))
     stub = None
     if kind == "mm-adapt" and draw(st.booleans(), label="own stub"):
         stub = dt.VisionStub(d_visual=draw(st.integers(1, 5), label="d_visual"),
-                             n_slots=K * M, mode=draw(st.sampled_from(dt.VISION_MODES)),
+                             n_slots=K * dt.N_VALUES,
+                             mode=draw(st.sampled_from(dt.VISION_MODES)),
                              seed=draw(seed, label="stub seed"))
     elif kind == "mm-adapt":
-        stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K),
-                                n_values=M).stub()
+        stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K)).stub()
     return spec, stub
 
 

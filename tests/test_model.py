@@ -302,7 +302,7 @@ def test_mm_loss_looks_up_block0_input_from_one_table():
     # the token and visual rows from the embedding table joined with the
     # connector's rows, the positions, and the last block's kept rows twice
     m = md.build(md.ModelConfig())
-    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4, seq_len=12),
+    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4),
                      tr.AdaptProtocol().stub())
     loss = m.loss(ds.tokens, ds.features, ds.targets)
     ops = [node.op for node in ag._toposort(loss._node)]

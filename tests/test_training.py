@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -32,8 +33,7 @@ def micro_protocol(**overrides):
 def micro_setup(kind="text-pretrain", n=64, seed=0):
     model = md.build(md.ModelConfig(**MICRO_MODEL), seed=seed)
     stub = dt.VisionStub(d_visual=8, n_slots=64, seed=7)
-    seq_len = 20 if kind == "text-pretrain" else 12
-    ds = dt.generate(dt.TaskSpec(kind=kind, n_samples=n, seq_len=seq_len, seed=seed),
+    ds = dt.generate(dt.TaskSpec(kind=kind, n_samples=n, seed=seed),
                      stub if kind == "mm-adapt" else None)
     return model, ds
 
@@ -492,7 +492,7 @@ def test_protocol_splits_take_their_shape_from_the_model(tokens, text_len, mm_le
     assert (text.spec.n_attrs, text.spec.seq_len) == (tokens, text_len)
     assert (mm.spec.n_attrs, mm.spec.seq_len) == (tokens, mm_len)
     assert mm.features.shape == (8, tokens, proto.model.d_visual)
-    assert proto.stub().n_slots == tokens * proto.n_values
+    assert proto.stub().n_slots == tokens * dt.N_VALUES
     for ds in (text, mm):  # one PAD past the longest sample
         assert (ds.tokens[:, -1] == dt.PAD).all()
 
@@ -525,12 +525,7 @@ def test_a_comparison_is_bitwise_equal_in_two_fresh_processes():
     assert digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("names, lrs, error", [
-    (["finetune", "layernrom"], dict(tr.DEFAULT_ADAPT_LRS), ValueError),
-    (["finetune", "lora"], {"finetune": 6e-4}, KeyError),
-])
-def test_compare_strategies_checks_names_before_training(monkeypatch, tmp_path,
-                                                         names, lrs, error):
+def test_compare_strategies_checks_names_before_training(monkeypatch, tmp_path):
     calls = []
 
     def counting_train(*args, **kwargs):
@@ -541,10 +536,51 @@ def test_compare_strategies_checks_names_before_training(monkeypatch, tmp_path,
 
     monkeypatch.setattr(tr, "train", counting_train)
     outdir = tmp_path / "cmp"
-    with pytest.raises(error, match=names[-1]):
-        tr.compare_strategies(names, micro_protocol(adapt_lrs=lrs), outdir=outdir)
+    with pytest.raises(ValueError, match="layernrom"):
+        tr.compare_strategies(["finetune", "layernrom"], micro_protocol(),
+                              outdir=outdir)
     assert calls == []
     assert not outdir.exists()
+
+
+def test_every_strategy_has_a_stage_2_lr():
+    assert set(tr.DEFAULT_ADAPT_LRS) == set(STRATEGY_KINDS)
+
+
+@pytest.mark.parametrize("aborts", ["layernorm", "finetune", "stage 1"])
+def test_an_aborted_run_keeps_the_comparison(monkeypatch, tmp_path, aborts):
+    """An lr of 1e300 makes the run's loss non-finite; its row has no loss,
+    and a gain that needs an aborted loss is None, but every row and both
+    tables are still written."""
+    if aborts == "stage 1":
+        monkeypatch.setattr(tr, "CONNECTOR_LR", 1e300)
+    else:
+        monkeypatch.setitem(tr.DEFAULT_ADAPT_LRS, aborts, 1e300)
+    proto = micro_protocol(pretrain_steps=2, connector_steps=3, adapt_steps=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = tr.compare_strategies(["finetune", "layernorm"], proto,
+                                       outdir=tmp_path / "cmp")
+    rows = {r.strategy: r for r in report.rows}
+    assert list(rows) == ["frozen", "finetune", "layernorm"]
+    gains = {name: r.gain for name, r in rows.items()}
+    if aborts == "layernorm":
+        assert rows["layernorm"].final_eval is None
+        assert gains == {"frozen": 0.0, "finetune": 1.0, "layernorm": None}
+    elif aborts == "finetune":
+        assert rows["finetune"].final_eval is None
+        assert math.isfinite(rows["layernorm"].final_eval)
+        assert gains == {"frozen": 0.0, "finetune": None, "layernorm": None}
+    else:
+        assert rows["frozen"].final_eval is None
+        assert gains == {"frozen": None, "finetune": None, "layernorm": None}
+    with open(tmp_path / "cmp" / "compare.csv", newline="") as f:
+        table = list(csv.DictReader(f))
+    for line, row in zip(table, report.rows):
+        assert line["final_eval"] == ("" if row.final_eval is None
+                                      else repr(row.final_eval))
+        assert line["gain"] == ("" if row.gain is None else repr(row.gain))
+    assert json.loads((tmp_path / "cmp" / "compare.json").read_text())["rows"] == [
+        dataclasses.asdict(r) for r in report.rows]
 
 
 def test_compare_refuses_an_unknown_stub_mode_before_pretraining(monkeypatch):
@@ -588,11 +624,13 @@ def test_compare_strategies_writes_both_tables(tmp_path):
     ("connector_steps", -1, "connector_steps must be >= 0, got -1"),
     ("adapt_steps", -2, "adapt_steps must be >= 0, got -2"),
     ("batch", 0, "batch must be >= 1, got 0"),
-    ("pretrain_lr", math.nan, "pretrain_lr must be finite and >= 0, got nan"),
-    ("connector_lr", -1e-3, "connector_lr must be finite and >= 0, got -0.001"),
-    ("connector_lr", math.inf, "connector_lr must be finite and >= 0, got inf"),
-    ("adapt_lrs", {**tr.DEFAULT_ADAPT_LRS, "layernorm": -1e-2},
-     "adapt_lrs\\['layernorm'\\] must be finite and >= 0, got -0.01"),
+    ("model", md.ModelConfig(**{**MICRO_MODEL, "vocab_size": 60}),
+     "model vocab_size 60 is below the task's vocab 77"),
+    ("model", md.ModelConfig(**{**MICRO_MODEL, "max_seq": 19}),
+     "model max_seq 19 is below the task's sequence length 20"),
+    ("model", md.ModelConfig(**{**MICRO_MODEL, "n_visual_tokens": 1}),
+     "it needs n_attrs >= 2, got 1"),
+    ("seed", -1, "^seed must be >= 0, got -1$"),
     ("noise_std", math.nan, "noise_std must be finite and >= 0, got nan"),
     ("noise_std", -1.0, "noise_std must be finite and >= 0, got -1.0"),
     ("mixture", (math.nan, 0.5, 0.5), "mixture needs 3 finite non-negative"),
