@@ -24,8 +24,8 @@ class ArchPreset:
     vocab_size: int
     d_visual: int
     vision_params: int
-    norm_style: str = "gain"       # "gain" | "gain-bias"
-    mlp_style: str = "gated3"      # "gated3" | "plain2"
+    norm_bias: bool = False        # a bias next to every norm gain
+    gated_mlp: bool = True         # a third (gate) MLP matrix per block
     tie_embeddings: bool = False
     max_seq: int = 0               # 0: no learned position table
 
@@ -35,17 +35,12 @@ class ArchPreset:
                 raise ValueError(f"{field} must be positive")
         if self.vision_params < 0 or self.max_seq < 0:
             raise ValueError("vision_params and max_seq must be >= 0")
-        if self.norm_style not in ("gain", "gain-bias"):
-            raise ValueError(f"unknown norm_style {self.norm_style!r}")
-        if self.mlp_style not in ("gated3", "plain2"):
-            raise ValueError(f"unknown mlp_style {self.mlp_style!r}")
 
     def inventory(self):
-        """(path, shape) pairs in the ParamTree grammar."""
+        """(path, shape) pairs of `param_inventory`, the model's path grammar."""
         return param_inventory(
             self.n_layers, self.d_model, self.d_ff, self.vocab_size, self.d_visual,
-            norm_bias=self.norm_style == "gain-bias",
-            gated_mlp=self.mlp_style == "gated3",
+            norm_bias=self.norm_bias, gated_mlp=self.gated_mlp,
             tie_embeddings=self.tie_embeddings, max_seq=self.max_seq)
 
     def model_params(self) -> int:
@@ -71,9 +66,8 @@ def preset_from_config(cfg: ModelConfig) -> ArchPreset:
     return ArchPreset(
         name="toy", n_layers=cfg.n_layers, d_model=cfg.d_model, d_ff=cfg.d_ff,
         vocab_size=cfg.vocab_size, d_visual=cfg.d_visual, vision_params=0,
-        norm_style="gain" if cfg.norm_kind == "rms" else "gain-bias",
-        mlp_style="plain2", tie_embeddings=cfg.tie_embeddings,
-        max_seq=cfg.max_seq)
+        norm_bias=cfg.norm_kind == "standard", gated_mlp=False,
+        tie_embeddings=cfg.tie_embeddings, max_seq=cfg.max_seq)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Decoder-only transformer with a visual-prefix connector on the tape autograd.
 
-Parameters live in a flat ParamTree keyed by dot-separated paths; that grammar
-is written once, in `param_inventory`, which `build` and the budget module's
-presets both iterate.  Projection weights are stored (out, in) and applied as
-x @ W.T.  A LoRA adapter is one more pair of tree entries next to its target,
-named and shaped by `lora_entries`.
+Parameters live in a flat dict of tensors (`Model.tree`) keyed by dot-separated
+paths, in build order, and a tensor trains when its requires_grad is set; the
+path grammar is written once, in `param_inventory`, which `build` and the
+budget module's presets both iterate.  Projection weights are stored (out, in)
+and applied as x @ W.T.  A LoRA adapter is one more pair of tree entries next
+to its target, named and shaped by `lora_entries`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class ModelConfig:
 
 def param_inventory(n_layers, d_model, d_ff, vocab_size, d_visual, *,
                     norm_bias, gated_mlp, tie_embeddings, max_seq):
-    """(path, shape) pairs of the ParamTree grammar, in build order.
+    """(path, shape) pairs of the parameter tree, in build order.
 
     norm_bias adds a bias next to every norm gain, gated_mlp a third MLP matrix
     per block; max_seq 0 means no learned position table.
@@ -97,57 +98,11 @@ def lora_entries(target, shape, rank):
 
 def lora_targets(tree):
     """Paths of the tree's matrices that carry an adapter pair, in tree order."""
-    return [p[:-len(LORA_A)] for p in tree.paths() if p.endswith(LORA_A)]
-
-
-class ParamTree:
-    """Ordered path -> Tensor map; trainability is the tensor's requires_grad."""
-
-    def __init__(self):
-        self._params = {}
-
-    def add(self, path: str, t: ag.Tensor):
-        if path in self._params:
-            raise ValueError(f"duplicate param path {path!r}")
-        self._params[path] = t
-
-    def remove(self, path: str):
-        del self._params[path]
-
-    def __contains__(self, path):
-        return path in self._params
-
-    def __getitem__(self, path) -> ag.Tensor:
-        try:
-            return self._params[path]
-        except KeyError:
-            raise KeyError(f"no parameter at path {path!r}") from None
-
-    def __len__(self):
-        return len(self._params)
-
-    def paths(self):
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def total_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-    def freeze_all(self):
-        for t in self._params.values():
-            t.requires_grad = False
-            t.grad = None
-
-    def set_trainable(self, paths):
-        self.freeze_all()
-        for p in paths:
-            self[p].requires_grad = True
+    return [p[:-len(LORA_A)] for p in tree if p.endswith(LORA_A)]
 
 
 class Model:
-    def __init__(self, config: ModelConfig, tree: ParamTree, dtype):
+    def __init__(self, config: ModelConfig, tree: dict, dtype):
         self.config = config
         self.tree = tree
         self.dtype = np.dtype(dtype)
@@ -331,7 +286,7 @@ def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     """Init in inventory order: biases 0, norm gains 1, all else normal(0, 0.02)."""
     rng = np.random.default_rng(seed)
     dt = np.dtype(dtype)
-    tree = ParamTree()
+    tree = {}
     for path, shape in _inventory(config):
         if path.endswith(".bias"):
             data = np.zeros(shape, dtype=dt)
@@ -339,7 +294,7 @@ def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
             data = np.ones(shape, dtype=dt)
         else:
             data = rng.normal(0.0, 0.02, shape).astype(dt)
-        tree.add(path, ag.tensor(data, requires_grad=True))
+        tree[path] = ag.tensor(data, requires_grad=True)
     return Model(config, tree, dt)
 
 
@@ -440,7 +395,5 @@ def load_checkpoint(path) -> Model:
             raise ValueError(f"checkpoint missing {len(missing)} params, e.g. {missing[:3]}")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last record")
-    tree = ParamTree()
-    for p in shapes:
-        tree.add(p, ag.tensor(arrays[p], requires_grad=True))
+    tree = {p: ag.tensor(arrays[p], requires_grad=True) for p in shapes}
     return Model(config, tree, dtype)

@@ -1,4 +1,5 @@
-"""Tuning strategies as explicit trainable-path selections over a ParamTree.
+"""Tuning strategies as explicit trainable-path selections over a model's
+parameter tree (a path -> Tensor dict).
 
 Each strategy is a set of path patterns; selection flips requires_grad flags
 and reports exact scalar counts.  LoRA is the one strategy that adds
@@ -13,7 +14,7 @@ from fnmatch import fnmatchcase
 import numpy as np
 
 from . import autograd as ag
-from .model import LORA_A, LORA_B, Model, ParamTree, lora_entries, lora_targets
+from .model import LORA_A, LORA_B, Model, lora_entries, lora_targets
 
 _NORM_PATTERNS = ("blocks.*.input_norm.*", "blocks.*.post_norm.*", "final_norm.*")
 
@@ -76,7 +77,7 @@ def default_paths(paths):
 
 def selection_paths(strategy: TuningStrategy, paths):
     """Resolve a strategy to concrete paths, from any container of path
-    strings (a tree's `paths()`, an inventory's `{path: shape}`)."""
+    strings (a tree, an inventory's `{path: shape}`)."""
     patterns, with_defaults = SELECTIONS[strategy.kind]
     chosen = []
     for pattern in patterns:
@@ -97,12 +98,19 @@ def norm_paths(strategy: TuningStrategy, paths):
             if "norm" in p and any(fnmatchcase(p, pattern) for pattern in patterns)]
 
 
-def select_trainable(strategy: TuningStrategy, tree: ParamTree) -> SelectionReport:
-    paths = selection_paths(strategy, tree.paths())
-    tree.set_trainable(paths)
+def select_trainable(strategy: TuningStrategy, tree: dict) -> SelectionReport:
+    """Train exactly the strategy's paths, every grad cleared.  As in
+    `budget.count`, the total is the base model's scalars: LoRA adapter
+    scalars count as trainable but do not enter it."""
+    paths = selection_paths(strategy, tree)
+    chosen, total = set(paths), 0
+    for p, t in tree.items():
+        t.requires_grad, t.grad = p in chosen, None
+        if not p.endswith((LORA_A, LORA_B)):
+            total += t.data.size
     trainable = sum(tree[p].data.size for p in paths)
     return SelectionReport(strategy=strategy, selected=tuple(paths),
-                           trainable=trainable, total=tree.total_scalars())
+                           trainable=trainable, total=total)
 
 
 def is_lora_target(path: str, shape) -> bool:
@@ -123,14 +131,14 @@ def inject_lora(model: Model, rank: int = 32, seed: int = 0):
         base = tree[p]
         base.requires_grad = False
         (a_path, a_shape), (b_path, b_shape) = lora_entries(p, base.data.shape, rank)
-        tree.add(a_path, ag.tensor(rng.normal(0.0, 0.02, a_shape).astype(model.dtype),
-                                   requires_grad=True))
-        tree.add(b_path, ag.tensor(np.zeros(b_shape, dtype=model.dtype),
-                                   requires_grad=True))
+        tree[a_path] = ag.tensor(rng.normal(0.0, 0.02, a_shape).astype(model.dtype),
+                                 requires_grad=True)
+        tree[b_path] = ag.tensor(np.zeros(b_shape, dtype=model.dtype),
+                                 requires_grad=True)
     return paths
 
 
-def merge_lora(model: Model) -> ParamTree:
+def merge_lora(model: Model):
     """Fold B @ A into each adapted base weight and drop the adapter entries."""
     tree = model.tree
     targets = lora_targets(tree)
@@ -140,6 +148,4 @@ def merge_lora(model: Model) -> ParamTree:
         base = tree[p]
         base.data = base.data + (tree[p + LORA_B].data @ tree[p + LORA_A].data
                                  ).astype(model.dtype)
-        tree.remove(p + LORA_A)
-        tree.remove(p + LORA_B)
-    return tree
+        del tree[p + LORA_A], tree[p + LORA_B]

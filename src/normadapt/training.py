@@ -25,8 +25,7 @@ import numpy as np
 from . import autograd as ag
 from . import data as dt
 from .analysis import GradTrace
-from .model import (Model, ModelConfig, ParamTree, build, lora_targets,
-                    save_checkpoint)
+from .model import Model, ModelConfig, build, lora_targets, save_checkpoint
 from .strategies import (TuningStrategy, inject_lora, merge_lora, norm_paths,
                          select_trainable)
 
@@ -195,11 +194,11 @@ def clone_model(model: Model) -> Model:
     the clone never touches the source.  A later in-place write to the
     source shows through the clone, so clone after the source's last write.
     """
-    tree = ParamTree()
+    tree = {}
     for p, t in model.tree.items():
         view = t.data.view()
         view.flags.writeable = False
-        tree.add(p, ag.tensor(view, requires_grad=t.requires_grad))
+        tree[p] = ag.tensor(view, requires_grad=t.requires_grad)
     return Model(model.config, tree, model.dtype)
 
 
@@ -222,7 +221,7 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
-    if trace is not None and not norm_paths(strategy, model.tree.paths()):
+    if trace is not None and not norm_paths(strategy, model.tree):
         raise ValueError(f"strategy {strategy.kind!r} trains no norm parameter, "
                          "so there are no norm gradients to trace")
     if outdir is not None and lora_targets(model.tree):

@@ -141,7 +141,7 @@ def test_grad_trace_variance_matches_float64_shadow():
     ids = np.random.default_rng(4).integers(0, 11, size=(2, 7))
     loss = ag.cross_entropy(m.forward(ids), ids)
     ag.backward(loss)
-    norm_paths = [p for p in m.tree.paths() if "norm" in p and p.endswith("weight")]
+    norm_paths = [p for p in m.tree if "norm" in p and p.endswith("weight")]
     trace = an.GradTrace()
     trace.record(0, m.tree, norm_paths)
     for entry in trace.entries:

@@ -100,30 +100,29 @@ def test_bytes_per_param_below_one_is_refused(bytes_per_param):
                  bytes_per_param)
 
 
-@pytest.mark.parametrize("kind", st.STRATEGY_KINDS)
-def test_toy_consistency_with_built_model(kind):
+# each id names what departs from the default standard-norm untied model
+@pytest.mark.parametrize("kind, norm_kind, tie", [
+    pytest.param(kind, norm_kind, tie, id="-".join(
+        [kind] + [norm_kind] * (norm_kind != "standard") + ["tied"] * tie))
+    for kind in st.STRATEGY_KINDS for norm_kind in md.NORM_KINDS
+    for tie in (False, True)])
+def test_toy_consistency_with_built_model(kind, norm_kind, tie):
     cfg = md.ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16, vocab_size=11,
-                         max_seq=16, norm_kind="standard", n_visual_tokens=3,
-                         d_visual=5)
+                         max_seq=16, norm_kind=norm_kind, n_visual_tokens=3,
+                         d_visual=5, tie_embeddings=tie)
     m = md.build(cfg, seed=0)
     strategy = st.TuningStrategy(kind, lora_rank=2)
     if kind == "lora":
         st.inject_lora(m, rank=2)
     report = st.select_trainable(strategy, m.tree)
     analytic = bg.count(bg.preset_from_config(cfg), strategy)
-    assert analytic.trainable == report.trainable
-    if kind != "lora":  # lora adds adapter scalars to the live tree's total
-        assert analytic.total == report.total
+    assert (report.trainable, report.total) == (analytic.trainable, analytic.total)
 
 
 def test_preset_validation():
     with pytest.raises(ValueError, match="positive"):
         bg.ArchPreset(name="bad", n_layers=0, d_model=8, d_ff=16,
                       vocab_size=10, d_visual=4, vision_params=0)
-    with pytest.raises(ValueError, match="norm_style"):
-        bg.ArchPreset(name="bad", n_layers=1, d_model=8, d_ff=16,
-                      vocab_size=10, d_visual=4, vision_params=0,
-                      norm_style="affine")
 
 
 def test_vision_params_never_selected():

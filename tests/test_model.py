@@ -59,7 +59,8 @@ def test_tied_embeddings_drop_head():
     untied = md.build(tiny_config())
     assert "head.weight" not in tied.tree
     assert "head.weight" in untied.tree
-    assert untied.tree.total_scalars() - tied.tree.total_scalars() == 11 * 8
+    assert (sum(t.data.size for t in untied.tree.values())
+            - sum(t.data.size for t in tied.tree.values())) == 11 * 8
     # tied logits really use the embedding matrix
     ids = np.array([[1, 4, 2, 9]])
     with ag.no_grad():
@@ -93,8 +94,8 @@ def test_param_count_matches_independent_arithmetic(seed):
     want += per_norm
     if not cfg.tie_embeddings:
         want += v * d
-    assert m.tree.total_scalars() == want
-    assert sorted(m.tree.paths()) == sorted(set(m.tree.paths()))
+    assert sum(t.data.size for t in m.tree.values()) == want
+    assert sorted(m.tree) == sorted(set(m.tree))
     # one grammar: the built tree is the budget inventory, path for path, in order
     assert [(p, t.data.shape) for p, t in m.tree.items()] == \
         budget.preset_from_config(cfg).inventory()
@@ -180,7 +181,8 @@ def test_sequence_overflow_and_bad_ids():
 
 def test_frozen_tree_backward_leaves_no_grads():
     m = md.build(tiny_config(), seed=2)
-    m.tree.freeze_all()
+    for t in m.tree.values():
+        t.requires_grad = False
     ids = np.arange(4)[None] % 11
     loss = ag.cross_entropy(m.forward(ids), np.array([[1, 2, 3, 4]]))
     ag.backward(loss)
@@ -372,7 +374,7 @@ def test_checkpoint_refuses_unmerged_adapters(tmp_path):
     merge_lora(m)
     md.save_checkpoint(m, path)
     back = md.load_checkpoint(path)
-    assert back.tree.paths() == m.tree.paths()
+    assert list(back.tree) == list(m.tree)
     for p, t in m.tree.items():
         np.testing.assert_array_equal(t.data, back.tree[p].data)
 
@@ -486,11 +488,12 @@ def test_checkpoint_corruption_never_loads(micro_checkpoint, data):
 def test_checkpoint_load_keeps_build_layout(tmp_path, norm_kind, tie, dtype):
     m = md.build(tiny_config(norm_kind=norm_kind, tie_embeddings=tie),
                  seed=4, dtype=dtype)
-    m.tree.set_trainable(["final_norm.weight"])
+    for p, t in m.tree.items():
+        t.requires_grad = p == "final_norm.weight"
     path = tmp_path / "m.ckpt"
     md.save_checkpoint(m, path)
     back = md.load_checkpoint(path)
-    assert back.tree.paths() == m.tree.paths()
+    assert type(back.tree) is dict and list(back.tree) == list(m.tree)
     for p, t in back.tree.items():
         assert t.data.dtype == np.dtype(dtype) and t.requires_grad
         np.testing.assert_array_equal(t.data, m.tree[p].data)

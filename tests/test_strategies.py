@@ -26,7 +26,7 @@ def test_finetune_fraction_is_exactly_one():
     m = build_tiny()
     report = st.select_trainable(st.TuningStrategy("finetune"), m.tree)
     assert report.fraction == 1.0
-    assert report.trainable == report.total == m.tree.total_scalars()
+    assert report.trainable == report.total == sum(t.data.size for t in m.tree.values())
 
 
 def test_attn_qv_hand_count():
@@ -39,7 +39,7 @@ def test_attn_qv_hand_count():
 
 
 def test_selection_subset_chain():
-    paths = build_tiny().tree.paths()
+    paths = list(build_tiny().tree)
     simple = set(st.selection_paths(st.TuningStrategy("layernorm-simple"), paths))
     norm = set(st.selection_paths(st.TuningStrategy("layernorm"), paths))
     full = set(st.selection_paths(st.TuningStrategy("finetune"), paths))
@@ -52,7 +52,7 @@ def test_report_fraction_recounts_from_paths():
     recount = sum(m.tree[p].data.size for p in report.selected)
     assert recount == report.trainable
     assert report.fraction == report.trainable / report.total
-    assert set(report.selected) <= set(m.tree.paths())
+    assert set(report.selected) <= set(m.tree)
 
 
 def test_unselected_params_untouched_by_a_step():
@@ -82,7 +82,7 @@ def test_connector_only_selects_connector_paths():
 def test_layernorm_simple_forces_defaults_off():
     m = build_tiny()
     report = st.select_trainable(st.TuningStrategy("layernorm-simple"), m.tree)
-    assert not set(st.default_paths(m.tree.paths())) & set(report.selected)
+    assert not set(st.default_paths(m.tree)) & set(report.selected)
 
 
 def test_tied_tree_skips_head_in_defaults():
@@ -174,7 +174,7 @@ def test_lora_merge_matches_adapter_forward():
         with_adapters = m.forward(ids).data.copy()
     st.merge_lora(m)
     assert not md.lora_targets(m.tree)
-    assert all(".lora_" not in p for p in m.tree.paths())
+    assert all(".lora_" not in p for p in m.tree)
     with ag.no_grad():
         merged = m.forward(ids).data
     assert np.max(np.abs(with_adapters - merged)) <= 1e-6

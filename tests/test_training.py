@@ -183,7 +183,7 @@ def test_trace_refuses_a_strategy_without_norms(kind):
     with pytest.raises(ValueError, match=f"strategy '{kind}' trains no norm parameter"):
         tr.train(model, TuningStrategy(kind), ds, None, cfg, trace=GradTrace())
     # refused before any adapter is injected or any step runs
-    assert set(model.tree.paths()) == set(before)
+    assert set(model.tree) == set(before)
     assert all(np.array_equal(t.data, before[p]) for p, t in model.tree.items())
 
 
@@ -409,7 +409,7 @@ def test_lora_run_merges_adapters_and_isolates_bases():
     cfg = tr.TrainConfig(lr=1e-3, steps=6, batch=8)
     rec = tr.train(model, TuningStrategy("lora", lora_rank=2), ds, None, cfg)
     assert not md.lora_targets(model.tree)
-    assert all(".lora_" not in p for p in model.tree.paths())
+    assert all(".lora_" not in p for p in model.tree)
     assert rec.selection["strategy"] == "lora"
     assert "blocks.0.attn.k_proj.weight" not in rec.selection["paths"]
     # k_proj base was frozen; the merge folded in B@A, which trained away from 0
@@ -425,7 +425,7 @@ def test_outdir_refuses_caller_adapters_before_training(tmp_path):
     with pytest.raises(ValueError, match="unmerged adapters"):
         tr.train(model, TuningStrategy("lora", lora_rank=2), ds, None, cfg,
                  outdir=tmp_path / "run")
-    assert model.tree.paths() == list(before)
+    assert list(model.tree) == list(before)
     for p, (old, flag) in before.items():
         np.testing.assert_array_equal(model.tree[p].data, old)
         assert model.tree[p].requires_grad == flag, p
@@ -439,7 +439,7 @@ def test_clone_of_an_injected_model_is_equal_and_independent():
         B = model.tree[target + ".lora_B"]
         B.data = rng.normal(0.0, 0.05, B.shape).astype(np.float32)
     twin = tr.clone_model(model)
-    assert twin.tree.paths() == model.tree.paths()
+    assert type(twin.tree) is dict and list(twin.tree) == list(model.tree)
     for p, t in model.tree.items():
         assert twin.tree[p].requires_grad == t.requires_grad
         assert not twin.tree[p].data.flags.writeable, p
