@@ -358,20 +358,22 @@ def _causal_attention(arrays, attrs, needs=(True, True, True)):
 def _silu(arrays, attrs, needs=(True,)):
     (x,) = arrays
     sig = np.negative(x)  # 1 / (1 + exp(-x)), built in one buffer
-    np.exp(sig, out=sig)
+    with np.errstate(over="ignore"):  # exp(-x) = inf for x << 0 gives sig = 0
+        np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
-    out = x * sig
     if not needs[0]:
-        return out, None
+        return x * sig, None
+    # the backward keeps only silu'(x) = (1 + x (1 - sig)) sig, made before
+    # the output takes over sig's buffer, so no third array is ever live
+    slope = np.subtract(1.0, sig)
+    slope *= x
+    slope += 1.0
+    slope *= sig
+    out = np.multiply(x, sig, out=sig)
 
     def backward(g, needs):
-        gx = g * sig
-        slope = np.subtract(1.0, sig)
-        slope *= x
-        slope += 1.0
-        gx *= slope
-        return (gx,)
+        return (g * slope,)
 
     return out, backward
 

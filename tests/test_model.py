@@ -95,7 +95,6 @@ def test_param_count_matches_independent_arithmetic(seed):
     if not cfg.tie_embeddings:
         want += v * d
     assert sum(t.data.size for t in m.tree.values()) == want
-    assert sorted(m.tree) == sorted(set(m.tree))
     # one grammar: the built tree is the budget inventory, path for path, in order
     assert [(p, t.data.shape) for p, t in m.tree.items()] == \
         budget.preset_from_config(cfg).inventory()
