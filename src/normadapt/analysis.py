@@ -30,8 +30,10 @@ class SimilarityReport:
 
 
 def similarity_from_representations(reps, probe=None) -> SimilarityReport:
-    """reps: list of (d,) layer vectors -> pairwise-cosine report."""
+    """reps: list of (d,) layer vectors, at least 2 -> pairwise-cosine report."""
     reps = [np.asarray(r, dtype=np.float64) for r in reps]
+    if len(reps) < 2:
+        raise ValueError(f"similarity needs at least 2 layers, got {len(reps)}")
     norms = [np.linalg.norm(r) for r in reps]
     for i, n in enumerate(norms):
         if n == 0.0:

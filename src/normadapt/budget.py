@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .model import ModelConfig, lora_entries, param_inventory
+from .model import ModelConfig, inventory_args, lora_entries, param_inventory
 from .strategies import TuningStrategy, is_lora_target, selection_paths
 
 
@@ -63,11 +63,7 @@ PRESETS = {
 def preset_from_config(cfg: ModelConfig) -> ArchPreset:
     """Preset "toy" whose inventory matches a built toy model path-for-path;
     the stub vision encoder has no parameters."""
-    return ArchPreset(
-        name="toy", n_layers=cfg.n_layers, d_model=cfg.d_model, d_ff=cfg.d_ff,
-        vocab_size=cfg.vocab_size, d_visual=cfg.d_visual, vision_params=0,
-        norm_bias=cfg.norm_kind == "standard", gated_mlp=False,
-        tie_embeddings=cfg.tie_embeddings, max_seq=cfg.max_seq)
+    return ArchPreset(name="toy", vision_params=0, **inventory_args(cfg))
 
 
 @dataclass(frozen=True)

@@ -2,25 +2,28 @@
 
 Parameters live in a flat dict of tensors (`Model.tree`) keyed by dot-separated
 paths, in build order, and a tensor trains when its requires_grad is set; the
-path grammar is written once, in `param_inventory`, which `build` and the
-budget module's presets both iterate.  Projection weights are stored (out, in)
-and applied as x @ W.T.  A LoRA adapter is one more pair of tree entries next
-to its target, named and shaped by `lora_entries`.
+path grammar is written once, in `param_inventory`, which `build`, the
+checkpoint format and the budget module's presets all iterate.  Projection
+weights are stored (out, in) and applied as x @ W.T.  A LoRA adapter is one
+more pair of tree entries next to its target, named and shaped by
+`lora_entries`.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
 from dataclasses import dataclass, asdict, fields
+from itertools import zip_longest
+from math import prod
+from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
 
-CHECKPOINT_MAGIC = b"NORMADAPT2"
+CHECKPOINT_MAGIC = b"NORMADAPT3"
 NORM_KINDS = ("standard", "rms")
 
 
@@ -273,13 +276,18 @@ def _pack_rows(shape, rows):
     return packed_b, packed_p, groups, starts[batch] + pos
 
 
+def inventory_args(config: ModelConfig) -> dict:
+    """`param_inventory`'s arguments for the tree `build` makes for `config`:
+    a norm bias iff standard norms, no gate matrix."""
+    return dict(n_layers=config.n_layers, d_model=config.d_model, d_ff=config.d_ff,
+                vocab_size=config.vocab_size, d_visual=config.d_visual,
+                norm_bias=config.norm_kind == "standard", gated_mlp=False,
+                tie_embeddings=config.tie_embeddings, max_seq=config.max_seq)
+
+
 def _inventory(config: ModelConfig):
     """(path, shape) pairs of the tree `build` makes for `config`."""
-    return param_inventory(
-        config.n_layers, config.d_model, config.d_ff, config.vocab_size,
-        config.d_visual, norm_bias=config.norm_kind == "standard",
-        gated_mlp=False, tie_embeddings=config.tie_embeddings,
-        max_seq=config.max_seq)
+    return param_inventory(**inventory_args(config))
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
@@ -299,39 +307,23 @@ def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
 
 
 def save_checkpoint(model: Model, path):
-    """Flat (path, dtype, shape, raw LE buffer) records behind a config header,
-    then a little-endian zlib.crc32 of every byte before it."""
+    """Magic, u32 header length and a JSON header (config, dtype), then each
+    parameter's little-endian bytes in inventory order, then a little-endian
+    zlib.crc32 of every byte before it."""
     if lora_targets(model.tree):
         raise ValueError("model has unmerged adapters; merge before saving")
+    want = [(p, shape, model.dtype.name) for p, shape in _inventory(model.config)]
+    have = [(p, t.data.shape, t.data.dtype.name) for p, t in model.tree.items()]
+    for w, h in zip_longest(want, have):
+        if w != h:  # a value saved under another path would load into it
+            raise ValueError(f"model tree has {h} where build's layout has {w}")
     header = json.dumps({"config": asdict(model.config),
                          "dtype": model.dtype.name}).encode()
-    f = io.BytesIO()
-    f.write(CHECKPOINT_MAGIC)
-    f.write(struct.pack("<I", len(header)))
-    f.write(header)
-    f.write(struct.pack("<I", len(model.tree)))
-    for p, t in model.tree.items():
-        arr = np.ascontiguousarray(t.data)
-        dstr = arr.dtype.newbyteorder("<").str.encode()
-        name = p.encode()
-        f.write(struct.pack("<H", len(name)))
-        f.write(name)
-        f.write(struct.pack("<H", len(dstr)))
-        f.write(dstr)
-        f.write(struct.pack("<B", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-        f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-    data = f.getvalue()
-    with open(path, "wb") as out:
-        out.write(data)
-        out.write(struct.pack("<I", zlib.crc32(data)))
-
-
-def _read_exact(f, n):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ValueError("truncated checkpoint")
-    return buf
+    stored = model.dtype.newbyteorder("<")
+    data = b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header]
+                    + [t.data.astype(stored, copy=False).tobytes()
+                       for t in model.tree.values()])
+    Path(path).write_bytes(data + struct.pack("<I", zlib.crc32(data)))
 
 
 def _parse_header(header):
@@ -354,46 +346,30 @@ def _parse_header(header):
 def load_checkpoint(path) -> Model:
     """The saved model; its tree is laid out in `build`'s path order.
 
-    The checksum is verified before any record is parsed, so a truncated or
-    corrupted file raises ValueError and never loads.
+    The checksum is verified before the header is parsed, and the body must
+    hold exactly the bytes the header's config and dtype call for, so a
+    truncated or corrupted file raises ValueError and never loads.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = Path(path).read_bytes()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC.decode()} checkpoint")
-    body, trailer = blob[:-4], blob[-4:]
-    if (len(blob) < len(CHECKPOINT_MAGIC) + 4
-            or struct.unpack("<I", trailer)[0] != zlib.crc32(body)):
+    start = len(CHECKPOINT_MAGIC) + 4  # the header's first byte
+    if (len(blob) < start + 4
+            or struct.unpack("<I", blob[-4:])[0] != zlib.crc32(blob[:-4])):
         raise ValueError(f"{path}: checksum mismatch; the file is truncated, "
                          "corrupt or has trailing bytes")
-    with io.BytesIO(body[len(CHECKPOINT_MAGIC):]) as f:
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4))
-        config, dtype = _parse_header(json.loads(_read_exact(f, hlen)))
-        stored = dtype.newbyteorder("<")
-        shapes = dict(_inventory(config))
-        arrays = {}
-        (n_records,) = struct.unpack("<I", _read_exact(f, 4))
-        for _ in range(n_records):
-            (plen,) = struct.unpack("<H", _read_exact(f, 2))
-            p = _read_exact(f, plen).decode()
-            (dlen,) = struct.unpack("<H", _read_exact(f, 2))
-            dstr = _read_exact(f, dlen).decode(errors="replace")
-            if dstr != stored.str:  # as save_checkpoint writes it
-                raise ValueError(f"checkpoint record {p!r}: dtype {dstr!r} is not "
-                                 f"the header's {dtype.name} ({stored.str!r})")
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1))
-            shape = struct.unpack(f"<{ndim}q", _read_exact(f, 8 * ndim))
-            raw = _read_exact(f, stored.itemsize * int(np.prod(shape, dtype=np.int64)))
-            if p not in shapes:
-                raise ValueError(f"checkpoint record {p!r} not in model tree")
-            if shape != shapes[p]:
-                raise ValueError(f"{p}: shape {shape} != expected {shapes[p]}")
-            arrays[p] = np.array(np.frombuffer(raw, dtype=stored).reshape(shape),
-                                 dtype=dtype)
-        if len(arrays) != len(shapes):
-            missing = sorted(set(shapes) - set(arrays))
-            raise ValueError(f"checkpoint missing {len(missing)} params, e.g. {missing[:3]}")
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last record")
-    tree = {p: ag.tensor(arrays[p], requires_grad=True) for p in shapes}
+    (hlen,) = struct.unpack("<I", blob[start - 4:start])
+    config, dtype = _parse_header(json.loads(blob[start:start + hlen]))
+    stored, entries = dtype.newbyteorder("<"), _inventory(config)
+    body = memoryview(blob)[start + hlen:-4]
+    size = stored.itemsize * sum(prod(shape) for _, shape in entries)
+    if len(body) != size:
+        raise ValueError(f"{path}: checkpoint body is {len(body)} bytes; "
+                         f"its header's {dtype.name} model needs {size}")
+    tree, flat, i = {}, np.frombuffer(body, dtype=stored), 0
+    for p, shape in entries:
+        n = prod(shape)
+        tree[p] = ag.tensor(np.array(flat[i:i + n].reshape(shape), dtype=dtype),
+                            requires_grad=True)
+        i += n
     return Model(config, tree, dtype)

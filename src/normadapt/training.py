@@ -484,14 +484,16 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
     Emits a frozen baseline row per seed (the stage-1 model, gain 0 by
     definition, None if stage 1 aborted).  A strategy's gain needs the seed's
     stage 1 and finetune: it is None when finetune is absent, or when its run,
-    stage 1 or finetune aborted.  A repeated seed or name and an unknown name
-    are refused before the outdir is made and before any training; the outdir
-    then gets `compare.csv` and `compare.json`.
+    stage 1 or finetune aborted.  A negative or repeated seed, a repeated name
+    and an unknown name are refused before the outdir is made and before any
+    training; the outdir then gets `compare.csv` and `compare.json`.
     """
     seeds, strategy_names = list(seeds), list(strategy_names)
     for what, items in (("seed", seeds), ("strategy", strategy_names)):
         if len(set(items)) < len(items):
             raise ValueError(f"repeated {what} in {items}")
+    for seed in seeds:
+        _check_count("seed", seed)
     stage2 = [(name, TuningStrategy(name)) for name in strategy_names]
     if outdir is not None:
         Path(outdir).mkdir(parents=True, exist_ok=True)

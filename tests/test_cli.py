@@ -443,6 +443,17 @@ def test_a_refused_similarity_pair_writes_nothing(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_similarity_refuses_a_one_layer_model(tmp_path, capsys):
+    ckpt = tmp_path / "one.ckpt"
+    save_checkpoint(build(ModelConfig(n_layers=1), seed=1), ckpt)
+    outdir = tmp_path / "sim"
+    err = usage_error(capsys, ["similarity", "--ckpt", str(ckpt),
+                               "--probe-samples", "4", "--outdir", str(outdir)])
+    assert err == ("normadapt similarity: error: similarity needs at least 2 "
+                   "layers, got 1\n")
+    assert not outdir.exists()
+
+
 def test_grad_stats_csv(tmp_path, capsys):
     outdir = tmp_path / "gs"
     rc = cli.main(["grad-stats", "--task", "mm-adapt", "--strategy",

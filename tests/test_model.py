@@ -381,13 +381,42 @@ def test_checkpoint_refuses_unmerged_adapters(tmp_path):
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT99" + b"\x00" * 40)
-    with pytest.raises(ValueError, match="NORMADAPT2"):
+    with pytest.raises(ValueError, match="NORMADAPT3"):
         md.load_checkpoint(path)
-    md.save_checkpoint(md.build(tiny_config()), path)  # as the first format wrote it:
-    blob = path.read_bytes()                            # old magic, no trailer
-    path.write_bytes(b"NORMADAPT1" + blob[len(md.CHECKPOINT_MAGIC):-4])
-    with pytest.raises(ValueError, match="not a NORMADAPT2 checkpoint"):
-        md.load_checkpoint(path)
+    md.save_checkpoint(md.build(tiny_config()), path)
+    blob = path.read_bytes()
+    body = b"NORMADAPT2" + blob[len(md.CHECKPOINT_MAGIC):-4]  # a valid checksum
+    for old in (b"NORMADAPT1" + blob[len(md.CHECKPOINT_MAGIC):-4],  # no trailer
+                body + struct.pack("<I", zlib.crc32(body))):
+        path.write_bytes(old)
+        with pytest.raises(ValueError, match="not a NORMADAPT3 checkpoint"):
+            md.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_is_its_header_and_its_arrays(tmp_path, dtype):
+    m = md.build(tiny_config(), seed=3, dtype=dtype)
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(m, path)
+    blob = path.read_bytes()
+    start = len(md.CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[start:start + 4])
+    size = sum(t.data.size for t in m.tree.values()) * np.dtype(dtype).itemsize
+    assert len(blob) == start + 4 + hlen + size + 4
+    arrays = b"".join(t.data.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+                      for t in m.tree.values())
+    assert blob[start + 4 + hlen:-4] == arrays
+
+
+def test_checkpoint_refuses_a_tree_out_of_build_order(tmp_path):
+    m = md.build(tiny_config(), seed=3)
+    m.tree["final_norm.weight"] = m.tree.pop("final_norm.weight")
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=re.escape(
+            "model tree has ('head.weight', (11, 8), 'float32') where build's "
+            "layout has ('final_norm.weight', (8,), 'float32')")):
+        md.save_checkpoint(m, path)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
@@ -436,18 +465,22 @@ def test_checkpoint_refuses_a_header_dtype_not_float(tmp_path, dtype):
         md.load_checkpoint(path)
 
 
-def test_checkpoint_refuses_a_record_dtype_not_the_headers(tmp_path):
+@pytest.mark.parametrize("edit, itemsize, dropped", [
+    (lambda header: header.update(dtype="float64"), 8, 0),
+    (lambda header: header["config"].update(tie_embeddings=True), 4, 11 * 8),
+], ids=["float64-over-float32", "tied-over-untied"])
+def test_checkpoint_refuses_a_body_not_the_headers_size(tmp_path, edit, itemsize,
+                                                        dropped):
+    """A header whose model needs other bytes than the body holds; `dropped`
+    is the scalars of a head.weight the edited header no longer has."""
     path = tmp_path / "m.ckpt"
-    md.save_checkpoint(md.build(tiny_config()), path)  # float32 records
-    rewrite_header(path, lambda header: header.update(dtype="float64"))
+    m = md.build(tiny_config())  # float32, untied
+    md.save_checkpoint(m, path)
+    n = sum(t.data.size for t in m.tree.values())
+    rewrite_header(path, edit)
     with pytest.raises(ValueError, match=re.escape(
-            "dtype '<f4' is not the header's float64 ('<f8')")):
-        md.load_checkpoint(path)
-    md.save_checkpoint(md.build(tiny_config()), path)
-    body = path.read_bytes()[:-4].replace(b"<f4", b"<zz", 1)  # does not parse
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(ValueError, match=re.escape(
-            "dtype '<zz' is not the header's float32 ('<f4')")):
+            f"checkpoint body is {4 * n} bytes; its header's float{8 * itemsize} "
+            f"model needs {itemsize * (n - dropped)}")):
         md.load_checkpoint(path)
 
 

@@ -608,6 +608,17 @@ def test_compare_strategies_refuses_repeats_before_pretraining(monkeypatch, tmp_
     assert not outdir.exists()
 
 
+def test_compare_strategies_refuses_a_negative_seed_before_pretraining(monkeypatch,
+                                                                       tmp_path):
+    calls = []
+    monkeypatch.setattr(tr, "pretrain", lambda protocol: calls.append(protocol))
+    outdir = tmp_path / "cmp"
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        tr.compare_strategies(["finetune"], micro_protocol(), seeds=(0, -1),
+                              outdir=outdir)
+    assert calls == [] and not outdir.exists()
+
+
 def test_compare_strategies_writes_both_tables(tmp_path):
     proto = micro_protocol(pretrain_steps=2, connector_steps=2, adapt_steps=2)
     outdir = tmp_path / "cmp"
