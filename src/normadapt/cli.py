@@ -39,7 +39,6 @@ OPTIONS = {
     "steps": {"type": int},
     "batch": {"type": int},
     "warmup_ratio": {"type": float},
-    "weight_decay": {"type": float},
     "seed": {"type": int},
     "preset": {},
     "mixture": {"type": _parse_mixture},
@@ -116,7 +115,7 @@ def _model_config(opts):
 def _train_config(opts, **fixed):
     from .training import TrainConfig
     return TrainConfig(**_given(opts, "lr", "steps", "batch", "warmup_ratio",
-                                "weight_decay", "seed"), **fixed)
+                                "seed"), **fixed)
 
 
 def _build_or_load(opts, init_from):
@@ -189,8 +188,7 @@ def cmd_compare(args):
     from . import training as tr
     opts = _options(args)
     base = _build_or_load(opts, args.init_from) if args.init_from else None
-    given = {name: value for name in ("pretrain_steps", "connector_steps",
-                                      "adapt_steps", "stub_mode", "noise_std")
+    given = {name: value for name in ("pretrain_steps", "connector_steps", "adapt_steps")
              if (value := getattr(args, name)) is not None}
     protocol = _protocol(opts, model=base.config if base else _model_config(opts),
                          **given)
@@ -206,6 +204,7 @@ def cmd_compare(args):
 
 def cmd_budget(args):
     from . import budget as bg
+    opts = _options(args)  # a bad --config is refused with or without the table
     if args.reference_table:
         print("preset,strategy,computed,reference,diff,tolerance,within,gated")
         for row in bg.reference_table(args.bytes_per_param):
@@ -213,7 +212,6 @@ def cmd_budget(args):
                   f"{row.reference},{row.diff:.6f},{row.tolerance},"
                   f"{row.within},{row.gated}")
         return 0
-    opts = _options(args)
     name = opts["preset"]
     if name not in bg.PRESETS:
         raise ValueError(f"unknown preset {name!r} (known: "
@@ -313,8 +311,8 @@ def cmd_normcheck(args):
 
 
 # Options of the training commands; `train` and `grad-stats` add lr and outdir.
-_RUN_OPTIONS = ("strategy", "steps", "batch", "warmup_ratio", "weight_decay",
-                "seed", "norm_kind", "lora_rank", "mixture")
+_RUN_OPTIONS = ("strategy", "steps", "batch", "warmup_ratio", "seed",
+                "norm_kind", "lora_rank", "mixture")
 
 
 def _add_data_args(p):
@@ -357,8 +355,6 @@ def build_parser():
     p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int)
     p.add_argument("--connector-steps", dest="connector_steps", type=int)
     p.add_argument("--adapt-steps", dest="adapt_steps", type=int)
-    p.add_argument("--stub-mode", dest="stub_mode", choices=("aligned", "unaligned"))
-    p.add_argument("--noise-std", dest="noise_std", type=float)
     p.add_argument("--init-from", dest="init_from", default=None,
                    help="pretrained base checkpoint (skips stage 0)")
     p.set_defaults(func=cmd_compare)

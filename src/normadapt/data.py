@@ -30,10 +30,10 @@ PAD, BOS, SEP, Q, DESC, CMP, GT, LT, EQ = range(9)
 _N_SPECIALS = 9
 N_ROUNDS = 3  # conversation rounds per sample
 N_VALUES = 16  # values per attribute; a power of two, so a word mod it is uniform
+NOISE_STD = 0.05  # scale of a visual feature's per-sample Gaussian noise
 
 CATEGORIES = ("conversation", "description", "reasoning")
 TASK_KINDS = ("text-pretrain", "mm-adapt")
-VISION_MODES = ("aligned", "unaligned")
 
 
 def attr_token(k):
@@ -142,33 +142,22 @@ class VisionStub:
     """Deterministic stand-in for a frozen vision encoder.
 
     A fixed table of per-slot feature vectors (drawn once from `seed`) plus
-    per-sample noise keyed by (seed, the split's seed, sample_id).
-    `unaligned` warps the table through a fixed random tanh layer so no
-    linear connector can match the aligned geometry.  Never trainable.
+    per-sample noise of scale `NOISE_STD` keyed by (seed, the split's seed,
+    sample_id).  Never trainable.
     """
 
-    def __init__(self, d_visual, n_slots, mode="aligned", seed=0, noise_std=0.05):
-        if mode not in VISION_MODES:
-            raise ValueError(f"mode must be one of {VISION_MODES}, got {mode!r}")
+    def __init__(self, d_visual, n_slots, seed=0):
         self.d_visual = int(d_visual)
         self.n_slots = int(n_slots)
-        self.mode = mode
         self.seed = int(seed)
         if not 0 <= self.seed < 2**64:  # the hash takes it as one uint64
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        self.noise_std = float(noise_std)
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         rng = np.random.default_rng(self.seed)
-        table = rng.normal(0.0, 1.0, (self.n_slots, self.d_visual))
-        if mode == "unaligned":
-            warp = rng.normal(0.0, 1.0, (self.d_visual, self.d_visual))
-            table = np.tanh(table @ (warp / np.sqrt(self.d_visual))) * 1.5
-        self._table = table
+        self._table = rng.normal(0.0, 1.0, (self.n_slots, self.d_visual))
 
     def features(self, slot_ids, sample_id, seed=0) -> np.ndarray:
         """(n, n_tokens) slot ids and n sample ids -> (n, n_tokens, d_visual)
-        float32, each value `table[slot] + noise_std * noise` computed in
+        float32, each value `table[slot] + NOISE_STD * noise` computed in
         float64 and rounded once.
 
         A sample's noise is Box-Muller over its ceil(n_tokens * d_visual / 2)
@@ -196,7 +185,7 @@ class VisionStub:
             noise = np.concatenate([radius * np.cos(angle),
                                     radius * np.sin(angle)], axis=1)[:, :size]
             features[chunk] = (self._table[slots[chunk]]
-                               + self.noise_std * noise.reshape(-1, *features.shape[1:]))
+                               + NOISE_STD * noise.reshape(-1, *features.shape[1:]))
         return features
 
 

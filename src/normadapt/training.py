@@ -49,7 +49,7 @@ def lr_schedule(step, total, warmup_ratio, base_lr) -> float:
 
 
 class Adam:
-    """Decoupled-weight-decay Adam over a list of tensors.
+    """Adam over a list of tensors.
 
     `step` updates each `p.data` in place, so an array a caller kept of a
     parameter changes with it; copy it to keep a snapshot.  A read-only
@@ -59,12 +59,11 @@ class Adam:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, weight_decay=0.0):
+    def __init__(self, params):
         self.params = list(params)
         for p in self.params:
             if not p.data.flags.writeable:  # a clone's view of its source
                 p.data = p.data.copy()
-        self.weight_decay = weight_decay
         self.m = [np.zeros_like(t.data) for t in self.params]
         self.v = [np.zeros_like(t.data) for t in self.params]
         self.t = 0
@@ -99,8 +98,6 @@ class Adam:
             v += a
             if lr == 0.0:
                 continue  # keep the lr=0 null update bitwise exact
-            if self.weight_decay:
-                p.data -= np.multiply(lr * self.weight_decay, p.data, out=a)
             np.divide(m, b1c, out=a)
             np.divide(v, b2c, out=b)
             np.sqrt(b, out=b)
@@ -116,7 +113,6 @@ class TrainConfig:
     steps: int
     batch: int = 32
     warmup_ratio: float = 0.03
-    weight_decay: float = 0.0
     seed: int = 0
     eval_interval: int = 0  # 0: evaluate at the end only
 
@@ -124,7 +120,6 @@ class TrainConfig:
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
         _check_rate("lr", self.lr)
-        _check_rate("weight_decay", self.weight_decay)
         _check_count("steps", self.steps)
         _check_count("batch", self.batch, 1)
         _check_count("eval_interval", self.eval_interval)
@@ -237,8 +232,7 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
         injected = inject_lora(model, rank=strategy.lora_rank, seed=config.seed)
     report = select_trainable(strategy, model.tree)
     traced = norm_paths(strategy, report.selected)
-    opt = Adam([model.tree[p] for p in report.selected],
-               weight_decay=config.weight_decay)
+    opt = Adam([model.tree[p] for p in report.selected])
     rng = np.random.default_rng(config.seed)
     record = RunRecord(
         config={**asdict(config), "strategy": strategy.kind},
@@ -363,13 +357,12 @@ _STUB_SEED = 7  # AdaptProtocol.stub(): every mm-adapt split shares its slot tab
 class AdaptProtocol:
     """Everything the two-stage comparison experiment needs, in one place;
     the task has one attribute per visual token of `model`, and each stage's
-    lr is a module constant."""
+    lr, the vision stub's seed (`_STUB_SEED`) and its noise scale
+    (`data.NOISE_STD`) are module constants."""
     model: ModelConfig = field(default_factory=ModelConfig)
     n_train: int = 4096
     n_eval: int = 512
     mixture: tuple = (1 / 3, 1 / 3, 1 / 3)
-    stub_mode: str = "aligned"
-    noise_std: float = 0.05
     pretrain_steps: int = 2000
     connector_steps: int = 200
     adapt_steps: int = 400
@@ -403,13 +396,11 @@ class AdaptProtocol:
         _check_count("batch", self.batch, 1)
         for stage in ("pretrain", "connector", "adapt"):
             _check_count(f"{stage}_steps", getattr(self, f"{stage}_steps"))
-        self.stub()  # refuses a stub_mode or noise_std VisionStub refuses
 
     def stub(self) -> dt.VisionStub:
         return dt.VisionStub(d_visual=self.model.d_visual,
                              n_slots=self.model.n_visual_tokens * dt.N_VALUES,
-                             mode=self.stub_mode, seed=_STUB_SEED,
-                             noise_std=self.noise_std)
+                             seed=_STUB_SEED)
 
     def _spec(self, kind, n, seed) -> dt.TaskSpec:
         return dt.TaskSpec(kind=kind, n_samples=n, mixture=self.mixture,
@@ -529,8 +520,9 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
                                       fraction=rec.selection["fraction"],
                                       wall_clock=rec.wall_clock))
     report = ComparisonReport(rows=rows, protocol={  # its fields and constants
-        **asdict(protocol), "n_values": dt.N_VALUES, "pretrain_lr": PRETRAIN_LR,
-        "connector_lr": CONNECTOR_LR, "adapt_lrs": dict(DEFAULT_ADAPT_LRS)})
+        **asdict(protocol), "n_values": dt.N_VALUES, "noise_std": dt.NOISE_STD,
+        "pretrain_lr": PRETRAIN_LR, "connector_lr": CONNECTOR_LR,
+        "adapt_lrs": dict(DEFAULT_ADAPT_LRS)})
     if outdir is not None:
         with open(Path(outdir) / "compare.csv", "w", newline="") as f:
             report.to_csv(f)

@@ -38,7 +38,6 @@ lr = 2e-3          # trailing comment
 steps = 40
 batch = 8
 warmup_ratio = 0.1
-weight_decay = 0.01
 seed = 3
 mixture = 0.5,0.25,0.25
 lora_rank = 8
@@ -46,9 +45,9 @@ outdir = runs/demo
 """)
     opts = cli.parse_config_file(path)
     assert opts == {"strategy": "layernorm", "lr": 2e-3, "steps": 40,
-                    "batch": 8, "warmup_ratio": 0.1, "weight_decay": 0.01,
-                    "seed": 3, "mixture": (0.5, 0.25, 0.25),
-                    "lora_rank": 8, "outdir": "runs/demo"}
+                    "batch": 8, "warmup_ratio": 0.1, "seed": 3,
+                    "mixture": (0.5, 0.25, 0.25), "lora_rank": 8,
+                    "outdir": "runs/demo"}
     assert isinstance(opts["steps"], int) and isinstance(opts["lr"], float)
 
 
@@ -334,8 +333,6 @@ def test_compare_takes_unset_protocol_flags_from_the_protocol(tmp_path, monkeypa
         pretrain_steps: int = 7
         connector_steps: int = 5
         adapt_steps: int = 3
-        stub_mode: str = "unaligned"
-        noise_std: float = 0.25
 
     seen = []
 
@@ -347,12 +344,10 @@ def test_compare_takes_unset_protocol_flags_from_the_protocol(tmp_path, monkeypa
     monkeypatch.setattr(tr, "compare_strategies", fake_compare)
     outdir = str(tmp_path / "cmp")
     assert cli.main(["compare", "--outdir", outdir]) == 0
-    assert cli.main(["compare", "--outdir", outdir, "--adapt-steps", "9",
-                     "--stub-mode", "aligned"]) == 0
-    fields = ("pretrain_steps", "connector_steps", "adapt_steps", "stub_mode",
-              "noise_std")
+    assert cli.main(["compare", "--outdir", outdir, "--adapt-steps", "9"]) == 0
+    fields = ("pretrain_steps", "connector_steps", "adapt_steps")
     assert [tuple(getattr(p, f) for f in fields) for p in seen] == [
-        (7, 5, 3, "unaligned", 0.25), (7, 5, 9, "aligned", 0.25)]
+        (7, 5, 3), (7, 5, 9)]
 
 
 def test_compare_honours_norm_kind(tmp_path, capsys):
@@ -409,6 +404,14 @@ def test_init_from_a_checkpoint_the_task_does_not_fit(argv, tmp_path, capsys):
     err = usage_error(capsys, [*argv, "--init-from", str(ckpt), "--outdir", str(outdir)])
     assert err == (f"normadapt {argv[0]}: error: model vocab_size 60 is below the "
                    "task's vocab 77\n")
+    assert not outdir.exists()
+
+
+def test_lora_rank_below_one_is_refused_for_any_strategy(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    err = usage_error(capsys, ["train", "--strategy", "finetune", "--lora-rank", "0",
+                               "--outdir", str(outdir), *TINY])
+    assert err == "normadapt train: error: lora_rank must be >= 1, got 0\n"
     assert not outdir.exists()
 
 
@@ -489,7 +492,7 @@ def test_grad_stats_stdout_when_no_outdir(capsys):
 # ------------------------------------------------- options each command reads
 
 @pytest.mark.parametrize("command", ["sweep-lr", "grad-stats"])
-def test_warmup_and_weight_decay_reach_train(command, monkeypatch, capsys):
+def test_warmup_ratio_reaches_train(command, monkeypatch, capsys):
     seen = []
 
     def fake_train(model, strategy, train_ds, eval_ds, config, **kwargs):
@@ -500,11 +503,10 @@ def test_warmup_and_weight_decay_reach_train(command, monkeypatch, capsys):
 
     monkeypatch.setattr(tr, "train", fake_train)
     extra = ["--grid", "1e-3"] if command == "sweep-lr" else []
-    rc = cli.main([command, "--warmup-ratio", "0.5", "--weight-decay", "0.5",
-                   *extra, *TINY])
+    rc = cli.main([command, "--warmup-ratio", "0.5", *extra, *TINY])
     assert rc == 0
     (cfg,) = seen
-    assert (cfg.warmup_ratio, cfg.weight_decay) == (0.5, 0.5)
+    assert cfg.warmup_ratio == 0.5
 
 
 @pytest.mark.parametrize("command, line, args", [
@@ -512,6 +514,7 @@ def test_warmup_and_weight_decay_reach_train(command, monkeypatch, capsys):
     ("budget", "lr = 1e-3", []),
     ("budget", "include_defaults = false", []),
     ("train", "include_defaults = false", TINY),
+    ("train", "weight_decay = 0", TINY),
 ])
 def test_config_key_the_command_does_not_read_is_refused(
         tmp_path, monkeypatch, capsys, command, line, args):
@@ -610,8 +613,6 @@ def test_compare_refuses_a_seed_whose_split_passes_2_64_before_pretraining(
     ("--connector-steps", "-1", "connector_steps must be >= 0, got -1"),
     ("--adapt-steps", "-3", "adapt_steps must be >= 0, got -3"),
     ("--pretrain-steps", "-2", "pretrain_steps must be >= 0, got -2"),
-    ("--noise-std", "nan", "noise_std must be finite and >= 0, got nan"),
-    ("--noise-std", "-1", "noise_std must be finite and >= 0, got -1.0"),
 ])
 def test_compare_refuses_stage_settings_before_pretraining(flag, value, message,
                                                            monkeypatch, capsys):
@@ -681,9 +682,10 @@ def test_refused_compare_leaves_no_outdir(flags, message, tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("argv, flag", [
     (["budget", "--config", "{missing}"], "--config"),
+    (["budget", "--reference-table", "--config", "{missing}"], "--config"),
     (["train", "--init-from", "{missing}", "--steps", "1"], "--init-from"),
     (["similarity", "--ckpt", "{missing}"], "--ckpt"),
-], ids=["config", "init-from", "ckpt"])
+], ids=["config", "config-table", "init-from", "ckpt"])
 def test_unreadable_path_is_a_usage_error(argv, flag, tmp_path, capsys):
     missing = str(tmp_path / "missing")
     err = usage_error(capsys, [a.format(missing=missing) for a in argv])
@@ -707,6 +709,14 @@ def test_named_grid_resolves_in_the_cli(monkeypatch, capsys):
 def test_include_defaults_flag_is_gone(command, capsys):
     err = usage_error(capsys, [command, "--include-defaults", "false"])
     assert "unrecognized arguments: --include-defaults" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--stub-mode", "aligned"], ["compare", "--noise-std", "0.1"],
+    ["train", "--weight-decay", "0"]], ids=["stub-mode", "noise-std", "weight-decay"])
+def test_removed_flags_are_refused(argv, capsys):
+    err = usage_error(capsys, argv)
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
 def test_grad_stats_reads_outdir_from_config(tmp_path, capsys):
@@ -759,7 +769,7 @@ def test_sweep_lr_has_no_outdir(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, library", [
     ("--norm-kind", NORM_KINDS), ("--task", dt.TASK_KINDS),
-    ("--stub-mode", dt.VISION_MODES), ("--sampler", tuple(nm.SAMPLERS))])
+    ("--sampler", tuple(nm.SAMPLERS))])
 def test_flag_choices_copy_the_library(flag, library):
     """cli.py imports only the stdlib at module level, so it repeats these
     choices; every subcommand's copy must equal the library's."""

@@ -92,7 +92,7 @@ def reference_generate(spec, stub=None):
             noise = ref_noise((stub.seed, spec.seed), i, K * d)
             for k in range(K):
                 row = stub._table[k * M + z[k]].tolist()
-                features[i, k] = [row[c] + stub.noise_std * noise[k * d + c]
+                features[i, k] = [row[c] + dt.NOISE_STD * noise[k * d + c]
                                   for c in range(d)]
         for j in range(len(toks) - 1):
             score = mask[j + 1] if visual else toks[j + 1] != dt.PAD
@@ -142,9 +142,11 @@ def test_same_seed_is_bitwise_identical():
     assert not np.array_equal(a.tokens, c.tokens)
 
 
+# stub case -> (stub seed, noise scale).  Every stub is aligned; the case
+# named "unaligned" keeps its test id and covers the largest stub seed.
 ORACLE_STUBS = {
-    "unaligned": dict(mode="unaligned", seed=2**64 - 1),
-    "noiseless": dict(seed=2, noise_std=0.0),
+    "unaligned": (2**64 - 1, dt.NOISE_STD),
+    "noiseless": (2, 0.0),
 }
 
 
@@ -168,7 +170,9 @@ def test_generate_matches_per_sample_reference(monkeypatch, kind, stub, mixture,
         if stub == "default":
             st = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K)).stub()
         else:
-            st = dt.VisionStub(d_visual=6, n_slots=K * M, **ORACLE_STUBS[stub])
+            stub_seed, noise = ORACLE_STUBS[stub]
+            monkeypatch.setattr(dt, "NOISE_STD", noise)
+            st = dt.VisionStub(d_visual=6, n_slots=K * M, seed=stub_seed)
         assert_matches_reference(sp, st)
 
 
@@ -263,8 +267,9 @@ def test_mm_targets_are_answer_only_with_prefix_offset():
             assert ds.targets[i, pos] == ds.tokens[i, pos - K + 1]
 
 
-def test_features_follow_latent_slots():
-    st = dt.VisionStub(d_visual=8, n_slots=4 * 16, seed=11, noise_std=0.0)
+def test_features_follow_latent_slots(monkeypatch):
+    monkeypatch.setattr(dt, "NOISE_STD", 0.0)
+    st = dt.VisionStub(d_visual=8, n_slots=4 * 16, seed=11)
     ds = dt.generate(spec(kind="mm-adapt", n_samples=10, seed=4), stub=st)
     for i in range(10):
         slots = np.arange(4) * 16 + ds.values[i]
@@ -310,7 +315,7 @@ def test_vision_stub_features_across_chunks():
     assert got.dtype == np.float32 and got.shape == (n, 2, 3)
     for i in (0, dt._FEATURE_CHUNK - 1, dt._FEATURE_CHUNK, 2 * dt._FEATURE_CHUNK, n - 1):
         noise = np.reshape(ref_noise((2**64 - 1, 2**63), int(ids[i]), 6), (2, 3))
-        want = (stub._table[slots[i]] + stub.noise_std * noise).astype(np.float32)
+        want = (stub._table[slots[i]] + dt.NOISE_STD * noise).astype(np.float32)
         np.testing.assert_array_max_ulp(got[i], want, maxulp=1)
 
 
@@ -320,24 +325,17 @@ def test_vision_stub_determinism_and_modes():
     slots = np.array([[1, 4, 7]])
     np.testing.assert_array_equal(a.features(slots, [17]), b.features(slots, [17]))
     assert not np.allclose(a.features(slots, [17]), a.features(slots, [18]))
-
-    warped = dt.VisionStub(d_visual=6, n_slots=10, seed=3, mode="unaligned")
-    assert not np.allclose(a.features(slots, [17]), warped.features(slots, [17]))
-    with pytest.raises(ValueError):
-        dt.VisionStub(d_visual=6, n_slots=10, mode="conv")
     with pytest.raises(ValueError):
         a.features(np.array([[10]]), [0])
 
     # a batched call is its one-row batches stacked, bitwise
     batch = np.array([[1, 4, 7], [0, 9, 2], [3, 3, 5], [8, 6, 1]])
     ids = np.array([17, 18, 5, 400_000_000_000])
-    for stub in (a, warped, dt.VisionStub(d_visual=6, n_slots=10, seed=3,
-                                          noise_std=0.0)):
-        rows = stub.features(batch, ids)
-        assert rows.shape == (4, 3, 6)
-        for i in range(len(batch)):
-            np.testing.assert_array_equal(
-                rows[i:i + 1], stub.features(batch[i:i + 1], ids[i:i + 1]))
+    rows = a.features(batch, ids)
+    assert rows.shape == (4, 3, 6)
+    for i in range(len(batch)):
+        np.testing.assert_array_equal(rows[i:i + 1],
+                                      a.features(batch[i:i + 1], ids[i:i + 1]))
     with pytest.raises(ValueError, match="sample_id shape"):
         a.features(batch, 17)
     with pytest.raises(ValueError, match="sample_id shape"):
@@ -398,10 +396,3 @@ def test_seeds_from_2_64_up_are_refused_by_name():
     with pytest.raises(ValueError, match=re.escape(
             f"seed {2**64 - 3000} too large: the held-out split's seed + 3000 is refused")):
         tr.AdaptProtocol(seed=2**64 - 3000)
-
-
-def test_vision_stub_refuses_non_finite_or_negative_noise():
-    for noise in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValueError, match=f"noise_std must be finite and >= 0, "
-                                             f"got {noise}"):
-            dt.VisionStub(d_visual=4, n_slots=8, noise_std=noise)

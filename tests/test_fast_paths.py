@@ -101,7 +101,6 @@ def task_cases(draw):
     if kind == "mm-adapt" and draw(st.booleans(), label="own stub"):
         stub = dt.VisionStub(d_visual=draw(st.integers(1, 5), label="d_visual"),
                              n_slots=K * dt.N_VALUES,
-                             mode=draw(st.sampled_from(dt.VISION_MODES)),
                              seed=draw(seed, label="stub seed"))
     elif kind == "mm-adapt":
         stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K)).stub()

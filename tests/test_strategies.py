@@ -95,8 +95,9 @@ def test_tied_tree_skips_head_in_defaults():
 def test_strategy_validation():
     with pytest.raises(ValueError, match="unknown strategy"):
         st.TuningStrategy("prefix")
-    with pytest.raises(ValueError, match="lora_rank"):
-        st.TuningStrategy("lora", lora_rank=0)
+    for kind in ("lora", "finetune", "layernorm-simple"):  # whatever the kind
+        with pytest.raises(ValueError, match="^lora_rank must be >= 1, got 0$"):
+            st.TuningStrategy(kind, lora_rank=0)
 
 
 def test_lora_selection_without_injection_errors():
