@@ -5,7 +5,6 @@
 import numpy as np
 
 from normadapt import data as dt
-from normadapt import training as tr
 
 spec = dt.TaskSpec(kind="text-pretrain", n_samples=6, mixture=(0.4, 0.3, 0.3),
                    seed=42)
@@ -15,12 +14,11 @@ for i in range(3):
     cat = dt.CATEGORIES[ds.categories[i]]
     print(f"sample {i} ({cat:12s}) z={ds.values[i]} tokens={ds.tokens[i]}")
 
-# same latent recipe, but declarations replaced by visual features, here
-# from the protocol's vision stub: the model sees K projected vectors in
-# front of BOS instead of token pairs
+# same latent recipe, but declarations replaced by visual features from the
+# fixed vision stub: the model sees K projected vectors in front of BOS
+# instead of token pairs
 mm = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=6, mixture=(0.4, 0.3, 0.3),
-                             seed=42),
-                 tr.AdaptProtocol().stub())
+                             seed=42))
 print("\nmm-adapt tokens (no declarations, features carry the attributes):")
 print(mm.tokens[0], " features", mm.features.shape)
 

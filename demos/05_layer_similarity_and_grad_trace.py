@@ -15,8 +15,7 @@ from normadapt.strategies import TuningStrategy
 cfg = md.ModelConfig(n_layers=4, d_model=48, n_heads=2, d_ff=128,
                      vocab_size=96, max_seq=32, n_visual_tokens=4, d_visual=16)
 base = md.build(cfg, seed=0)
-stub = dt.VisionStub(d_visual=16, n_slots=64, seed=7)
-ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=256, seed=0), stub)
+ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=256, seed=0, d_visual=16))
 
 # train the same init two ways, trace the norm gradients of one of them
 runs = {}

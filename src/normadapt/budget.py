@@ -154,14 +154,14 @@ class ReferenceRow:
         return self.diff <= self.tolerance
 
 
-def reference_table(bytes_per_param: int = 4):
+def reference_table():
     """All twelve (preset, strategy) cells against the reference column."""
     rows = []
     for preset_name in ("llama7b", "llama13b"):
         preset = PRESETS[preset_name]
         for kind in _TABLE_ORDER:
             strategy = TuningStrategy(kind)
-            got = count(preset, strategy, bytes_per_param).percentage
+            got = count(preset, strategy).percentage
             ref = REFERENCE_PERCENTAGES[(preset_name, kind)]
             rows.append(ReferenceRow(
                 preset=preset_name, strategy=kind, computed=got,

@@ -205,9 +205,11 @@ def cmd_compare(args):
 def cmd_budget(args):
     from . import budget as bg
     opts = _options(args)  # a bad --config is refused with or without the table
+    if args.bytes_per_param < 1:  # refused before the table's header is printed
+        raise ValueError(f"bytes_per_param must be >= 1, got {args.bytes_per_param}")
     if args.reference_table:
         print("preset,strategy,computed,reference,diff,tolerance,within,gated")
-        for row in bg.reference_table(args.bytes_per_param):
+        for row in bg.reference_table():
             print(f"{row.preset},{row.strategy},{row.computed:.6f},"
                   f"{row.reference},{row.diff:.6f},{row.tolerance},"
                   f"{row.within},{row.gated}")
@@ -410,11 +412,19 @@ def _path_error(args, err):
 def main(argv=None):
     """Run one subcommand; a ValueError from its inputs, or an OSError on a
     path it was given, is a usage error (message on stderr, exit status 2),
-    as argparse reports a bad flag."""
+    as argparse reports a bad flag.  A stdout closed early (`| head`) ends
+    the run with status 1 and nothing on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # Python's recipe (signal docs, "Note on SIGPIPE"): the exit flush
+        # goes to devnull, so it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as err:
         parser.exit(2, f"{parser.prog} {args.command}: error: {err}\n")
     except OSError as err:

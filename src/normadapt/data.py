@@ -14,8 +14,10 @@ Targets are next-token ids with IGNORE (-1) everywhere loss is masked: text
 pretraining scores every non-pad transition, adaptation scores answers only.
 Sample i depends only on (seed, i): its draws and its visual noise are read
 from uint64 words of a SplitMix64 counter hash of the seed, i and the word's
-index (`_words`), so no random generator is seeded per sample.  The slot
-table of `VisionStub` is numpy's `Generator` draw from the stub's seed.
+index (`_words`), so no random generator is seeded per sample.  The visual
+features stand in for a frozen vision encoder's: a fixed table of one
+feature vector per (attribute, value) slot, numpy's `Generator` draw from
+`STUB_SEED`, plus per-sample noise of scale `NOISE_STD`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ _N_SPECIALS = 9
 N_ROUNDS = 3  # conversation rounds per sample
 N_VALUES = 16  # values per attribute; a power of two, so a word mod it is uniform
 NOISE_STD = 0.05  # scale of a visual feature's per-sample Gaussian noise
+STUB_SEED = 7  # seeds the slot table every mm-adapt split shares
 
 CATEGORIES = ("conversation", "description", "reasoning")
 TASK_KINDS = ("text-pretrain", "mm-adapt")
@@ -55,6 +58,7 @@ class TaskSpec:
     mixture: tuple = (1 / 3, 1 / 3, 1 / 3)
     n_attrs: int = 4
     seed: int = 0
+    d_visual: int = 64  # width of a visual feature; ModelConfig's default
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -67,6 +71,8 @@ class TaskSpec:
             raise ValueError(f"seed must be below 2**64, got {self.seed}")
         if self.n_attrs < 1:
             raise ValueError(f"n_attrs must be positive, got {self.n_attrs}")
+        if self.d_visual < 1:
+            raise ValueError(f"d_visual must be positive, got {self.d_visual}")
         mix = tuple(float(w) for w in self.mixture)
         if len(mix) != len(CATEGORIES) or not all(0 <= w < np.inf for w in mix):
             raise ValueError(f"mixture needs {len(CATEGORIES)} finite non-negative "
@@ -135,79 +141,51 @@ def _words(key, ids, width):
     return _mix(rows[:, None] + _G * np.arange(1, width + 1, dtype=np.uint64))
 
 
-_FEATURE_CHUNK = 256  # samples of float64 noise `VisionStub.features` holds at once
+_FEATURE_CHUNK = 256  # samples of float64 noise `_features` holds at once
 
 
-class VisionStub:
-    """Deterministic stand-in for a frozen vision encoder.
+def _features(spec, slots):
+    """(n, n_attrs) slot ids -> (n, n_attrs, d_visual) float32, each value
+    `table[slot] + NOISE_STD * noise` computed in float64 and rounded once.
 
-    A fixed table of per-slot feature vectors (drawn once from `seed`) plus
-    per-sample noise of scale `NOISE_STD` keyed by (seed, the split's seed,
-    sample_id).  Never trainable.
+    The table is `default_rng(STUB_SEED)`'s normal draw of one row per slot.
+    Sample i's noise is Box-Muller over its ceil(n_attrs * d_visual / 2) words
+    `_words((STUB_SEED, spec.seed), [i], .)`: a word's high half gives the
+    radius, its low half the angle, and every cosine comes before every sine.
+    Samples go through float64 `_FEATURE_CHUNK` at a time, so no full-size
+    float64 array is made.
     """
-
-    def __init__(self, d_visual, n_slots, seed=0):
-        self.d_visual = int(d_visual)
-        self.n_slots = int(n_slots)
-        self.seed = int(seed)
-        if not 0 <= self.seed < 2**64:  # the hash takes it as one uint64
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        rng = np.random.default_rng(self.seed)
-        self._table = rng.normal(0.0, 1.0, (self.n_slots, self.d_visual))
-
-    def features(self, slot_ids, sample_id, seed=0) -> np.ndarray:
-        """(n, n_tokens) slot ids and n sample ids -> (n, n_tokens, d_visual)
-        float32, each value `table[slot] + NOISE_STD * noise` computed in
-        float64 and rounded once.
-
-        A sample's noise is Box-Muller over its ceil(n_tokens * d_visual / 2)
-        words `_words((self.seed, seed), [sample_id], .)`: a word's high half
-        gives the radius, its low half the angle, and every cosine comes before
-        every sine.  Samples go through float64 `_FEATURE_CHUNK` at a time, so
-        no full-size float64 array is made.
-        """
-        slots = np.asarray(slot_ids)
-        ids = np.asarray(sample_id)
-        if slots.ndim != 2 or ids.shape != slots.shape[:1]:
-            raise ValueError(f"sample_id shape {ids.shape} does not match "
-                             f"(n, n_tokens) slot_ids shape {slots.shape}")
-        if ids.dtype.kind not in "iu" or ids.min() < 0:
-            raise ValueError("sample ids must be non-negative integers")
-        if slots.min() < 0 or slots.max() >= self.n_slots:
-            raise ValueError(f"slot id out of range [0, {self.n_slots})")
-        features = np.empty(slots.shape + (self.d_visual,), dtype=np.float32)
-        size = features[0].size
-        for start in range(0, len(slots), _FEATURE_CHUNK):
-            chunk = slice(start, start + _FEATURE_CHUNK)
-            w = _words((self.seed, seed), ids[chunk], -(-size // 2))
-            radius = np.sqrt(-2.0 * np.log(((w >> 32) + 0.5) * 2.0**-32))
-            angle = (w & 0xFFFFFFFF) * (2 * np.pi * 2.0**-32)
-            noise = np.concatenate([radius * np.cos(angle),
-                                    radius * np.sin(angle)], axis=1)[:, :size]
-            features[chunk] = (self._table[slots[chunk]]
-                               + NOISE_STD * noise.reshape(-1, *features.shape[1:]))
-        return features
+    table = np.random.default_rng(STUB_SEED).normal(
+        0.0, 1.0, (spec.n_attrs * N_VALUES, spec.d_visual))
+    features = np.empty(slots.shape + (spec.d_visual,), dtype=np.float32)
+    size, ids = features[0].size, np.arange(len(slots))
+    for start in range(0, len(slots), _FEATURE_CHUNK):
+        chunk = slice(start, start + _FEATURE_CHUNK)
+        w = _words((STUB_SEED, spec.seed), ids[chunk], -(-size // 2))
+        radius = np.sqrt(-2.0 * np.log(((w >> 32) + 0.5) * 2.0**-32))
+        angle = (w & 0xFFFFFFFF) * (2 * np.pi * 2.0**-32)
+        noise = np.concatenate([radius * np.cos(angle),
+                                radius * np.sin(angle)], axis=1)[:, :size]
+        features[chunk] = (table[slots[chunk]]
+                           + NOISE_STD * noise.reshape(-1, *features.shape[1:]))
+    return features
 
 
-def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
-    """Build the dataset of `spec`; an mm-adapt spec's visual features come
-    from `stub`, which it requires.
+def generate(spec: TaskSpec) -> Dataset:
+    """Build the dataset of `spec`, the whole data recipe.
 
     Sample i depends only on (spec.seed, i).  Its 1 + 2 * n_attrs words
     `_words((spec.seed,), [i], .)` give, in order, the category (the top 53
     bits as a uniform against the mixture CDF), the latent z (each word mod
     N_VALUES) and the attribute order (a stable argsort of the last n_attrs
-    words), which conversation and reasoning read.  Its visual noise is keyed
-    by (stub.seed, spec.seed) and i (`VisionStub.features`).  Every sample is
-    drawn at once, and tokens, masks and targets are written one category at
-    a time.
+    words), which conversation and reasoning read.  An mm-adapt sample's
+    feature k is the slot table's row k * N_VALUES + z[k] plus noise keyed by
+    (STUB_SEED, spec.seed) and i (`_features`).  Every sample is drawn at
+    once, and tokens, masks and targets are written one category at a time.
     """
     K = spec.n_attrs
     n, T = spec.n_samples, spec.seq_len
     visual = spec.kind == "mm-adapt"
-    if visual and stub is None:
-        raise ValueError("mm-adapt needs a VisionStub for its features "
-                         "(AdaptProtocol.stub() is the protocol's)")
 
     rounds = min(N_ROUNDS, K)
     cdf = np.cumsum(spec.mixture)
@@ -258,9 +236,7 @@ def generate(spec: TaskSpec, stub: VisionStub = None) -> Dataset:
     targets = np.full((n, prefix + T), IGNORE, dtype=np.int64)
     targets[:, prefix:prefix + T - 1] = np.where(scored, tokens[:, 1:], IGNORE)
 
-    features = None
-    if visual:
-        features = stub.features(attrs * N_VALUES + values, np.arange(n), spec.seed)
+    features = _features(spec, attrs * N_VALUES + values) if visual else None
     return Dataset(spec=spec, tokens=tokens, targets=targets,
                    answer_mask=answer_mask, categories=categories,
                    values=values, features=features)

@@ -173,6 +173,8 @@ def variance_scaling_study(n_grid, sampler="softmax-xent", trials=200,
     if len(n_grid) < 2:
         raise ValueError("variance_scaling_study: n_grid needs at least 2 sizes "
                          f"to fit a slope, got {n_grid}")
+    if min(n_grid) < 2:  # ln_stats normalizes a vector of length >= 2
+        raise ValueError(f"variance_scaling_study: n_grid sizes must be >= 2, got {n_grid}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("variance_scaling_study: n_grid must be strictly ascending")
     draw_b = SAMPLERS[sampler]

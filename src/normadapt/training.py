@@ -350,15 +350,11 @@ PRETRAIN_LR = 1e-3  # stage 0
 CONNECTOR_LR = 2e-3  # stage 1
 
 
-_STUB_SEED = 7  # AdaptProtocol.stub(): every mm-adapt split shares its slot table
-
-
 @dataclass
 class AdaptProtocol:
     """Everything the two-stage comparison experiment needs, in one place;
-    the task has one attribute per visual token of `model`, and each stage's
-    lr, the vision stub's seed (`_STUB_SEED`) and its noise scale
-    (`data.NOISE_STD`) are module constants."""
+    the task has one attribute per visual token of `model` and features of
+    its `d_visual` width, and each stage's lr is a module constant."""
     model: ModelConfig = field(default_factory=ModelConfig)
     n_train: int = 4096
     n_eval: int = 512
@@ -397,19 +393,14 @@ class AdaptProtocol:
         for stage in ("pretrain", "connector", "adapt"):
             _check_count(f"{stage}_steps", getattr(self, f"{stage}_steps"))
 
-    def stub(self) -> dt.VisionStub:
-        return dt.VisionStub(d_visual=self.model.d_visual,
-                             n_slots=self.model.n_visual_tokens * dt.N_VALUES,
-                             seed=_STUB_SEED)
-
     def _spec(self, kind, n, seed) -> dt.TaskSpec:
         return dt.TaskSpec(kind=kind, n_samples=n, mixture=self.mixture,
-                           n_attrs=self.model.n_visual_tokens, seed=seed)
+                           n_attrs=self.model.n_visual_tokens, seed=seed,
+                           d_visual=self.model.d_visual)
 
     def dataset(self, kind, n, seed) -> dt.Dataset:
-        """n samples of task `kind`; the one place that knows the data recipe."""
-        stub = None if kind == "text-pretrain" else self.stub()
-        return dt.generate(self._spec(kind, n, seed), stub)
+        """n samples of task `kind`, sized to `model`; `data.generate` is the recipe."""
+        return dt.generate(self._spec(kind, n, seed))
 
     def eval_dataset(self, kind):
         """Held-out split of `kind`; compare, train, sweep-lr, grad-stats score it."""

@@ -29,8 +29,7 @@ MICRO = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, vocab_size=96,
 
 def micro_mm(n=48, seed=0):
     model = md.build(md.ModelConfig(**MICRO), seed=seed)
-    stub = dt.VisionStub(d_visual=8, n_slots=64, seed=7)
-    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=n, seed=seed), stub)
+    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=n, seed=seed, d_visual=8))
     return model, ds
 
 

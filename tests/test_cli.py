@@ -186,6 +186,40 @@ def test_budget_table_csv(capsys):
     assert ",True,True" in ln7
 
 
+# `normadapt budget --reference-table`, with the rows held back until stdin
+# closes, so a test can close stdout between the header and the rows
+HELD_TABLE_SCRIPT = """
+import sys
+from normadapt import budget, cli
+table = budget.reference_table
+def held_table():
+    sys.stdin.read()
+    return table()
+budget.reference_table = held_table
+sys.exit(cli.main(["budget", "--reference-table"]))
+"""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_ends_the_run_quietly(unbuffered):
+    """`normadapt budget --reference-table | head -1`: the rows go to a pipe
+    whose reader has gone.  That is no usage error: status 1 and nothing on
+    stderr, whether each print writes at once or the run flushes at its end."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-c", HELD_TABLE_SCRIPT], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    if unbuffered:  # the header is out before the rows are made
+        assert proc.stdout.readline().startswith(b"preset,strategy,")
+    proc.stdout.close()
+    proc.stdin.close()
+    status = proc.wait(timeout=60)
+    with proc.stderr:
+        assert (status, proc.stderr.read()) == (1, b"")
+
+
 def usage_error(capsys, argv):
     """stderr of a command that must end as a usage error (status 2)."""
     with pytest.raises(SystemExit) as exit_:
@@ -565,6 +599,9 @@ def test_config_key_the_command_does_not_read_is_refused(
     (["normcheck", "--n-grid", "16"],
      "normadapt normcheck: error: variance_scaling_study: n_grid needs at least "
      "2 sizes to fit a slope, got [16]\n"),
+    (["normcheck", "--n-grid", "1,4"],
+     "normadapt normcheck: error: variance_scaling_study: n_grid sizes must be "
+     ">= 2, got [1, 4]\n"),
     (["compare", "--mixture", "1,2"],
      "normadapt compare: error: argument --mixture: mixture needs 3 "
      "comma-separated weights, got '1,2'\n"),
@@ -575,11 +612,16 @@ def test_config_key_the_command_does_not_read_is_refused(
         "eval-interval-negative", "seed-negative", "seed-split-past-2-64",
         "n-samples-0", "n-eval-0", "sweep-repeated-lr", "bytes-per-param-negative",
         "bytes-per-param-0-table", "normcheck-trials-0", "normcheck-trials-negative",
-        "normcheck-one-size", "mixture-two-weights", "mixture-not-numbers"])
+        "normcheck-one-size", "normcheck-size-below-2", "mixture-two-weights",
+        "mixture-not-numbers"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
+    """Refused before anything reaches stdout (a table's header included)."""
     # argparse leads the report of a bad flag value with the command's usage
     usage = subcommands()[argv[0]].format_usage() if ": argument --" in message else ""
-    assert usage_error(capsys, argv) == usage + message
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr() == ("", usage + message)
 
 
 def test_compare_refuses_negative_seeds_before_pretraining(monkeypatch, capsys):

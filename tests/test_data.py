@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from normadapt import data as dt
-from normadapt import model as md
 from normadapt import training as tr
 
 _M32, _M64 = 2**32 - 1, 2**64 - 1
@@ -42,7 +41,7 @@ def ref_noise(key, i, size):
             + [r * math.sin(a) for r, a in zip(radii, angles)])[:size]
 
 
-def reference_generate(spec, stub=None):
+def reference_generate(spec):
     """The recipe `generate` computes in bulk, one sample at a time."""
     K, M = spec.n_attrs, dt.N_VALUES
     n, T = spec.n_samples, spec.seq_len
@@ -53,7 +52,9 @@ def reference_generate(spec, stub=None):
     answer_mask = np.zeros((n, T), dtype=bool)
     categories = np.zeros(n, dtype=np.int64)
     values = np.zeros((n, K), dtype=np.int64)
-    features = np.zeros((n, K, stub.d_visual)) if visual else None
+    d = spec.d_visual
+    features = np.zeros((n, K, d)) if visual else None
+    table = np.random.default_rng(dt.STUB_SEED).normal(0.0, 1.0, (K * M, d))
     prefix = K if visual else 0
     targets = np.full((n, prefix + T), dt.IGNORE, dtype=np.int64)
     for i in range(n):
@@ -88,10 +89,9 @@ def reference_generate(spec, stub=None):
         categories[i] = cat
         values[i] = z
         if visual:
-            d = stub.d_visual
-            noise = ref_noise((stub.seed, spec.seed), i, K * d)
+            noise = ref_noise((dt.STUB_SEED, spec.seed), i, K * d)
             for k in range(K):
-                row = stub._table[k * M + z[k]].tolist()
+                row = table[k * M + z[k]].tolist()
                 features[i, k] = [row[c] + dt.NOISE_STD * noise[k * d + c]
                                   for c in range(d)]
         for j in range(len(toks) - 1):
@@ -104,10 +104,10 @@ def reference_generate(spec, stub=None):
                 categories=categories, values=values, features=features)
 
 
-def assert_is_reference(ds, stub=None):
+def assert_is_reference(ds):
     """Integer arrays bitwise; features to 1 float32 ulp, as numpy's log, cos
     and sin may differ from the C library's by an ulp in float64."""
-    for name, expect in reference_generate(ds.spec, stub).items():
+    for name, expect in reference_generate(ds.spec).items():
         actual = getattr(ds, name)
         if expect is None:
             assert actual is None
@@ -119,8 +119,8 @@ def assert_is_reference(ds, stub=None):
             assert actual.tobytes() == expect.tobytes(), name
 
 
-def assert_matches_reference(sp, stub=None):
-    assert_is_reference(dt.generate(sp, stub), stub)
+def assert_matches_reference(sp):
+    assert_is_reference(dt.generate(sp))
 
 
 def spec(**overrides):
@@ -129,21 +129,18 @@ def spec(**overrides):
     return dt.TaskSpec(**base)
 
 
-STUB = tr.AdaptProtocol().stub()  # for the default 4 attributes of 16 values
-
-
 def test_same_seed_is_bitwise_identical():
-    a = dt.generate(spec(kind="mm-adapt"), STUB)
-    b = dt.generate(spec(kind="mm-adapt"), STUB)
+    a = dt.generate(spec(kind="mm-adapt"))
+    b = dt.generate(spec(kind="mm-adapt"))
     np.testing.assert_array_equal(a.tokens, b.tokens)
     np.testing.assert_array_equal(a.targets, b.targets)
     np.testing.assert_array_equal(a.features, b.features)
-    c = dt.generate(spec(kind="mm-adapt", seed=1), STUB)
+    c = dt.generate(spec(kind="mm-adapt", seed=1))
     assert not np.array_equal(a.tokens, c.tokens)
 
 
-# stub case -> (stub seed, noise scale).  Every stub is aligned; the case
-# named "unaligned" keeps its test id and covers the largest stub seed.
+# stub case -> (STUB_SEED, noise scale) patched into `data`.  The case named
+# "unaligned" keeps its test id and covers the largest stub seed.
 ORACLE_STUBS = {
     "unaligned": (2**64 - 1, dt.NOISE_STD),
     "noiseless": (2, 0.0),
@@ -164,25 +161,23 @@ def test_generate_matches_per_sample_reference(monkeypatch, kind, stub, mixture,
     value count `data.N_VALUES` is set to, not only at its 16."""
     K, M = attrs_values
     monkeypatch.setattr(dt, "N_VALUES", M)
+    d_visual = 64  # TaskSpec's default
+    if stub != "default":
+        stub_seed, noise = ORACLE_STUBS[stub]
+        monkeypatch.setattr(dt, "STUB_SEED", stub_seed)
+        monkeypatch.setattr(dt, "NOISE_STD", noise)
+        d_visual = 6
     # seeds past 2**63 reach the hash as uint64, up to the largest
     for seed in (0, 3, 11, 2**32 + 5, 2**63 + 7, 2**64 - 1):
-        sp = spec(kind=kind, n_samples=40, mixture=mixture, n_attrs=K, seed=seed)
-        if stub == "default":
-            st = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K)).stub()
-        else:
-            stub_seed, noise = ORACLE_STUBS[stub]
-            monkeypatch.setattr(dt, "NOISE_STD", noise)
-            st = dt.VisionStub(d_visual=6, n_slots=K * M, seed=stub_seed)
-        assert_matches_reference(sp, st)
+        assert_matches_reference(spec(kind=kind, n_samples=40, mixture=mixture,
+                                      n_attrs=K, seed=seed, d_visual=d_visual))
 
 
 @pytest.mark.parametrize("kind", dt.TASK_KINDS)
 def test_generate_single_attribute_without_reasoning(kind):
     for mixture in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0)):
-        stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=1),
-                                mixture=mixture).stub()
         assert_matches_reference(spec(kind=kind, n_samples=20, n_attrs=1,
-                                      mixture=mixture), stub)
+                                      mixture=mixture))
 
 
 @pytest.mark.parametrize("split", ["text_dataset", "mm_datasets"])
@@ -191,9 +186,8 @@ def test_default_protocol_training_splits_match_reference(split):
     proto = tr.AdaptProtocol()
     ds = getattr(proto, split)()
     ds = ds[0] if split == "mm_datasets" else ds
-    stub = proto.stub() if split == "mm_datasets" else None
     assert len(ds) == 4096
-    assert_is_reference(ds, stub)
+    assert_is_reference(ds)
 
 
 def test_degenerate_mixture_labels_all_conversation():
@@ -222,6 +216,9 @@ def test_mixture_validation():
         spec(seed=-3)
     with pytest.raises(ValueError, match="n_attrs must be positive, got 0"):
         spec(n_attrs=0, mixture=(0.5, 0.5, 0.0))
+    for d_visual in (0, -1):
+        with pytest.raises(ValueError, match=f"d_visual must be positive, got {d_visual}"):
+            spec(d_visual=d_visual)
 
 
 def test_category_counts_track_mixture():
@@ -232,7 +229,7 @@ def test_category_counts_track_mixture():
 
 def test_oracle_decoder_recovers_every_answer():
     for kind in dt.TASK_KINDS:
-        ds = dt.generate(spec(kind=kind, n_samples=200, seed=5), STUB)
+        ds = dt.generate(spec(kind=kind, n_samples=200, seed=5))
         for i in range(len(ds)):
             expect = dict(dt.expected_answers(ds.tokens[i], ds.values[i], ds.spec))
             masked = np.flatnonzero(ds.answer_mask[i])
@@ -255,7 +252,7 @@ def test_text_targets_score_all_transitions():
 
 
 def test_mm_targets_are_answer_only_with_prefix_offset():
-    ds = dt.generate(spec(kind="mm-adapt", n_samples=20, seed=2), STUB)
+    ds = dt.generate(spec(kind="mm-adapt", n_samples=20, seed=2))
     K = ds.spec.n_attrs
     assert ds.targets.shape == (20, K + ds.spec.seq_len)
     assert (ds.targets[:, :K] == dt.IGNORE).all()
@@ -269,12 +266,13 @@ def test_mm_targets_are_answer_only_with_prefix_offset():
 
 def test_features_follow_latent_slots(monkeypatch):
     monkeypatch.setattr(dt, "NOISE_STD", 0.0)
-    st = dt.VisionStub(d_visual=8, n_slots=4 * 16, seed=11)
-    ds = dt.generate(spec(kind="mm-adapt", n_samples=10, seed=4), stub=st)
+    monkeypatch.setattr(dt, "STUB_SEED", 11)
+    ds = dt.generate(spec(kind="mm-adapt", n_samples=10, seed=4, d_visual=8))
+    table = np.random.default_rng(11).normal(0.0, 1.0, (4 * 16, 8))
     for i in range(10):
         slots = np.arange(4) * 16 + ds.values[i]
         assert ds.features.dtype == np.float32
-        np.testing.assert_array_equal(ds.features[i], st._table[slots].astype(np.float32))
+        np.testing.assert_array_equal(ds.features[i], table[slots].astype(np.float32))
 
 
 def test_vocab_requirement_arithmetic():
@@ -299,70 +297,52 @@ def test_reasoning_relation_tokens():
     assert seen == {dt.GT, dt.LT, dt.EQ}  # all three outcomes occur at n=300
 
 
-def test_mm_adapt_needs_a_stub():
-    with pytest.raises(ValueError, match="VisionStub"):
-        dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4))
-
-
-def test_vision_stub_features_across_chunks():
+def test_features_across_chunks(monkeypatch):
     """Samples past the first float64 chunk are drawn and rounded to float32
-    as the first ones are, for ids and keys up to 2**64 - 1."""
-    stub = dt.VisionStub(d_visual=3, n_slots=7, seed=2**64 - 1)
+    as the first ones are, for split seeds and stub seeds up to 2**64 - 1."""
+    monkeypatch.setattr(dt, "STUB_SEED", 2**64 - 1)
     n = 2 * dt._FEATURE_CHUNK + 5
-    slots = np.arange(2 * n).reshape(n, 2) % 7
-    ids = np.arange(2**64 - n, 2**64, dtype=np.uint64)
-    got = stub.features(slots, ids, 2**63)
-    assert got.dtype == np.float32 and got.shape == (n, 2, 3)
+    ds = dt.generate(spec(kind="mm-adapt", n_samples=n, n_attrs=2, seed=2**64 - 1,
+                          d_visual=3))
+    assert ds.features.dtype == np.float32 and ds.features.shape == (n, 2, 3)
+    table = np.random.default_rng(2**64 - 1).normal(0.0, 1.0, (2 * dt.N_VALUES, 3))
     for i in (0, dt._FEATURE_CHUNK - 1, dt._FEATURE_CHUNK, 2 * dt._FEATURE_CHUNK, n - 1):
-        noise = np.reshape(ref_noise((2**64 - 1, 2**63), int(ids[i]), 6), (2, 3))
-        want = (stub._table[slots[i]] + dt.NOISE_STD * noise).astype(np.float32)
-        np.testing.assert_array_max_ulp(got[i], want, maxulp=1)
-
-
-def test_vision_stub_determinism_and_modes():
-    a = dt.VisionStub(d_visual=6, n_slots=10, seed=3)
-    b = dt.VisionStub(d_visual=6, n_slots=10, seed=3)
-    slots = np.array([[1, 4, 7]])
-    np.testing.assert_array_equal(a.features(slots, [17]), b.features(slots, [17]))
-    assert not np.allclose(a.features(slots, [17]), a.features(slots, [18]))
-    with pytest.raises(ValueError):
-        a.features(np.array([[10]]), [0])
-
-    # a batched call is its one-row batches stacked, bitwise
-    batch = np.array([[1, 4, 7], [0, 9, 2], [3, 3, 5], [8, 6, 1]])
-    ids = np.array([17, 18, 5, 400_000_000_000])
-    rows = a.features(batch, ids)
-    assert rows.shape == (4, 3, 6)
-    for i in range(len(batch)):
-        np.testing.assert_array_equal(rows[i:i + 1],
-                                      a.features(batch[i:i + 1], ids[i:i + 1]))
-    with pytest.raises(ValueError, match="sample_id shape"):
-        a.features(batch, 17)
-    with pytest.raises(ValueError, match="sample_id shape"):
-        a.features(batch[0], 17)  # one sample is a one-row batch
-    with pytest.raises(ValueError, match="out of range"):
-        a.features(np.array([[1, 2], [3, -1]]), [0, 1])
+        noise = np.reshape(ref_noise((2**64 - 1, 2**64 - 1), i, 6), (2, 3))
+        slots = np.arange(2) * dt.N_VALUES + ds.values[i]
+        want = (table[slots] + dt.NOISE_STD * noise).astype(np.float32)
+        np.testing.assert_array_max_ulp(ds.features[i], want, maxulp=1)
 
 
 def test_generate_makes_no_bit_generator_for_its_draws(monkeypatch):
-    """Every draw and all visual noise come from the counter hash; the stub's
-    slot table was drawn when the stub was built."""
+    """Every draw and all visual noise come from the counter hash: a text
+    split makes no numpy generator, and an mm-adapt split makes one, seeded
+    by STUB_SEED, for its slot table."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def record(*args, **kwargs):
+        made.append((args, kwargs))
+        return default_rng(*args, **kwargs)
+
     def refuse(*args, **kwargs):
         raise AssertionError("generate made a numpy generator")
 
-    for name in ("default_rng", "Generator", "PCG64"):
+    monkeypatch.setattr(np.random, "default_rng", record)
+    for name in ("Generator", "PCG64"):
         monkeypatch.setattr(np.random, name, refuse)
     assert len(dt.generate(spec(n_samples=300))) == 300
-    assert len(dt.generate(spec(kind="mm-adapt", n_samples=300), STUB)) == 300
+    assert made == []
+    assert len(dt.generate(spec(kind="mm-adapt", n_samples=300))) == 300
+    assert made == [((dt.STUB_SEED,), {})]
 
 
 @pytest.mark.parametrize("kind", dt.TASK_KINDS)
 def test_a_split_is_a_prefix_of_a_longer_one(kind):
     """Sample i depends only on (seed, i), across feature chunks too."""
     n = 2 * dt._FEATURE_CHUNK + 37
-    whole = dt.generate(spec(kind=kind, n_samples=n, seed=12), STUB)
+    whole = dt.generate(spec(kind=kind, n_samples=n, seed=12))
     for k in (1, dt._FEATURE_CHUNK + 3, n - 1):
-        head = dt.generate(spec(kind=kind, n_samples=k, seed=12), STUB)
+        head = dt.generate(spec(kind=kind, n_samples=k, seed=12))
         for name in ("tokens", "targets", "answer_mask", "categories", "values",
                      "features"):
             if getattr(whole, name) is None:
@@ -386,11 +366,6 @@ def test_seeds_from_2_64_up_are_refused_by_name():
     with pytest.raises(ValueError, match=re.escape(f"seed must be below 2**64, got {2**64}")):
         spec(seed=2**64)
     assert spec(kind="mm-adapt", seed=2**64 - 1).seed == 2**64 - 1
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
-            dt.VisionStub(d_visual=4, n_slots=8, seed=seed)
-    with pytest.raises(ValueError, match="non-negative integers"):
-        STUB.features(np.array([[1, 2]]), [-1])
     # the held-out split's seed + 3000 is the largest split seed
     assert tr.AdaptProtocol(seed=2**64 - 3001).seed == 2**64 - 3001
     with pytest.raises(ValueError, match=re.escape(

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from normadapt import autograd as ag
 from normadapt import data as dt
 from normadapt import model as md
-from normadapt import training as tr
 from normadapt.strategies import inject_lora
 
 from test_autograd import (assert_same_bits, ref_causal_attention, ref_cross_entropy,
@@ -83,36 +82,28 @@ def test_loss_matches_cross_entropy_of_forward(case):
 
 @st.composite
 def task_cases(draw):
-    """(TaskSpec, VisionStub or None for text): any kind, 2-5 attributes,
-    any mixture (categories may be missing), and seeds small, near 2**32 or
-    near the largest, 2**64 - 1.  An mm-adapt spec takes the protocol's stub
-    or one of its own, whose seed ranges as widely."""
-    kind = draw(st.sampled_from(dt.TASK_KINDS), label="kind")
+    """A TaskSpec of any kind, 2-5 attributes, any mixture (categories may
+    be missing), seeds small, near 2**32 or near the largest, 2**64 - 1, and
+    visual features 1-5 wide or of the default 64."""
     K = draw(st.integers(2, 5), label="n_attrs")
     weights = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)
                    .filter(any), label="mixture weights")
     seed = st.one_of(st.integers(0, 2**16), st.integers(2**32 - 40, 2**34),
                      st.integers(2**64 - 40, 2**64 - 1))
-    spec = dt.TaskSpec(
-        kind=kind, n_samples=draw(st.integers(1, 40), label="n_samples"),
+    return dt.TaskSpec(
+        kind=draw(st.sampled_from(dt.TASK_KINDS), label="kind"),
+        n_samples=draw(st.integers(1, 40), label="n_samples"),
         mixture=tuple(w / sum(weights) for w in weights), n_attrs=K,
-        seed=draw(seed, label="seed"))
-    stub = None
-    if kind == "mm-adapt" and draw(st.booleans(), label="own stub"):
-        stub = dt.VisionStub(d_visual=draw(st.integers(1, 5), label="d_visual"),
-                             n_slots=K * dt.N_VALUES,
-                             seed=draw(seed, label="stub seed"))
-    elif kind == "mm-adapt":
-        stub = tr.AdaptProtocol(model=md.ModelConfig(n_visual_tokens=K)).stub()
-    return spec, stub
+        seed=draw(seed, label="seed"),
+        d_visual=draw(st.one_of(st.integers(1, 5), st.just(64)), label="d_visual"))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=task_cases())
-def test_generate_matches_per_sample_reference(case):
+@given(spec=task_cases())
+def test_generate_matches_per_sample_reference(spec):
     """Bulk `generate` writes every array as the plain-Python per-sample
     reference of its recipe."""
-    assert_matches_reference(*case)
+    assert_matches_reference(spec)
 
 
 @st.composite

@@ -11,7 +11,6 @@ from normadapt import autograd as ag
 from normadapt import budget
 from normadapt import data as dt
 from normadapt import model as md
-from normadapt import training as tr
 from normadapt.strategies import inject_lora, merge_lora
 
 from finite_diff import central_difference, max_relative_error
@@ -303,8 +302,7 @@ def test_mm_loss_looks_up_block0_input_from_one_table():
     # the token and visual rows from the embedding table joined with the
     # connector's rows, the positions, and the last block's kept rows twice
     m = md.build(md.ModelConfig())
-    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4),
-                     tr.AdaptProtocol().stub())
+    ds = dt.generate(dt.TaskSpec(kind="mm-adapt", n_samples=4))
     loss = m.loss(ds.tokens, ds.features, ds.targets)
     ops = [node.op for node in ag._toposort(loss._node)]
     assert ops.count("embed_lookup") == 4 and ops.count("concat") == 1

@@ -150,7 +150,9 @@ def test_scaling_study_rejects_unsorted_grid():
     ([16, 64], -1, "trials must be >= 1, got -1"),
     ([16], 5, "n_grid needs at least 2 sizes"),
     ([], 5, "n_grid needs at least 2 sizes"),
-], ids=["trials-0", "trials-negative", "one-size", "no-size"])
+    ([1, 4], 5, r"n_grid sizes must be >= 2, got \[1, 4\]"),
+    ([0, 16], 5, r"n_grid sizes must be >= 2, got \[0, 16\]"),
+], ids=["trials-0", "trials-negative", "one-size", "no-size", "size-1", "size-0"])
 def test_scaling_study_refuses_too_few_trials_or_sizes(grid, trials, message):
     with pytest.raises(ValueError, match=message):
         nm.variance_scaling_study(grid, trials=trials)

@@ -32,9 +32,7 @@ def micro_protocol(**overrides):
 
 def micro_setup(kind="text-pretrain", n=64, seed=0):
     model = md.build(md.ModelConfig(**MICRO_MODEL), seed=seed)
-    stub = dt.VisionStub(d_visual=8, n_slots=64, seed=7)
-    ds = dt.generate(dt.TaskSpec(kind=kind, n_samples=n, seed=seed),
-                     stub if kind == "mm-adapt" else None)
+    ds = dt.generate(dt.TaskSpec(kind=kind, n_samples=n, seed=seed, d_visual=8))
     return model, ds
 
 
@@ -475,7 +473,7 @@ def test_protocol_splits_take_their_shape_from_the_model(tokens, text_len, mm_le
     assert (text.spec.n_attrs, text.spec.seq_len) == (tokens, text_len)
     assert (mm.spec.n_attrs, mm.spec.seq_len) == (tokens, mm_len)
     assert mm.features.shape == (8, tokens, proto.model.d_visual)
-    assert proto.stub().n_slots == tokens * dt.N_VALUES
+    assert mm.spec.d_visual == proto.model.d_visual
     for ds in (text, mm):  # one PAD past the longest sample
         assert (ds.tokens[:, -1] == dt.PAD).all()
 
