@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import operator
 
 import numpy as np
 
@@ -63,6 +64,22 @@ class ShapeError(ValueError):
 
 class DegenerateSigmaError(ValueError):
     """Normalization over a constant vector with epsilon 0 (sigma = 0)."""
+
+
+def check_count(name, value, low=0):
+    """`value` as an int, refused by name unless it is an integer of at least
+    `low`; a bool is not a count.  The configs of data, model, strategies
+    and training check every count, size and seed here, the one module they
+    all import."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if index < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return index
 
 
 _grad_enabled = True

@@ -1,5 +1,5 @@
 """Command-line surface: train, sweep-lr, compare, budget, similarity,
-grad-stats, normcheck.
+normcheck.
 
 Only stdlib imports happen at module level, so the package's NORMADAPT_THREADS
 cap takes effect before numpy loads its BLAS backend.
@@ -153,11 +153,14 @@ def _run_inputs(args, **fixed):
 
 def cmd_train(args):
     from . import training as tr
+    from .analysis import GradTrace
     opts, cfg, model, train_ds, eval_ds = _run_inputs(
         args, eval_interval=args.eval_interval)
     outdir = opts["outdir"]
+    traced = ({} if args.trace_every is None else
+              {"trace": GradTrace(), "trace_every": args.trace_every})
     record = tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
-                      outdir=outdir)
+                      outdir=outdir, **traced)
     print(json.dumps({"strategy": record.selection["strategy"],
                       "final_eval": record.final_eval,
                       "aborted": record.aborted,
@@ -259,21 +262,6 @@ def cmd_similarity(args):
     return 0
 
 
-def cmd_grad_stats(args):
-    from . import training as tr
-    from .analysis import GradTrace
-    opts, cfg, model, train_ds, eval_ds = _run_inputs(args)
-    trace = GradTrace()
-    record = tr.train(model, _strategy_from_opts(opts), train_ds, eval_ds, cfg,
-                      outdir=opts.get("outdir"), trace=trace,
-                      trace_every=args.trace_every)
-    if "gradtrace" in record.artifacts:
-        print(record.artifacts["gradtrace"])
-    else:
-        trace.to_csv(sys.stdout)
-    return 1 if record.aborted else 0
-
-
 def cmd_normcheck(args):
     import numpy as np
     from . import normmath as nm
@@ -312,7 +300,7 @@ def cmd_normcheck(args):
     return 0 if payload["ok"] else 1
 
 
-# Options of the training commands; `train` and `grad-stats` add lr and outdir.
+# Options of the training commands; `train` adds lr and outdir.
 _RUN_OPTIONS = ("strategy", "steps", "batch", "warmup_ratio", "seed",
                 "norm_kind", "lora_rank", "mixture")
 
@@ -338,6 +326,9 @@ def build_parser():
                  lr=1e-3, steps=200, outdir="runs/train")
     _add_data_args(p)
     p.add_argument("--eval-interval", dest="eval_interval", type=int, default=0)
+    p.add_argument("--trace-every", dest="trace_every", type=int, default=None,
+                   help="write gradtrace.csv, the norm gradients of every "
+                        "N-th step (unset: no trace)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep-lr", help="grid-search the learning rate")
@@ -378,12 +369,6 @@ def build_parser():
     p.add_argument("--probe-samples", dest="probe_samples", type=int, default=64)
     p.add_argument("--outdir", default="runs/similarity")
     p.set_defaults(func=cmd_similarity)
-
-    p = sub.add_parser("grad-stats", help="trace per-step norm-gradient stats")
-    _add_options(p, _RUN_OPTIONS + ("lr", "outdir"), lr=1e-3, steps=50)
-    _add_data_args(p)
-    p.add_argument("--trace-every", dest="trace_every", type=int, default=10)
-    p.set_defaults(func=cmd_grad_stats)
 
     p = sub.add_parser("normcheck", help="verify normalization backward math")
     p.add_argument("--seed", type=int, default=0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import IGNORE
+from .autograd import IGNORE, check_count
 
 PAD, BOS, SEP, Q, DESC, CMP, GT, LT, EQ = range(9)
 _N_SPECIALS = 9
@@ -63,16 +63,11 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
-        if self.n_samples <= 0:
-            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("n_samples", 1), ("seed", 0), ("n_attrs", 1),
+                          ("d_visual", 1)):
+            check_count(name, getattr(self, name), low)
         if self.seed >= 2**64:  # the hash takes it as one uint64
             raise ValueError(f"seed must be below 2**64, got {self.seed}")
-        if self.n_attrs < 1:
-            raise ValueError(f"n_attrs must be positive, got {self.n_attrs}")
-        if self.d_visual < 1:
-            raise ValueError(f"d_visual must be positive, got {self.d_visual}")
         mix = tuple(float(w) for w in self.mixture)
         if len(mix) != len(CATEGORIES) or not all(0 <= w < np.inf for w in mix):
             raise ValueError(f"mixture needs {len(CATEGORIES)} finite non-negative "

@@ -43,11 +43,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size",
                      "max_seq", "n_visual_tokens", "d_visual"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value <= 0):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, ag.check_count(name, getattr(self, name), 1))
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")

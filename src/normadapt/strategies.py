@@ -46,8 +46,7 @@ class TuningStrategy:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; "
                              f"expected one of {STRATEGY_KINDS}")
-        if self.lora_rank < 1:
-            raise ValueError(f"lora_rank must be >= 1, got {self.lora_rank}")
+        ag.check_count("lora_rank", self.lora_rank, 1)
 
 
 @dataclass(frozen=True)

@@ -120,20 +120,14 @@ class TrainConfig:
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
         _check_rate("lr", self.lr)
-        _check_count("steps", self.steps)
-        _check_count("batch", self.batch, 1)
-        _check_count("eval_interval", self.eval_interval)
-        _check_count("seed", self.seed)
+        for name, low in (("steps", 0), ("batch", 1), ("eval_interval", 0),
+                          ("seed", 0)):
+            ag.check_count(name, getattr(self, name), low)
 
 
 def _check_rate(name, value):
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _check_count(name, value, low=0):
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -214,8 +208,7 @@ def train(model: Model, strategy: TuningStrategy, train_ds: dt.Dataset, eval_ds,
     step at lr 0) can change no parameter, so it runs its forward under
     `no_grad` and records the loss only, unless the trace records that step.
     """
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
+    ag.check_count("trace_every", trace_every, 1)
     if trace is not None and not norm_paths(strategy, model.tree):
         raise ValueError(f"strategy {strategy.kind!r} trains no norm parameter, "
                          "so there are no norm gradients to trace")
@@ -366,10 +359,11 @@ class AdaptProtocol:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        _check_count("n_train", self.n_train, 1)
-        _check_count("n_eval", self.n_eval, 1)
+        # batch and the step counts by TrainConfig's rules, under this class's names
+        for name, low in (("seed", 0), ("n_train", 1), ("n_eval", 1), ("batch", 1),
+                          ("pretrain_steps", 0), ("connector_steps", 0),
+                          ("adapt_steps", 0)):
+            ag.check_count(name, getattr(self, name), low)
         vocab = dt.vocab_required(self.model.n_visual_tokens)
         if self.model.vocab_size < vocab:
             raise ValueError(f"model vocab_size {self.model.vocab_size} is below "
@@ -388,10 +382,6 @@ class AdaptProtocol:
         except ValueError as err:
             raise ValueError(f"seed {self.seed} too large: the held-out split's "
                              f"seed + 3000 is refused ({err})") from None
-        # each stage's TrainConfig fields, by TrainConfig's rules and by name
-        _check_count("batch", self.batch, 1)
-        for stage in ("pretrain", "connector", "adapt"):
-            _check_count(f"{stage}_steps", getattr(self, f"{stage}_steps"))
 
     def _spec(self, kind, n, seed) -> dt.TaskSpec:
         return dt.TaskSpec(kind=kind, n_samples=n, mixture=self.mixture,
@@ -403,7 +393,7 @@ class AdaptProtocol:
         return dt.generate(self._spec(kind, n, seed))
 
     def eval_dataset(self, kind):
-        """Held-out split of `kind`; compare, train, sweep-lr, grad-stats score it."""
+        """Held-out split of `kind`; compare, train and sweep-lr score it."""
         return self.dataset(kind, self.n_eval, self.seed + 3000)
 
     def text_dataset(self):
@@ -475,7 +465,7 @@ def compare_strategies(strategy_names, protocol: AdaptProtocol, seeds=(0,),
         if len(set(items)) < len(items):
             raise ValueError(f"repeated {what} in {items}")
     for seed in seeds:
-        _check_count("seed", seed)
+        ag.check_count("seed", seed)
     stage2 = [(name, TuningStrategy(name)) for name in strategy_names]
     if outdir is not None:
         Path(outdir).mkdir(parents=True, exist_ok=True)

@@ -195,7 +195,7 @@ def test_lora_inject_exact_and_merge_close():
 def test_toy_adaptation_gains():
     """Two-stage protocol, 3 seeds: gain = (frozen - strategy)/(frozen -
     finetune) on held-out loss.  Median gain: norm tuning >= 0.7, gain-only
-    norm tuning >= 0.4.  Budget: 10 CPU minutes."""
+    norm tuning >= 0.4.  Budget: 10 minutes of wall time."""
     started = time.perf_counter()
     protocol = tr.AdaptProtocol()
     report = tr.compare_strategies(

@@ -272,8 +272,8 @@ def test_train_writes_artifacts_and_summary(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["strategy"] == "layernorm" and not out["aborted"]
-    for name in ("metrics.csv", "model.ckpt", "run.json"):
-        assert (outdir / name).exists()
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "metrics.csv", "model.ckpt", "run.json"]
 
 
 def test_train_init_from_checkpoint(tmp_path, capsys):
@@ -491,9 +491,9 @@ def test_similarity_refuses_a_one_layer_model(tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_grad_stats_csv(tmp_path, capsys):
+def test_train_trace_every_writes_the_csv(tmp_path, capsys):
     outdir = tmp_path / "gs"
-    rc = cli.main(["grad-stats", "--task", "mm-adapt", "--strategy",
+    rc = cli.main(["train", "--task", "mm-adapt", "--strategy",
                    "layernorm-simple", "--lr", "1e-3", "--trace-every", "1",
                    "--outdir", str(outdir), *TINY])
     assert rc == 0
@@ -505,28 +505,19 @@ def test_grad_stats_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("strategy", ["connector-only", "lora", "attn-qv", "attn-mlp"])
-def test_grad_stats_refuses_a_strategy_without_norms(strategy, tmp_path, capsys):
+def test_train_trace_refuses_a_strategy_without_norms(strategy, tmp_path, capsys):
     outdir = tmp_path / "gs"
-    err = usage_error(capsys, ["grad-stats", "--strategy", strategy,
+    err = usage_error(capsys, ["train", "--trace-every", "1", "--strategy", strategy,
                                "--outdir", str(outdir), *TINY])
-    assert err == (f"normadapt grad-stats: error: strategy {strategy!r} trains no "
+    assert err == (f"normadapt train: error: strategy {strategy!r} trains no "
                    "norm parameter, so there are no norm gradients to trace\n")
     assert not outdir.exists()
 
 
-def test_grad_stats_stdout_when_no_outdir(capsys):
-    rc = cli.main(["grad-stats", "--task", "mm-adapt", "--strategy",
-                   "layernorm-simple", "--lr", "1e-3", "--trace-every", "1",
-                   "--steps", "2", "--batch", "4", "--n-samples", "8",
-                   "--n-eval", "8"])
-    assert rc == 0
-    assert capsys.readouterr().out.startswith("step,path,mean,variance")
-
-
 # ------------------------------------------------- options each command reads
 
-@pytest.mark.parametrize("command", ["sweep-lr", "grad-stats"])
-def test_warmup_ratio_reaches_train(command, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["train", "sweep-lr"])
+def test_warmup_ratio_reaches_train(command, tmp_path, monkeypatch, capsys):
     seen = []
 
     def fake_train(model, strategy, train_ds, eval_ds, config, **kwargs):
@@ -536,7 +527,8 @@ def test_warmup_ratio_reaches_train(command, monkeypatch, capsys):
                             wall_clock=0.0)
 
     monkeypatch.setattr(tr, "train", fake_train)
-    extra = ["--grid", "1e-3"] if command == "sweep-lr" else []
+    extra = (["--grid", "1e-3"] if command == "sweep-lr" else
+             ["--outdir", str(tmp_path / "run")])
     rc = cli.main([command, "--warmup-ratio", "0.5", *extra, *TINY])
     assert rc == 0
     (cfg,) = seen
@@ -567,10 +559,10 @@ def test_config_key_the_command_does_not_read_is_refused(
      "normadapt compare: error: unknown strategy 'nope'; expected one of "
      "('finetune', 'lora', 'attn-qv', 'attn-mlp', 'layernorm', "
      "'layernorm-simple', 'connector-only')\n"),
-    (["grad-stats", "--trace-every", "0", *TINY],
-     "normadapt grad-stats: error: trace_every must be >= 1, got 0\n"),
-    (["grad-stats", "--trace-every", "-2", *TINY],
-     "normadapt grad-stats: error: trace_every must be >= 1, got -2\n"),
+    (["train", "--trace-every", "0", *TINY],
+     "normadapt train: error: trace_every must be >= 1, got 0\n"),
+    (["train", "--trace-every", "-2", *TINY],
+     "normadapt train: error: trace_every must be >= 1, got -2\n"),
     (["train", "--eval-interval", "-2", *TINY],
      "normadapt train: error: eval_interval must be >= 0, got -2\n"),
     (["train", "--steps", "1", "--batch", "2", "--n-samples", "4", "--n-eval", "4",
@@ -688,8 +680,8 @@ def test_sweep_lr_checks_the_whole_grid_before_training(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, owner, stage", [
     (["compare", *TINY_COMPARE], tr, "pretrain"),
-    (["grad-stats", *TINY], Model, "loss"),
-], ids=["compare", "grad-stats"])
+    (["train", "--trace-every", "1", *TINY], Model, "loss"),
+], ids=["compare", "train-trace"])
 def test_outdir_is_made_before_any_training(argv, owner, stage, tmp_path,
                                             monkeypatch, capsys):
     def fail(*args, **kwargs):
@@ -747,7 +739,7 @@ def test_named_grid_resolves_in_the_cli(monkeypatch, capsys):
     assert seen == [tr.LR_GRIDS["paper-grid"]]
 
 
-@pytest.mark.parametrize("command", ["train", "sweep-lr", "grad-stats", "budget"])
+@pytest.mark.parametrize("command", ["train", "sweep-lr", "budget"])
 def test_include_defaults_flag_is_gone(command, capsys):
     err = usage_error(capsys, [command, "--include-defaults", "false"])
     assert "unrecognized arguments: --include-defaults" in err
@@ -761,19 +753,37 @@ def test_removed_flags_are_refused(argv, capsys):
     assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
-def test_grad_stats_reads_outdir_from_config(tmp_path, capsys):
+def test_grad_stats_command_is_gone(capsys):
+    """`train --trace-every N` writes the trace it wrote."""
+    err = usage_error(capsys, ["grad-stats"])
+    assert "error: argument command: invalid choice: 'grad-stats'" in err
+
+
+def test_docs_name_exactly_the_subcommands():
+    """The README's command block and this module's docstring list the
+    commands the parser has, no more and no fewer."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    in_readme = {line.split()[1] for line in block.splitlines()
+                 if line.startswith("normadapt ")}
+    listed = cli.__doc__.split(":", 1)[1].split(".", 1)[0]
+    in_docstring = {name.strip() for name in listed.split(",")}
+    assert in_readme == in_docstring == set(subcommands())
+
+
+def test_train_trace_reads_outdir_from_config(tmp_path, capsys):
     outdir = tmp_path / "gs"
     path = write_config(tmp_path, f"outdir = {outdir}\n")
-    rc = cli.main(["grad-stats", "--config", path, "--strategy",
+    rc = cli.main(["train", "--config", path, "--strategy",
                    "layernorm-simple", "--trace-every", "1", *TINY])
     assert rc == 0
     assert (outdir / "gradtrace.csv").read_text().startswith("step,path,")
-    assert capsys.readouterr().out.strip() == str(outdir / "gradtrace.csv")
+    assert json.loads(capsys.readouterr().out)["outdir"] == str(outdir)
 
 
-def test_grad_stats_outdir_holds_the_run(tmp_path, capsys):
+def test_train_trace_outdir_holds_the_run(tmp_path, capsys):
     outdir = tmp_path / "gs"
-    assert cli.main(["grad-stats", "--strategy", "layernorm-simple",
+    assert cli.main(["train", "--strategy", "layernorm-simple", "--trace-every", "10",
                      "--outdir", str(outdir), *TINY]) == 0
     assert sorted(p.name for p in outdir.iterdir()) == [
         "gradtrace.csv", "metrics.csv", "model.ckpt", "run.json"]
@@ -783,24 +793,26 @@ def test_grad_stats_outdir_holds_the_run(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("command", ["train", "grad-stats"])
-def test_an_aborted_run_exits_1(command, tmp_path, capsys):
+@pytest.mark.parametrize("trace", [[], ["--trace-every", "1"]],
+                         ids=["train", "train-trace"])
+def test_an_aborted_run_exits_1(trace, tmp_path, capsys):
     """A non-finite loss aborts the run; the command says so in its status."""
     outdir = tmp_path / "run"
-    rc = cli.main([command, "--lr", "1e30", "--strategy", "layernorm-simple",
+    rc = cli.main(["train", *trace, "--lr", "1e30", "--strategy", "layernorm-simple",
                    "--outdir", str(outdir), "--steps", "4", "--batch", "2",
                    "--n-samples", "4", "--n-eval", "4"])
     assert rc == 1
     assert json.loads((outdir / "run.json").read_text())["aborted"]
 
 
-def test_grad_stats_with_no_steps_writes_a_header_only_trace(tmp_path, capsys):
+def test_train_trace_with_no_steps_writes_a_header_only_trace(tmp_path, capsys):
     outdir = tmp_path / "gs"
-    assert cli.main(["grad-stats", "--steps", "0", "--outdir", str(outdir),
-                     *TINY[2:]]) == 0
+    assert cli.main(["train", "--trace-every", "10", "--steps", "0",
+                     "--outdir", str(outdir), *TINY[2:]]) == 0
     (header,) = (outdir / "gradtrace.csv").read_text().splitlines()
     assert header.startswith("step,path,mean,variance,")
-    assert capsys.readouterr().out.strip() == str(outdir / "gradtrace.csv")
+    run = json.loads((outdir / "run.json").read_text())
+    assert run["artifacts"]["gradtrace"] == str(outdir / "gradtrace.csv")
 
 
 def test_sweep_lr_has_no_outdir(tmp_path, capsys):

@@ -214,10 +214,10 @@ def test_mixture_validation():
         spec(n_attrs=1, mixture=(0.5, 0.0, 0.5))
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         spec(seed=-3)
-    with pytest.raises(ValueError, match="n_attrs must be positive, got 0"):
+    with pytest.raises(ValueError, match="n_attrs must be >= 1, got 0"):
         spec(n_attrs=0, mixture=(0.5, 0.5, 0.0))
     for d_visual in (0, -1):
-        with pytest.raises(ValueError, match=f"d_visual must be positive, got {d_visual}"):
+        with pytest.raises(ValueError, match=f"d_visual must be >= 1, got {d_visual}"):
             spec(d_visual=d_visual)
 
 

@@ -430,7 +430,7 @@ def test_checkpoint_rejects_truncation(tmp_path):
 @pytest.mark.parametrize("edit, message", [
     (lambda c: c.update(n_experts=8), "unknown key 'n_experts'"),
     (lambda c: c.pop("d_ff"), "missing key 'd_ff'"),
-    (lambda c: c.update(n_layers=None), "n_layers must be a positive integer"),
+    (lambda c: c.update(n_layers=None), "^n_layers must be an integer, got None$"),
 ], ids=["unknown", "missing", "null"])
 def test_checkpoint_rejects_malformed_config(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"

@@ -144,6 +144,39 @@ def test_train_config_validation():
         tr.TrainConfig(lr=1e-3, steps=10, batch=0)
 
 
+def traced_train(trace_every):
+    model, ds = micro_setup()
+    tr.train(model, TuningStrategy("layernorm"), ds, None,
+             tr.TrainConfig(lr=1e-3, steps=2, batch=4), trace=GradTrace(),
+             trace_every=trace_every)
+
+
+# (owner, how to set a count, its count fields) for everything that takes a count
+COUNT_FIELDS = [
+    ("ModelConfig", md.ModelConfig,
+     ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq",
+      "n_visual_tokens", "d_visual")),
+    ("TaskSpec", lambda **kw: dt.TaskSpec(kind="mm-adapt", **{"n_samples": 4, **kw}),
+     ("n_samples", "n_attrs", "seed", "d_visual")),
+    ("TrainConfig", lambda **kw: tr.TrainConfig(lr=1e-3, **{"steps": 1, **kw}),
+     ("steps", "batch", "eval_interval", "seed")),
+    ("AdaptProtocol", tr.AdaptProtocol,
+     ("n_train", "n_eval", "pretrain_steps", "connector_steps", "adapt_steps",
+      "batch", "seed")),
+    ("TuningStrategy", lambda **kw: TuningStrategy("lora", **kw), ("lora_rank",)),
+    ("train", traced_train, ("trace_every",)),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("make, name", [
+    pytest.param(make, name, id=f"{owner}.{name}")
+    for owner, make, names in COUNT_FIELDS for name in names])
+def test_a_count_that_is_not_an_integer_is_refused_by_name(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        make(**{name: value})
+
+
 def test_train_refuses_trace_every_below_one():
     model, ds = micro_setup()
     before = {p: t.data.copy() for p, t in model.tree.items()}
