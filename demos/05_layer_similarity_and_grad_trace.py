@@ -27,16 +27,15 @@ for kind in ("layernorm", "finetune"):
              trace=trace if kind == "layernorm" else None, trace_every=15)
     runs[kind] = m
 
-reports = [an.layer_similarity(runs[k], ds.tokens[:64], ds.features[:64],
-                               probe={"label": k})
+reports = [an.layer_similarity(runs[k], ds.tokens[:64], ds.features[:64], label=k)
            for k in runs]
 for rep in reports:
-    print(f"{rep.probe['label']:10s} mean off-diagonal cosine "
+    print(f"{rep.label:10s} mean off-diagonal cosine "
           f"{rep.average:.4f}  ({rep.n_layers} layers)")
     print(np.round(rep.matrix, 3))
-diff = an.compare_similarity(reports)[0]
-print(f"relative difference ({diff.label_a} vs {diff.label_b}): "
-      f"{diff.relative_diff:+.3%}\n")
+a, b = reports
+print(f"relative difference ({a.label} vs {b.label}): "
+      f"{an.relative_drop(a.average, b.average):+.3%}\n")
 
 # the traced gradient stream: histogram mass equals the parameter count,
 # and the first rows of the CSV the training loop would write

@@ -1,4 +1,5 @@
-"""Cross-layer representation similarity and per-step gradient statistics."""
+"""Cross-layer representation similarity (one model's `SimilarityReport`;
+`relative_drop` of two averages) and per-step gradient statistics."""
 
 from __future__ import annotations
 
@@ -22,14 +23,14 @@ HIST_LO, HIST_HI, HIST_BINS = -0.01, 0.01, 64
 class SimilarityReport:
     matrix: np.ndarray          # (L, L) cosine similarities
     average: float              # mean over the off-diagonal upper triangle
-    probe: dict                 # dataset id / batch size / seed / label
+    label: str = ""             # names the model in printed reports
 
     @property
     def n_layers(self) -> int:
         return self.matrix.shape[0]
 
 
-def similarity_from_representations(reps, probe=None) -> SimilarityReport:
+def similarity_from_representations(reps, label="") -> SimilarityReport:
     """reps: list of (d,) layer vectors, at least 2 -> pairwise-cosine report."""
     reps = [np.asarray(r, dtype=np.float64) for r in reps]
     if len(reps) < 2:
@@ -41,18 +42,20 @@ def similarity_from_representations(reps, probe=None) -> SimilarityReport:
     stacked = np.stack([r / n for r, n in zip(reps, norms)])
     matrix = np.clip(stacked @ stacked.T, -1.0, 1.0)
     upper = matrix[np.triu_indices(len(reps), k=1)]
-    return SimilarityReport(matrix=matrix, average=float(upper.mean()),
-                            probe=dict(probe or {}))
+    return SimilarityReport(matrix=matrix, average=float(upper.mean()), label=label)
 
 
-def layer_similarity(model: Model, tokens, visual=None, probe=None) -> SimilarityReport:
+def layer_similarity(model: Model, tokens, visual=None, label="") -> SimilarityReport:
     """Mean-pool each block's output over batch and positions, then cosine."""
     states = model.capture_layer_outputs(tokens, visual)
-    reps = [s.mean(axis=(0, 1)) for s in states]
-    info = {"batch": int(np.asarray(tokens).shape[0]),
-            "n_layers": len(states)}
-    info.update(probe or {})
-    return similarity_from_representations(reps, probe=info)
+    return similarity_from_representations([s.mean(axis=(0, 1)) for s in states],
+                                           label=label)
+
+
+def relative_drop(a: float, b: float) -> float:
+    """(a - b) / a: how far average similarity b lies below a, as a fraction
+    of a; informational, no direction claim."""
+    return (a - b) / a
 
 
 @dataclass(frozen=True)
@@ -137,35 +140,7 @@ class GradTrace:
                              *e.hist.tolist()])
 
 
-@dataclass(frozen=True)
-class SimilarityDiff:
-    label_a: str
-    label_b: str
-    average_a: float
-    average_b: float
-
-    @property
-    def relative_diff(self) -> float:
-        return (self.average_a - self.average_b) / self.average_a
-
-
-def compare_similarity(reports):
-    """Pairwise relative difference of averages; informational, no direction claim."""
-    layer_counts = {r.n_layers for r in reports}
-    if len(layer_counts) > 1:
-        raise ValueError(f"mismatched layer counts: {sorted(layer_counts)}")
-    rows = []
-    for i, a in enumerate(reports):
-        for j in range(i + 1, len(reports)):
-            b = reports[j]
-            rows.append(SimilarityDiff(
-                label_a=str(a.probe.get("label", f"run{i}")),
-                label_b=str(b.probe.get("label", f"run{j}")),
-                average_a=a.average, average_b=b.average))
-    return rows
-
-
 def mean_relative_drop() -> float:
-    """Mean of (a - b)/a over the (higher, lower) reference average-similarity
-    pairs."""
-    return float(np.mean([(a - b) / a for a, b in REFERENCE_SIMILARITY_PAIRS]))
+    """Mean `relative_drop` over the (higher, lower) reference
+    average-similarity pairs."""
+    return float(np.mean([relative_drop(a, b) for a, b in REFERENCE_SIMILARITY_PAIRS]))

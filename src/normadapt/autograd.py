@@ -68,9 +68,9 @@ class DegenerateSigmaError(ValueError):
 
 def check_count(name, value, low=0):
     """`value` as an int, refused by name unless it is an integer of at least
-    `low`; a bool is not a count.  The configs of data, model, strategies
-    and training check every count, size and seed here, the one module they
-    all import."""
+    `low`; a bool is not a count.  The configs and entry points of every
+    module check their counts, sizes and seeds here, the one module they all
+    import."""
     try:
         index = None if isinstance(value, bool) else operator.index(value)
     except TypeError:

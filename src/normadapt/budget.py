@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from .autograd import check_count
 from .model import ModelConfig, inventory_args, lora_entries, param_inventory
 from .strategies import TuningStrategy, is_lora_target, selection_paths
 
@@ -31,10 +32,9 @@ class ArchPreset:
 
     def __post_init__(self):
         for field in ("n_layers", "d_model", "d_ff", "vocab_size", "d_visual"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
-        if self.vision_params < 0 or self.max_seq < 0:
-            raise ValueError("vision_params and max_seq must be >= 0")
+            check_count(field, getattr(self, field), 1)
+        check_count("vision_params", self.vision_params)
+        check_count("max_seq", self.max_seq)
 
     def inventory(self):
         """(path, shape) pairs of `param_inventory`, the model's path grammar."""
@@ -97,8 +97,7 @@ def count(preset: ArchPreset, strategy: TuningStrategy,
     The total is the base model plus the frozen vision encoder; LoRA adapter
     scalars count as trainable but do not enter the total.
     """
-    if bytes_per_param < 1:
-        raise ValueError(f"bytes_per_param must be >= 1, got {bytes_per_param}")
+    check_count("bytes_per_param", bytes_per_param, 1)
     entries = preset.inventory()
     total = sum(prod(s) for _, s in entries) + preset.vision_params
     if strategy.kind == "lora":

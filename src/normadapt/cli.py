@@ -207,9 +207,10 @@ def cmd_compare(args):
 
 def cmd_budget(args):
     from . import budget as bg
+    from .autograd import check_count
     opts = _options(args)  # a bad --config is refused with or without the table
-    if args.bytes_per_param < 1:  # refused before the table's header is printed
-        raise ValueError(f"bytes_per_param must be >= 1, got {args.bytes_per_param}")
+    # refused before the table's header is printed
+    check_count("bytes_per_param", args.bytes_per_param, 1)
     if args.reference_table:
         print("preset,strategy,computed,reference,diff,tolerance,within,gated")
         for row in bg.reference_table():
@@ -230,33 +231,38 @@ def cmd_budget(args):
 def cmd_similarity(args):
     from . import analysis as an
     from . import training as tr
+    from .autograd import check_count
     from .model import load_checkpoint
 
-    def probe_report(ckpt, label):
+    def probe_report(ckpt):
         model = load_checkpoint(ckpt)
         ds = tr.AdaptProtocol(model=model.config).dataset(
             args.task, args.probe_samples, args.probe_seed)
         return an.layer_similarity(model, ds.tokens, ds.features,
-                                   probe={"label": label,
-                                          "seed": args.probe_seed,
-                                          "samples": args.probe_samples})
+                                   label=Path(ckpt).stem)
 
-    reports = [probe_report(args.ckpt, Path(args.ckpt).stem)]
+    check_count("probe_seed", args.probe_seed)
+    check_count("probe_samples", args.probe_samples, 1)
+    reports = [probe_report(args.ckpt)]
     payload = {}
     if args.ckpt_b:
-        reports.append(probe_report(args.ckpt_b, Path(args.ckpt_b).stem))
-        # a pair compare_similarity refuses is refused before anything is written
-        payload["relative_diff"] = an.compare_similarity(reports)[0].relative_diff
+        reports.append(probe_report(args.ckpt_b))
+        # a pair of unequal depth is refused before anything is written
+        layer_counts = sorted({rep.n_layers for rep in reports})
+        if len(layer_counts) > 1:
+            raise ValueError(f"mismatched layer counts: {layer_counts}")
+        payload["relative_diff"] = an.relative_drop(reports[0].average,
+                                                    reports[1].average)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = []
     for rep in reports:
-        csv_path = outdir / f"similarity_{rep.probe['label']}.csv"
+        csv_path = outdir / f"similarity_{rep.label}.csv"
         with open(csv_path, "w") as f:
             for row in rep.matrix:
                 f.write(",".join(repr(float(x)) for x in row) + "\n")
-        summary.append({"label": rep.probe["label"], "average": rep.average,
+        summary.append({"label": rep.label, "average": rep.average,
                         "n_layers": rep.n_layers, "matrix_csv": str(csv_path)})
     print(json.dumps({"reports": summary, **payload}, indent=2))
     return 0

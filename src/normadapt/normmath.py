@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import DegenerateSigmaError
+from .autograd import DegenerateSigmaError, check_count
 
 
 @dataclass
@@ -177,6 +177,7 @@ def variance_scaling_study(n_grid, sampler="softmax-xent", trials=200,
         raise ValueError(f"variance_scaling_study: n_grid sizes must be >= 2, got {n_grid}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("variance_scaling_study: n_grid must be strictly ascending")
+    check_count("seed", seed)
     draw_b = SAMPLERS[sampler]
     rng = np.random.default_rng(seed)
     medians = []

@@ -157,6 +157,7 @@ def evaluate(model: Model, ds: dt.Dataset, batch=64) -> float:
     Batches with no scored target are skipped without a forward pass; only a
     split with no scored target at all raises.
     """
+    ag.check_count("batch", batch, 1)
     total_nll = 0.0
     total_count = 0
     with ag.no_grad():

@@ -262,12 +262,11 @@ def test_similarity_gates_and_reference_arithmetic():
         m = tr.clone_model(base)
         tr.train(m, TuningStrategy(kind), train_ds, None, cfg)
         reports.append(an.layer_similarity(m, train_ds.tokens[:16],
-                                           train_ds.features[:16],
-                                           probe={"label": kind}))
-    diff = an.compare_similarity(reports)[0]
-    print(f"informational: layer-similarity {diff.label_a}={diff.average_a:.4f} "
-          f"{diff.label_b}={diff.average_b:.4f} "
-          f"relative_diff={diff.relative_diff:+.4f}")
+                                           train_ds.features[:16], label=kind))
+    a, b = reports
+    print(f"informational: layer-similarity {a.label}={a.average:.4f} "
+          f"{b.label}={b.average:.4f} "
+          f"relative_diff={an.relative_drop(a.average, b.average):+.4f}")
 
 
 # 9 --------------------------------------------- schedule + reproducibility

@@ -56,7 +56,7 @@ def test_cosine_invariant_to_positive_rescaling():
 def test_real_model_report_invariants_and_determinism():
     m = build_tiny()
     ids = np.random.default_rng(17).integers(0, 11, size=(8, 6))
-    one = an.layer_similarity(m, ids, probe={"label": "base"})
+    one = an.layer_similarity(m, ids, label="base")
     two = an.layer_similarity(m, ids)
     np.testing.assert_array_equal(one.matrix, two.matrix)
     assert one.matrix.shape == (3, 3)
@@ -65,29 +65,25 @@ def test_real_model_report_invariants_and_determinism():
     assert (np.abs(one.matrix) <= 1.0).all()
     off = one.matrix[np.triu_indices(3, k=1)]
     assert one.average == pytest.approx(off.mean())
-    assert one.probe["label"] == "base"
+    assert one.label == "base"
 
 
-def test_compare_similarity_pairs_and_errors():
-    rng = np.random.default_rng(1)
-    reps = [rng.standard_normal(5) for _ in range(3)]
-    a = an.similarity_from_representations(reps, probe={"label": "a"})
-    same = an.similarity_from_representations(reps, probe={"label": "b"})
-    rows = an.compare_similarity([a, same])
-    assert len(rows) == 1
-    assert rows[0].relative_diff == 0.0
-    assert (rows[0].label_a, rows[0].label_b) == ("a", "b")
+def test_report_label_round_trip():
+    reps = [np.eye(3)[0], np.ones(3)]
+    assert an.similarity_from_representations(reps, label="a").label == "a"
+    assert an.similarity_from_representations(reps).label == ""
 
-    short = an.similarity_from_representations(reps[:2])
-    with pytest.raises(ValueError, match="mismatched"):
-        an.compare_similarity([a, short])
+
+def test_relative_drop_of_a_reference_pair():
+    drop = an.relative_drop(0.624, 0.585)
+    assert drop == pytest.approx((0.624 - 0.585) / 0.624)
+    assert drop == pytest.approx(0.0625, abs=5e-4)
+    assert an.relative_drop(0.7, 0.7) == 0.0
 
 
 def test_reference_pair_arithmetic():
-    drop = an.SimilarityDiff("x", "y", 0.624, 0.585).relative_diff
-    assert drop == pytest.approx((0.624 - 0.585) / 0.624)
-    assert drop == pytest.approx(0.0625, abs=5e-4)
-    # aggregate over the three reference pairs
+    drops = [an.relative_drop(a, b) for a, b in an.REFERENCE_SIMILARITY_PAIRS]
+    assert an.mean_relative_drop() == float(np.mean(drops))
     assert 0.105 <= an.mean_relative_drop() <= 0.107
 
 

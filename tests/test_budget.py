@@ -120,9 +120,12 @@ def test_toy_consistency_with_built_model(kind, norm_kind, tie):
 
 
 def test_preset_validation():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^n_layers must be >= 1, got 0$"):
         bg.ArchPreset(name="bad", n_layers=0, d_model=8, d_ff=16,
                       vocab_size=10, d_visual=4, vision_params=0)
+    with pytest.raises(ValueError, match="^vision_params must be >= 0, got -1$"):
+        bg.ArchPreset(name="bad", n_layers=1, d_model=8, d_ff=16,
+                      vocab_size=10, d_visual=4, vision_params=-1)
 
 
 def test_vision_params_never_selected():

@@ -594,6 +594,13 @@ def test_config_key_the_command_does_not_read_is_refused(
     (["normcheck", "--n-grid", "1,4"],
      "normadapt normcheck: error: variance_scaling_study: n_grid sizes must be "
      ">= 2, got [1, 4]\n"),
+    (["normcheck", "--seed", "-1"],
+     "normadapt normcheck: error: seed must be >= 0, got -1\n"),
+    # refused before the (missing) checkpoint is read
+    (["similarity", "--ckpt", "missing.ckpt", "--probe-seed", "-1"],
+     "normadapt similarity: error: probe_seed must be >= 0, got -1\n"),
+    (["similarity", "--ckpt", "missing.ckpt", "--probe-samples", "0"],
+     "normadapt similarity: error: probe_samples must be >= 1, got 0\n"),
     (["compare", "--mixture", "1,2"],
      "normadapt compare: error: argument --mixture: mixture needs 3 "
      "comma-separated weights, got '1,2'\n"),
@@ -604,7 +611,9 @@ def test_config_key_the_command_does_not_read_is_refused(
         "eval-interval-negative", "seed-negative", "seed-split-past-2-64",
         "n-samples-0", "n-eval-0", "sweep-repeated-lr", "bytes-per-param-negative",
         "bytes-per-param-0-table", "normcheck-trials-0", "normcheck-trials-negative",
-        "normcheck-one-size", "normcheck-size-below-2", "mixture-two-weights",
+        "normcheck-one-size", "normcheck-size-below-2", "normcheck-seed-negative",
+        "similarity-probe-seed-negative", "similarity-probe-samples-0",
+        "mixture-two-weights",
         "mixture-not-numbers"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     """Refused before anything reaches stdout (a table's header included)."""

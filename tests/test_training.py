@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from normadapt import autograd as ag
+from normadapt import budget as bg
 from normadapt import data as dt
 from normadapt import model as md
 from normadapt import training as tr
@@ -151,6 +152,9 @@ def traced_train(trace_every):
              trace_every=trace_every)
 
 
+SMALL_PRESET = dict(name="small", n_layers=2, d_model=8, d_ff=16, vocab_size=10,
+                    d_visual=4, vision_params=0)
+
 # (owner, how to set a count, its count fields) for everything that takes a count
 COUNT_FIELDS = [
     ("ModelConfig", md.ModelConfig,
@@ -165,6 +169,13 @@ COUNT_FIELDS = [
       "batch", "seed")),
     ("TuningStrategy", lambda **kw: TuningStrategy("lora", **kw), ("lora_rank",)),
     ("train", traced_train, ("trace_every",)),
+    ("ArchPreset", lambda **kw: bg.ArchPreset(**{**SMALL_PRESET, **kw}),
+     ("n_layers", "d_model", "d_ff", "vocab_size", "d_visual", "vision_params",
+      "max_seq")),
+    ("count", lambda **kw: bg.count(bg.ArchPreset(**SMALL_PRESET),
+                                    TuningStrategy("layernorm"), **kw),
+     ("bytes_per_param",)),
+    ("evaluate", lambda **kw: tr.evaluate(*micro_setup(n=4), **kw), ("batch",)),
 ]
 
 
@@ -175,6 +186,12 @@ COUNT_FIELDS = [
 def test_a_count_that_is_not_an_integer_is_refused_by_name(make, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
         make(**{name: value})
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_evaluate_refuses_a_batch_below_one(batch):
+    with pytest.raises(ValueError, match=f"^batch must be >= 1, got {batch}$"):
+        tr.evaluate(*micro_setup(n=4), batch=batch)
 
 
 def test_train_refuses_trace_every_below_one():
